@@ -284,10 +284,8 @@ def _run_correlations(args) -> int:
             raise ConfigError(f"separation {r} puts the partner outside the lattice")
 
     def one(r: int):
-        partner = site + r
-        q = correlation_matrix(profile, state, site, partner)
-        rho = reduced_density(profile, state, [site, partner])
-        return (r, max_correlation(q), concurrence(rho),
+        rho = reduced_density(profile, state, [site, site + r])
+        return (r, max_correlation(correlation_matrix(rho)), concurrence(rho),
                 concurrence_of_assistance(rho))
 
     rows = _pmap(one, seps, args.threads)
@@ -329,7 +327,7 @@ def _run_entropy_scan(args) -> int:
     def one(size: int):
         block = _contiguous_block(profile, items, size)
         exact = block_entropy(profile, state, block) if size <= A_MAX else None
-        upper = block_entropy_upper(profile, state, block, m=m)
+        upper = block_entropy_upper(profile, state, block, m=m, exact=exact)
         lower = block_entropy_lower(profile, state, block, radius)
         return (size, exact, upper, lower)
 
@@ -409,7 +407,8 @@ def _run_dynamics(args) -> int:
         profile = PhaseProfile(base.lattice, base.law, t_over_pi * math.pi)
         entropies = [block_entropy(profile, state, _contiguous_block(profile, items, l))
                      for l in range(1, l_max + 1)]
-        q = max_correlation(correlation_matrix(profile, state, site, site + separation))
+        pair = reduced_density(profile, state, [site, site + separation])
+        q = max_correlation(correlation_matrix(pair))
         return (t_over_pi, *entropies, q, meyer_wallach(profile, state))
 
     rows = _pmap(one, [float(t) for t in ts], args.threads)

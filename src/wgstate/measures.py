@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rdm import A_MAX, ProductInput, SubsetTooLargeError, reduced_density
+from .rdm import A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, reduced_density
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -70,7 +70,7 @@ def block_entropy(profile, state: ProductInput, sites, a_max: int = A_MAX) -> fl
 
 
 def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
-                        a_max: int = A_MAX) -> float:
+                        a_max: int = A_MAX, exact: float | None = None) -> float:
     """Upper bound on the block entropy from a chain of sub-blocks.
 
     Split the block into consecutive sub-blocks L_1..L_n of ``m`` sites
@@ -83,6 +83,9 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
     one of len(sites).  The bound is exact whenever correlations do not
     reach beyond adjacent sub-blocks, and is clipped to the trivial range
     [0, len(sites)].
+
+    With a single sub-block the bound is the block entropy itself; pass it
+    as ``exact`` when it is already known and the block is not swept again.
     """
     sites = np.asarray(sites, dtype=np.intp).ravel()
     total = sites.size
@@ -90,7 +93,9 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
         raise ValueError("sub-block size m must be at least 1")
     n = total // m
     if n <= 1:
-        return min(block_entropy(profile, state, sites, a_max), float(total))
+        if exact is None:
+            exact = block_entropy(profile, state, sites, a_max)
+        return min(exact, float(total))
     blocks = [sites[i * m:(i + 1) * m] for i in range(n - 1)]
     blocks.append(sites[(n - 1) * m:])
     if blocks[-1].size + m > a_max:
@@ -159,14 +164,19 @@ def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho @ s) for s in _PAULIS])
 
 
-def correlation_matrix(profile, state: ProductInput, k: int, l: int) -> np.ndarray:
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """Connected correlation matrix Q[a, b] = <s_a s_b> - <s_a><s_b>.
 
-    Rows index Pauli x, y, z on site k; columns the same on site l.  The
-    entries of a Hermitian observable's expectation are real; anything
-    beyond rounding noise in the imaginary part is an internal error.
+    ``rho`` is the 4 x 4 reduced state of a pair (k, l), k the most
+    significant bit, as :func:`wgstate.rdm.reduced_density` returns it for
+    ``[k, l]``.  Rows index Pauli x, y, z on site k; columns the same on
+    site l.  The expectations of Hermitian observables in a Hermitian state
+    are real; an imaginary part beyond rounding noise means ``rho`` is not
+    a density matrix and raises ValueError.
     """
-    rho = reduced_density(profile, state, [k, l])
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
     t = rho.reshape(2, 2, 2, 2)
     rho_k = np.einsum("ajbj->ab", t)
     rho_l = np.einsum("jajb->ab", t)
@@ -177,7 +187,10 @@ def correlation_matrix(profile, state: ProductInput, k: int, l: int) -> np.ndarr
         for b, sb in enumerate(_PAULIS):
             joint[a, b] = np.trace(rho @ np.kron(sa, sb))
     q = joint - np.outer(ev_k, ev_l)
-    assert np.abs(q.imag).max() < 1e-9, "correlation matrix came out complex"
+    worst = float(np.abs(q.imag).max())
+    if worst >= 1e-9:
+        raise ValueError(f"correlation matrix has imaginary part {worst!r}; "
+                         "rho is not Hermitian")
     return q.real
 
 
@@ -218,9 +231,8 @@ def assistance_and_localizable_bounds(profile, state: ProductInput, k: int,
     The localizable entanglement itself (an optimization over measurement
     strategies on all other sites) is never computed, only bracketed.
     """
-    lower = max_correlation(correlation_matrix(profile, state, k, l))
-    upper = concurrence_of_assistance(reduced_density(profile, state, [k, l]))
-    return lower, upper
+    rho = reduced_density(profile, state, [k, l])
+    return max_correlation(correlation_matrix(rho)), concurrence_of_assistance(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +254,8 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     for i, k in enumerate(sites):
         others = np.concatenate([np.arange(k), np.arange(k + 1, profile.n_sites)])
         off = amps[k, 0] * np.conj(amps[k, 1])
-        for start in range(0, others.size, 262144):
-            ls = others[start:start + 262144]
+        for start in range(0, others.size, ENV_SLAB):
+            ls = others[start:start + ENV_SLAB]
             phi = profile.phase_row(int(k), ls)
             p0 = np.abs(amps[ls, 0]) ** 2
             p1 = np.abs(amps[ls, 1]) ** 2

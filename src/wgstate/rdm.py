@@ -12,8 +12,12 @@ to the matrix element rho[x, y], where d = x - y in {-1, 0, 1}^m and
 p0_l, p1_l are the environment site's populations.  The element therefore
 depends on the environment only through the difference class d, so one
 sweep over the environment fills a table of 3^m numbers and the full
-2^m x 2^m matrix is assembled from it.  Total cost is O(N * 3^m) time and
-O(3^m + 4^m) memory -- linear in system size, never a 2^N statevector.
+2^m x 2^m matrix is assembled from it.  Populations are real, so
+E(-d) = conj E(d) and the sweep computes only (3^m + 1) / 2 classes; sites
+with no coupling to the subset contribute the constant p0_l + p1_l and are
+folded in as one scalar.  Total cost is O(N_coupled * (3^m + 1) / 2) time,
+in chunks of about 2 MiB, and O(3^m + 4^m) memory -- linear in system
+size, never a 2^N statevector.
 
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
 left index and the conjugate on the right; they never change the spectrum,
@@ -37,9 +41,13 @@ import numpy as np
 # long before the 4^m matrix stops fitting in RAM.
 A_MAX = 10
 
-# Environment sites processed per sweep chunk, scaled so the working set
-# (chunk x 3^m complex entries) stays around a few tens of MB.
-_CHUNK_BUDGET = 2_000_000
+# Complex entries per sweep chunk (chunk sites x (3^m + 1) / 2 classes):
+# 2 MiB, so the working set of a chunk stays in cache.
+_CHUNK_BUDGET = 131_072
+
+# Environment sites per slab of phase rows in every sweep, so that memory
+# for the phases is bounded by this, not by the lattice size.
+ENV_SLAB = 262_144
 
 
 class SubsetTooLargeError(ValueError):
@@ -139,33 +147,55 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     ``environment`` defaults to every site outside the subset; passing an
     explicit list restricts the trace to those sites (the rest are treated
     as uncoupled), which is what the finite-range entropy lower bound uses.
+
+    Only the codes up to the center (d = 0) are swept; the others follow
+    from E(-d) = conj E(d).  Environment sites whose phases to every subset
+    site are exactly 0.0 give every class the same factor p0_l + p1_l, so
+    they are multiplied in as one scalar instead of being swept.
     """
     sites = _check_subset(profile.n_sites, sites, a_max)
     env = _resolve_environment(profile.n_sites, sites, environment)
     m = sites.size
-    n_classes = 3 ** m
-    out = np.ones(n_classes, dtype=np.complex128)
-    if env.size == 0:
-        return out
-    p0, p1 = state.populations(env)
-    chunk = max(1, _CHUNK_BUDGET // n_classes)
-    for start in range(0, env.size, chunk):
-        ls = env[start:start + chunk]
-        c = ls.size
-        phi = np.empty((c, m), dtype=np.float64)
+    center = (3 ** m - 1) // 2      # code of d = 0
+    n_lead = 3 ** (m - 1)           # codes with d_0 = -1; the rest have d_0 = 0
+    half = np.ones(center + 1, dtype=np.complex128)   # codes 0..center
+    uncoupled = 1.0
+    chunk = max(1, _CHUNK_BUDGET // half.size)
+    buf = np.empty((min(chunk, env.size), half.size), dtype=np.complex128)
+    for start in range(0, env.size, ENV_SLAB):
+        ls = env[start:start + ENV_SLAB]
+        phi = np.empty((m, ls.size), dtype=np.float64)
         for j, k in enumerate(sites):
-            phi[:, j] = profile.phase_row(int(k), ls)
-        z = np.exp(-1j * phi)
-        # Staged Kronecker sweep: after step j, w[:, code] holds
-        # exp(-i sum_{k<=j} phi_kl d_k) for every partial difference code.
-        w = np.ones((c, 1), dtype=np.complex128)
-        for j in range(m):
-            col = z[:, j]
-            tri = np.stack([col.conj(), np.ones_like(col), col], axis=1)
-            w = (w[:, :, None] * tri[:, None, :]).reshape(c, -1)
-        factors = p0[start:start + chunk, None] + p1[start:start + chunk, None] * w
-        out *= factors.prod(axis=0)
-    return out
+            phi[j] = profile.phase_row(int(k), ls)
+        p0, p1 = state.populations(ls)
+        coupled = (phi != 0.0).any(axis=0)
+        if not coupled.all():
+            # every class gets the same factor p0 + p1 from these sites
+            uncoupled *= float(np.prod(p0[~coupled] + p1[~coupled]))
+            phi, p0, p1 = phi[:, coupled], p0[coupled], p1[coupled]
+        for lo in range(0, p0.size, chunk):
+            z = np.exp(-1j * phi[:, lo:lo + chunk])
+            c = z.shape[1]
+            # Staged Kronecker sweep over the trailing sites, the most
+            # significant one applied last: w[:, code] holds
+            # p1 * exp(-i sum_{k>=j} phi_kl d_k) for every partial code.
+            w = p1[lo:lo + chunk, None].astype(np.complex128)
+            for j in range(m - 1, 0, -1):
+                col = z[j, :, None]
+                nxt = np.empty((c, 3, w.shape[1]), dtype=np.complex128)
+                np.multiply(w, col.conj(), out=nxt[:, 0])
+                nxt[:, 1] = w
+                np.multiply(w, col, out=nxt[:, 2])
+                w = nxt.reshape(c, -1)
+            # Site 0 last, and only as far as the center: all of d_0 = -1,
+            # the lower half of d_0 = 0.  E(-d) = conj E(d) gives the rest.
+            f = buf[:c]
+            np.multiply(w, z[0, :, None].conj(), out=f[:, :n_lead])
+            f[:, n_lead:] = w[:, :half.size - n_lead]
+            f += p0[lo:lo + chunk, None]
+            half *= f.prod(axis=0)
+    half *= uncoupled
+    return np.concatenate([half, half[-2::-1].conj()])
 
 
 def environment_factor(profile, state: ProductInput, sites, x, y,
@@ -188,12 +218,12 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
         return out
     p0, p1 = state.populations(env)
     active = np.flatnonzero(d)
-    for start in range(0, env.size, 262144):
-        ls = env[start:start + 262144]
+    for start in range(0, env.size, ENV_SLAB):
+        ls = env[start:start + ENV_SLAB]
         delta = np.zeros(ls.size, dtype=np.float64)
         for j in active:
             delta += d[j] * profile.phase_row(int(sites[j]), ls)
-        vals = p0[start:start + 262144] + p1[start:start + 262144] * np.exp(-1j * delta)
+        vals = p0[start:start + ENV_SLAB] + p1[start:start + ENV_SLAB] * np.exp(-1j * delta)
         out *= complex(vals.prod())
     return out
 
@@ -254,8 +284,8 @@ def single_site_coherence(profile, k: int) -> complex:
     others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
     mag = 1.0
     half_sum = 0.0
-    for start in range(0, others.size, 262144):
-        phi = profile.phase_row(k, others[start:start + 262144])
+    for start in range(0, others.size, ENV_SLAB):
+        phi = profile.phase_row(k, others[start:start + ENV_SLAB])
         mag *= float(np.prod(np.cos(0.5 * phi)))
         half_sum += 0.5 * math.fsum(phi.tolist())
     return complex(mag * np.exp(1j * half_sum))

@@ -139,7 +139,8 @@ def test_06_correlation_decay_follows_coupling_law():
 
     def misfit(law):
         profile = PhaseProfile(lat, law, time=0.3 * math.pi)
-        q = [max_correlation(correlation_matrix(profile, state, site, site + r))
+        q = [max_correlation(correlation_matrix(
+                 reduced_density(profile, state, [site, site + r])))
              for r in seps]
         y = np.log(np.asarray(q))
         slope, intercept = np.polyfit(seps, y, 1)
@@ -164,7 +165,7 @@ def test_07_stabilizer_point_hides_pair_correlations():
     worst_q = 0.0
     for k in range(1, 98):
         for l in range(k + 1, 99):
-            q = correlation_matrix(profile, state, k, l)
+            q = correlation_matrix(reduced_density(profile, state, [k, l]))
             worst_q = max(worst_q, float(np.abs(q).max()))
     assert worst_q < 1e-10, f"largest interior correlation {worst_q:.3e}"
 

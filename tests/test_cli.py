@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wgstate.rdm as rdm
 from wgstate.cli import main
 from wgstate.graphstate import write_edge_list
 
@@ -133,6 +134,43 @@ def test_entropy_scan_start_key(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2\nstart = 0\n")
     code, out, _ = run(capsys, "entropy-scan", "--config", cfg)
     assert code == 0
+
+
+def count_sweeps(monkeypatch):
+    """Record (subset, explicit environment or None) of every environment sweep."""
+    calls = []
+    sweep = rdm.environment_product
+
+    def counted(profile, state, sites, environment=None, a_max=rdm.A_MAX):
+        calls.append((list(sites), None if environment is None else list(environment)))
+        return sweep(profile, state, sites, environment, a_max)
+
+    monkeypatch.setattr(rdm, "environment_product", counted)
+    return calls
+
+
+def test_correlations_sweep_once_per_row(capsys, tmp_path, monkeypatch):
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1:5\nsite = 6\n")
+    code, out, _ = run(capsys, "correlations", "--config", cfg)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 5
+    assert [sites for sites, _ in calls] == [[6, 6 + r] for r in range(1, 6)]
+
+
+def test_entropy_scan_sweeps_each_exact_block_once(capsys, tmp_path, monkeypatch):
+    # sizes below 2m leave block_entropy_upper a single sub-block, whose
+    # bound is the exact entropy the row already has
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2:7\nm = 4\nstart = 3\n")
+    code, out, _ = run(capsys, "entropy-scan", "--config", cfg)
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert len(rows) == 6
+    for row in rows:
+        block = list(range(3, 3 + int(row[0])))
+        assert calls.count((block, None)) == 1
+        assert float(row[2]) == float(row[1])
 
 
 def test_bounds_scan_zips_parameter_sweeps(capsys, tmp_path):

@@ -215,7 +215,7 @@ def test_correlation_matrix_product_state_is_zero():
     lat = Lattice(8)
     prof = PhaseProfile(lat, PowerLaw(alpha=2.0), time=0.0)
     state = ProductInput.random(8, rng)
-    q = correlation_matrix(prof, state, 2, 6)
+    q = correlation_matrix(reduced_density(prof, state, [2, 6]))
     assert np.abs(q).max() < 1e-12
 
 
@@ -224,7 +224,7 @@ def test_correlation_matrix_matches_oracle():
     prof = PhaseProfile(lat, PowerLaw(alpha=1.0 / 3.0), time=0.3 * math.pi)
     state = ProductInput.plus(12)
     k, l = 3, 8
-    q = correlation_matrix(prof, state, k, l)
+    q = correlation_matrix(reduced_density(prof, state, [k, l]))
     psi = evolve(prof, state)
     rho_kl = partial_trace(psi, [k, l])
     rho_k = partial_trace(psi, [k])
@@ -241,8 +241,17 @@ def test_correlation_matrix_vanishes_inside_stabilizer_state():
     lat = Lattice(20)
     prof = PhaseProfile(lat, Cutoff(reach=1.0), time=math.pi)
     state = ProductInput.plus(20)
-    q = correlation_matrix(prof, state, 9, 10)
+    q = correlation_matrix(reduced_density(prof, state, [9, 10]))
     assert np.abs(q).max() < 1e-10
+
+
+def test_correlation_matrix_rejects_non_hermitian_rho():
+    rho = np.eye(4, dtype=np.complex128) / 4
+    rho[0, 3] = 0.25j  # no conjugate partner at [3, 0]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        correlation_matrix(rho)
+    with pytest.raises(ValueError, match="4 x 4"):
+        correlation_matrix(np.eye(2) / 2)
 
 
 def test_max_correlation_values():
