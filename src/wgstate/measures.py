@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import Disordered, PhaseProfile
 from .rdm import A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, reduced_density
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -205,10 +206,13 @@ def _spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
-    r = rho @ _YY @ rho.conj() @ _YY
-    lam = np.sqrt(np.clip(np.linalg.eigvals(r).real, 0.0, None))
-    lam.sort()
-    return lam[::-1]
+    # With rho = a a^H, the eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)),
+    # rho~ = YY rho^* YY, are the singular values of a^T YY a.  Taking them
+    # directly, not as square roots of eigenvalues, keeps the small ones at
+    # rounding level instead of sqrt(eps) when rho is (nearly) pure.
+    w, v = np.linalg.eigh(rho)
+    a = v * np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -243,24 +247,60 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     """Average single-site mixedness, 2 * (1 - mean_k tr rho_k^2).
 
     0 for any product state, 1 when every site is maximally mixed.  Each
-    site's purity comes from the closed form of its 2 x 2 reduced state,
-    so the cost is one environment sweep per site (O(N^2) overall).
+    site's purity comes from the closed form of its 2 x 2 reduced state.
+    For a :class:`PhaseProfile` whose law depends only on distance (any
+    law but :class:`Disordered`) and an input with the same populations at
+    every site, all sites' coherences come from one FFT convolution over
+    the lattice, O(N log N) whatever ``sites`` is.  Otherwise the cost is
+    one environment sweep per listed site, O(N) each and O(N^2) for all.
     """
+    n = profile.n_sites
     if sites is None:
-        sites = np.arange(profile.n_sites)
+        sites = np.arange(n)
     sites = np.asarray(sites, dtype=np.intp).ravel()
+    if sites.size and (sites.min() < 0 or sites.max() >= n):
+        raise ValueError(f"site index out of range 0..{n - 1}")
     amps = state.amplitudes
+    p0, p1 = state.populations(np.arange(n))
+    if (isinstance(profile, PhaseProfile) and not isinstance(profile.law, Disordered)
+            and (p0 == p0[0]).all() and (p1 == p1[0]).all()):
+        p0, p1 = p0[0], p1[0]
+        log_c = _log_coherences(profile, p0, p1)[sites]
+        purities = p0 ** 2 + p1 ** 2 + 2.0 * p0 * p1 * np.exp(2.0 * log_c)
+        return float(2.0 * (1.0 - purities.mean()))
     purities = np.empty(sites.size)
     for i, k in enumerate(sites):
-        others = np.concatenate([np.arange(k), np.arange(k + 1, profile.n_sites)])
+        others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
         off = amps[k, 0] * np.conj(amps[k, 1])
         for start in range(0, others.size, ENV_SLAB):
             ls = others[start:start + ENV_SLAB]
             phi = profile.phase_row(int(k), ls)
-            p0 = np.abs(amps[ls, 0]) ** 2
-            p1 = np.abs(amps[ls, 1]) ** 2
-            off *= np.prod(p0 + p1 * np.exp(1j * phi))
-        p0k = abs(amps[k, 0]) ** 2
-        p1k = abs(amps[k, 1]) ** 2
-        purities[i] = p0k ** 2 + p1k ** 2 + 2.0 * abs(off) ** 2
+            off *= np.prod(p0[ls] + p1[ls] * np.exp(1j * phi))
+        purities[i] = p0[k] ** 2 + p1[k] ** 2 + 2.0 * abs(off) ** 2
     return float(2.0 * (1.0 - purities.mean()))
+
+
+def _log_coherences(profile: PhaseProfile, p0: float, p1: float) -> np.ndarray:
+    """log prod_{l != k} |p0 + p1 exp(i phi_kl)| for every site k, in site order.
+
+    The law depends only on distance, so the sum over l of
+    g = log|p0 + p1 exp(i phi)| is the lattice's indicator convolved with g
+    over the displacements -(E-1)..E-1 of each axis of extent E.  Along an
+    axis the distance depends on |d| alone (min(|d|, E - |d|) if periodic),
+    so g is site 0's phase row reflected about 0 on every axis: the very
+    phases ``phase_row(k, .)`` gives every other site.  Each axis is padded
+    to a power of two >= 2E - 1, enough that the circular convolution does
+    not wrap onto the sites.
+    """
+    extents = profile.lattice.extents
+    phi = np.zeros(profile.n_sites)
+    phi[1:] = profile.phase_row(0, np.arange(1, profile.n_sites))
+    g = np.log(np.abs(p0 + p1 * np.exp(1j * phi))).reshape(extents)
+    g.flat[0] = 0.0     # l = k is not in the product
+    g = np.pad(g, [(e - 1, 0) for e in extents], mode="reflect")
+    shape = [1 << (2 * e - 2).bit_length() for e in extents]
+    axes = tuple(range(len(extents)))
+    spectrum = np.fft.rfftn(np.ones(extents), s=shape, axes=axes)
+    spectrum *= np.fft.rfftn(g, s=shape, axes=axes)
+    total = np.fft.irfftn(spectrum, s=shape, axes=axes)
+    return total[tuple(slice(e - 1, 2 * e - 1) for e in extents)].ravel()

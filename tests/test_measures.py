@@ -288,19 +288,21 @@ def test_concurrence_known_states():
 def test_concurrence_of_pure_pairs_matches_determinant_formula():
     rng = np.random.default_rng(29)
     lat = Lattice(2)
+    pairs = []
     for _ in range(15):
         prof = PhaseProfile(lat, PowerLaw(alpha=float(rng.uniform(0.5, 3.0))),
                             time=float(rng.uniform(0.0, 2.0 * math.pi)))
-        state = ProductInput.random(2, rng)
-        psi = evolve(prof, state)
+        pairs.append(evolve(prof, ProductInput.random(2, rng)))
+    for _ in range(15):
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        pairs.append(psi / np.linalg.norm(psi))
+    for psi in pairs:
         rho = np.outer(psi, psi.conj())
         expected = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
-        # the three spurious roots of the rank-1 spin-flip product each
-        # carry sqrt(eps)-level noise, so 1e-10 is not on the table here
-        assert concurrence(rho) == pytest.approx(expected, abs=1e-6)
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
         # on a pure pair no measurement elsewhere can help
         assert concurrence_of_assistance(rho) == pytest.approx(
-            expected, abs=1e-6)
+            expected, abs=1e-12)
 
 
 def test_assistance_bounds_product_state():
