@@ -9,8 +9,10 @@ time into the controlled-phase angles phi(k,l) = f(r_kl) * t that drive
 everything downstream.
 
 Phases are computed on demand and reduced mod 2*pi at query time; no N x N
-table is ever materialized, so memory stays O(N).  All objects here are
-immutable after construction and safe to query from any number of threads.
+table is ever materialized, so memory stays O(N).  A law of distance alone
+gives every pair's phase from one table over the lattice's displacements,
+:func:`displacement_phases`.  All objects here are immutable after
+construction and safe to query from any number of threads.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ _BOUNDARIES = ("open", "periodic")
 
 class ConfigError(ValueError):
     """Malformed configuration input (bad key, value, or combination)."""
+
+
+def _reduce_phase(x) -> np.ndarray:
+    """x mod 2*pi, in [0, 2*pi).
+
+    ``np.mod`` of a negative value smaller in magnitude than half an ulp of
+    2*pi rounds up to 2*pi itself; that full turn is returned as 0.0.
+    """
+    phi = np.mod(x, TWO_PI)
+    return np.where(phi == TWO_PI, 0.0, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +317,7 @@ class PhaseProfile:
         if r.size and r.min() == 0.0:
             raise ValueError(f"phase(k, k) is undefined (site {k} paired with itself)")
         f = self.law.strengths(r, k, ls)
-        return np.mod(f * self.time, TWO_PI)
+        return _reduce_phase(f * self.time)
 
     def phase(self, k: int, l: int) -> float:
         if k == l:
@@ -318,23 +330,32 @@ class EdgeProfile:
 
     Drop-in replacement for :class:`PhaseProfile` wherever only
     ``n_sites`` / ``phase`` / ``phase_row`` are consumed.  Useful for
-    interaction patterns that no distance law produces.
+    interaction patterns that no distance law produces.  Each site's
+    neighbours are stored once, in compressed sparse rows: ascending site
+    indices with their phases, so a phase row is one binary search per
+    queried site.
     """
 
     def __init__(self, n_sites: int, phases: Mapping[tuple[int, int], float]):
         if n_sites < 2:
             raise ValueError("need at least 2 sites")
         self._n = int(n_sites)
-        self._adj: list[dict[int, float]] = [dict() for _ in range(self._n)]
+        pairs: dict[tuple[int, int], float] = {}
         for (k, l), phi in phases.items():
             k, l = int(k), int(l)
             if k == l:
                 raise ValueError(f"self-pair ({k}, {k}) has no phase")
             if not (0 <= k < self._n and 0 <= l < self._n):
                 raise ValueError(f"site pair ({k}, {l}) out of range")
-            phi = float(np.mod(phi, TWO_PI))
-            self._adj[k][l] = phi
-            self._adj[l][k] = phi
+            pairs[min(k, l), max(k, l)] = float(phi)
+        ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+        phi = _reduce_phase(np.array(list(pairs.values()), dtype=np.float64))
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((cols, rows))
+        self._indptr = np.searchsorted(rows[order], np.arange(self._n + 1))
+        self._cols = cols[order]
+        self._phases = np.concatenate([phi, phi])[order]
 
     @classmethod
     def from_edges(cls, n_sites: int, edges, phase: float = math.pi) -> "EdgeProfile":
@@ -350,19 +371,40 @@ class EdgeProfile:
             raise ValueError(f"phase(k, k) is undefined (got k = l = {k})")
         if not (0 <= k < self._n and 0 <= l < self._n):
             raise ValueError(f"site pair ({k}, {l}) out of range")
-        return self._adj[k].get(l, 0.0)
+        return float(self.phase_row(k, np.array([l]))[0])
 
     def phase_row(self, k: int, ls) -> np.ndarray:
+        """Phases phi(k, l) for every l in ls, each in [0, 2*pi)."""
         ls = np.asarray(ls, dtype=np.intp)
-        if ls.size and (ls.min() < 0 or ls.max() >= self._n):
+        if not 0 <= k < self._n or (ls.size and (ls.min() < 0 or ls.max() >= self._n)):
             raise ValueError(f"site index out of range 0..{self._n - 1}")
-        row = self._adj[k]
-        out = np.zeros(ls.shape, dtype=np.float64)
-        for i, l in enumerate(ls):
-            if l == k:
-                raise ValueError(f"phase(k, k) is undefined (site {k} paired with itself)")
-            out[i] = row.get(int(l), 0.0)
-        return out
+        if (ls == k).any():
+            raise ValueError(f"phase(k, k) is undefined (site {k} paired with itself)")
+        start, stop = self._indptr[k], self._indptr[k + 1]
+        if start == stop:
+            return np.zeros(ls.shape)
+        cols = self._cols[start:stop]
+        pos = np.minimum(np.searchsorted(cols, ls), cols.size - 1)
+        return np.where(cols[pos] == ls, self._phases[start:stop][pos], 0.0)
+
+
+def displacement_phases(profile) -> np.ndarray | None:
+    """Every phase of a profile whose law depends on distance alone.
+
+    For a :class:`PhaseProfile` whose law is not :class:`Disordered`, the
+    phase between two sites depends only on the absolute coordinate
+    difference along each axis (the periodic minimum image is applied
+    inside :meth:`Lattice.distances`).  Returns an array shaped like the
+    lattice whose entry at (|d_0|, .., |d_D-1|) is the very float
+    ``profile.phase_row(k, l)`` gives for any k, l that far apart: it is
+    site 0's phase row, read in one ``phase_row`` call.  The entry at the
+    origin (k = l) is 0.0.  Any other profile returns None.
+    """
+    if not isinstance(profile, PhaseProfile) or isinstance(profile.law, Disordered):
+        return None
+    phi = np.zeros(profile.n_sites)
+    phi[1:] = profile.phase_row(0, np.arange(1, profile.n_sites))
+    return phi.reshape(profile.lattice.extents)
 
 
 # ---------------------------------------------------------------------------

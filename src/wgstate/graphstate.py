@@ -6,6 +6,15 @@ of the block-to-environment slice of the adjacency matrix -- an integer
 count of independent edge patterns, computed here without touching any
 amplitudes.  Rows are bit-packed into 64-bit words so the rank of an
 m x (N - m) slice costs O(m^2 * N / 64) word operations.
+
+For a law of distance alone, :func:`block_adjacency` reads every phase from
+one table over the lattice's displacements and looks at each block site's
+environment only inside the block's bounding box dilated by the coupling's
+support radius: O(N + m * |box|) table lookups in place of O(m * N)
+distance and law evaluations.  Other profiles (a
+:class:`~wgstate.geometry.Disordered` law, an
+:class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per block
+site, O(m * N).
 """
 
 from __future__ import annotations
@@ -14,7 +23,10 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI
+from .geometry import TWO_PI, displacement_phases
+
+# Byte budget for the transients of one group of rows in block_adjacency.
+_CHUNK_BYTES = 1 << 19
 
 
 class NotAGraphStateError(ValueError):
@@ -52,13 +64,8 @@ class BinaryMatrix:
         dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ValueError("dense matrix must be 2-d")
-        bits = (dense != 0).astype(np.uint8)
-        n_rows, n_cols = bits.shape
-        n_words = (n_cols + 63) // 64
-        padded = np.zeros((n_rows, n_words * 64), dtype=np.uint8)
-        padded[:, :n_cols] = bits
-        packed = np.packbits(padded, axis=1, bitorder="little")
-        return cls(packed.view("<u8"), n_cols)
+        n_cols = dense.shape[1]
+        return cls(_pack_rows(dense != 0, (n_cols + 63) // 64), n_cols)
 
     def to_dense(self) -> np.ndarray:
         flat = np.unpackbits(self.words.view(np.uint8).reshape(self.n_rows, -1),
@@ -78,6 +85,14 @@ class BinaryMatrix:
     def row_any(self) -> np.ndarray:
         """Boolean mask of rows holding at least one set bit."""
         return self.words.any(axis=1)
+
+
+def _pack_rows(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """Boolean rows packed little-endian into ``n_words`` uint64 words each."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    padded = np.zeros((bits.shape[0], n_words * 8), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    return padded.view("<u8")
 
 
 def _leading_bit(row: np.ndarray) -> int:
@@ -117,17 +132,31 @@ def gf2_rank(matrix) -> int:
 # Adjacency extraction from interaction phases
 # ---------------------------------------------------------------------------
 
-def _edge_row(profile, k: int, ls: np.ndarray, tol: float) -> np.ndarray:
-    phi = profile.phase_row(k, ls)
+def _classify(phi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(edge, bad) masks of an array of phases in [0, 2*pi).
+
+    A phase within ``tol`` of pi is an edge, one within ``tol`` of 0 or
+    2*pi is no edge, and anything else is not a graph-state phase.
+    """
     edge = np.abs(phi - math.pi) <= tol
-    trivial = (phi <= tol) | (phi >= TWO_PI - tol)
-    bad = ~(edge | trivial)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise NotAGraphStateError(
-            f"phase {phi[j]!r} between sites {k} and {int(ls[j])} is neither "
-            f"0 nor pi (tolerance {tol})")
-    return edge
+    bad = ~(edge | (phi <= tol) | (phi >= TWO_PI - tol))
+    return edge, bad
+
+
+def _raise_first_bad(bad: np.ndarray, phi: np.ndarray, rows, cols, tol: float):
+    """Raise for the first True of ``bad`` in row-major order.
+
+    ``bad[i, j]`` and ``phi[i, j]`` belong to the pair of sites
+    ``rows[i]``, ``cols[j]``.
+    """
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    raise NotAGraphStateError(
+        f"phase {phi[i, j]!r} between sites {int(rows[i])} and {int(cols[j])} "
+        f"is neither 0 nor pi (tolerance {tol})")
+
+
+def _rows_per_chunk(row_bytes: int) -> int:
+    return max(1, _CHUNK_BYTES // max(row_bytes, 1))
 
 
 def adjacency_from_profile(profile, tol: float = 1e-9) -> BinaryMatrix:
@@ -137,21 +166,34 @@ def adjacency_from_profile(profile, tol: float = 1e-9) -> BinaryMatrix:
     use :func:`block_adjacency` when only one block's edges matter.
     """
     n = profile.n_sites
-    adj = BinaryMatrix.zeros(n, n)
+    edges = np.zeros((n, n), dtype=bool)
     for k in range(n):
-        others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
-        edge = _edge_row(profile, k, others, tol)
-        for l in others[edge]:
-            adj.set(k, int(l))
-    return adj
+        others = np.delete(np.arange(n), k)
+        phi = profile.phase_row(k, others)[None]
+        edge, bad = _classify(phi, tol)
+        if bad.any():
+            _raise_first_bad(bad, phi, [k], others, tol)
+        edges[k, others] = edge[0]
+    return BinaryMatrix(_pack_rows(edges, (n + 63) // 64), n)
 
 
 def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
     """Block-to-environment edge matrix, one packed row per block site.
 
     Columns run over the environment sites in ascending order.  Only the
-    block rows are inspected, so the cost is O(|block| * N) even when the
-    full graph would not fit.
+    block rows are inspected, so the cost never involves the full graph:
+
+    - A profile with a :func:`~wgstate.geometry.displacement_phases` table
+      (a distance law other than ``Disordered``) reads all its phases
+      from that table, built with one ``phase_row`` call.  Each block site
+      is paired only with the environment inside the block's bounding box
+      dilated, along each axis, by the largest displacement along it whose
+      phase is not 0, so the cost is O(N + |block| * |box|) lookups.
+    - Any other profile takes one ``phase_row`` per block site, O(|block| * N).
+
+    Either way, a pair whose phase is neither 0 nor pi within ``tol``
+    raises :class:`NotAGraphStateError` naming the first such pair: the
+    first block site in the given order, then the lowest environment site.
     """
     n = profile.n_sites
     block = np.asarray(block, dtype=np.intp).ravel()
@@ -162,14 +204,80 @@ def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
     mask = np.ones(n, dtype=bool)
     mask[block] = False
     env = np.flatnonzero(mask)
-    n_words = (env.size + 63) // 64
-    words = np.zeros((block.size, max(n_words, 1)), dtype=np.uint64)
-    for i, k in enumerate(block):
-        edge = _edge_row(profile, int(k), env, tol)
-        padded = np.zeros(max(n_words, 1) * 64, dtype=np.uint8)
-        padded[:env.size] = edge
-        words[i] = np.packbits(padded, bitorder="little").view("<u8")
-    return BinaryMatrix(words, max(env.size, 1) if env.size else 1)
+    n_cols = max(env.size, 1)
+    words = np.zeros((block.size, (n_cols + 63) // 64), dtype=np.uint64)
+    if env.size == 0:
+        return BinaryMatrix(words, n_cols)
+    table = displacement_phases(profile)
+    if table is not None:
+        _gather_rows(table, profile.lattice, block, mask, tol, words)
+        return BinaryMatrix(words, n_cols)
+    step = _rows_per_chunk(16 * env.size)
+    for lo in range(0, block.size, step):
+        ks = block[lo:lo + step]
+        phi = np.stack([profile.phase_row(int(k), env) for k in ks])
+        edge, bad = _classify(phi, tol)
+        if bad.any():
+            _raise_first_bad(bad, phi, ks, env, tol)
+        words[lo:lo + step] = _pack_rows(edge, words.shape[1])
+    return BinaryMatrix(words, n_cols)
+
+
+def _gather_rows(table, lattice, block, mask, tol, words) -> None:
+    """Fill ``words`` (one row per block site) from the displacement table.
+
+    Outside the block's bounding box dilated by the support radius every
+    block-environment pair has a phase that is exactly no edge, so only
+    the environment sites inside that box are looked up.  Their columns
+    span a run of whole words, which each group of rows packs in one go.
+    """
+    edge, bad = _classify(table, tol)
+    kind = np.where(bad, 2, edge).astype(np.int8).ravel()
+    live = edge | bad
+    if not live.any():
+        return
+    dim = lattice.dimension
+    coords = lattice.coords(block)
+    ranges = []
+    for axis, extent in enumerate(lattice.extents):
+        # the largest |d| along this axis with a phase that is not 0; on a
+        # periodic axis the table is indexed by |d| before the minimum
+        # image, so the same bound holds there
+        others = tuple(a for a in range(dim) if a != axis)
+        reach = int(np.flatnonzero(live.any(axis=others))[-1])
+        lo = max(coords[:, axis].min() - reach, 0)
+        hi = min(coords[:, axis].max() + reach, extent - 1)
+        ranges.append(np.arange(lo, hi + 1))
+    box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dim)
+    strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
+    sites = box @ strides
+    inside = mask[sites]
+    box, sites = box[inside], sites[inside]
+    if sites.size == 0:
+        return
+    cols = np.cumsum(mask)[sites] - 1
+    first = cols[0] >> 6
+    n_words = (cols[-1] >> 6) - first + 1
+    cols -= first * 64
+    step = _rows_per_chunk(18 * sites.size + 72 * n_words)
+    for lo in range(0, block.size, step):
+        at = coords[lo:lo + step]
+        idx = np.empty((at.shape[0], sites.size), dtype=np.intp)
+        term = np.empty_like(idx)
+        for axis in range(dim):
+            out = term if axis else idx
+            np.subtract(box[:, axis], at[:, axis, None], out=out)
+            np.abs(out, out=out)
+            out *= strides[axis]
+            if axis:
+                idx += term
+        pair = kind[idx]
+        bad = pair == 2
+        if bad.any():
+            _raise_first_bad(bad, table.ravel()[idx], block[lo:lo + step], sites, tol)
+        bits = np.zeros((at.shape[0], n_words * 64), dtype=bool)
+        bits[:, cols] = pair == 1
+        words[lo:lo + step, first:first + n_words] = _pack_rows(bits, n_words)
 
 
 def block_slice(adjacency: BinaryMatrix, block) -> BinaryMatrix:

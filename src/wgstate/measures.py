@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Disordered, PhaseProfile
+from .geometry import displacement_phases
 from .rdm import A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, reduced_density
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -248,10 +248,12 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
 
     0 for any product state, 1 when every site is maximally mixed.  Each
     site's purity comes from the closed form of its 2 x 2 reduced state.
-    For a :class:`PhaseProfile` whose law depends only on distance (any
-    law but :class:`Disordered`) and an input with the same populations at
-    every site, all sites' coherences come from one FFT convolution over
-    the lattice, O(N log N) whatever ``sites`` is.  Otherwise the cost is
+    For a profile whose phases depend on distance alone (those with a
+    :func:`~wgstate.geometry.displacement_phases` table: a
+    :class:`PhaseProfile` under any law but :class:`Disordered`) and an
+    input with the same populations at every site, all sites' coherences
+    come from one FFT convolution over the lattice, O(N log N) whatever
+    ``sites`` is.  Otherwise the cost is
     one environment sweep per listed site, O(N) each and O(N^2) for all.
     """
     n = profile.n_sites
@@ -262,10 +264,11 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
         raise ValueError(f"site index out of range 0..{n - 1}")
     amps = state.amplitudes
     p0, p1 = state.populations(np.arange(n))
-    if (isinstance(profile, PhaseProfile) and not isinstance(profile.law, Disordered)
-            and (p0 == p0[0]).all() and (p1 == p1[0]).all()):
+    uniform = (p0 == p0[0]).all() and (p1 == p1[0]).all()
+    table = displacement_phases(profile) if uniform else None
+    if table is not None:
         p0, p1 = p0[0], p1[0]
-        log_c = _log_coherences(profile, p0, p1)[sites]
+        log_c = _log_coherences(table, p0, p1)[sites]
         purities = p0 ** 2 + p1 ** 2 + 2.0 * p0 * p1 * np.exp(2.0 * log_c)
         return float(2.0 * (1.0 - purities.mean()))
     purities = np.empty(sites.size)
@@ -280,22 +283,20 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     return float(2.0 * (1.0 - purities.mean()))
 
 
-def _log_coherences(profile: PhaseProfile, p0: float, p1: float) -> np.ndarray:
+def _log_coherences(table: np.ndarray, p0: float, p1: float) -> np.ndarray:
     """log prod_{l != k} |p0 + p1 exp(i phi_kl)| for every site k, in site order.
 
-    The law depends only on distance, so the sum over l of
+    ``table`` holds the phases by displacement, from
+    :func:`wgstate.geometry.displacement_phases`, so the sum over l of
     g = log|p0 + p1 exp(i phi)| is the lattice's indicator convolved with g
     over the displacements -(E-1)..E-1 of each axis of extent E.  Along an
-    axis the distance depends on |d| alone (min(|d|, E - |d|) if periodic),
-    so g is site 0's phase row reflected about 0 on every axis: the very
-    phases ``phase_row(k, .)`` gives every other site.  Each axis is padded
-    to a power of two >= 2E - 1, enough that the circular convolution does
-    not wrap onto the sites.
+    axis the phase depends on |d| alone, so g is the table reflected about
+    0 on every axis: the very phases ``phase_row(k, .)`` gives every site.
+    Each axis is padded to a power of two >= 2E - 1, enough that the
+    circular convolution does not wrap onto the sites.
     """
-    extents = profile.lattice.extents
-    phi = np.zeros(profile.n_sites)
-    phi[1:] = profile.phase_row(0, np.arange(1, profile.n_sites))
-    g = np.log(np.abs(p0 + p1 * np.exp(1j * phi))).reshape(extents)
+    extents = table.shape
+    g = np.log(np.abs(p0 + p1 * np.exp(1j * table)))
     g.flat[0] = 0.0     # l = k is not in the product
     g = np.pad(g, [(e - 1, 0) for e in extents], mode="reflect")
     shape = [1 << (2 * e - 2).bit_length() for e in extents]

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgstate.geometry import (
+    TWO_PI,
     Cutoff,
     Disordered,
     EdgeProfile,
@@ -14,6 +17,7 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
     centered_block,
+    displacement_phases,
     pair_uniform,
     parse_lattice,
     parse_law,
@@ -228,6 +232,66 @@ def test_edge_profile_explicit_phases():
     prof = EdgeProfile(3, {(0, 1): 0.25, (1, 2): 4.0 * math.pi + 0.5})
     assert prof.phase(0, 1) == pytest.approx(0.25)
     assert prof.phase(2, 1) == pytest.approx(0.5, abs=1e-12)
+
+
+def _reduced(phi):
+    """phi mod 2*pi in [0, 2*pi), by Python float arithmetic."""
+    phi %= TWO_PI
+    return 0.0 if phi == TWO_PI else phi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_edge_profile_rows_match_listed_phases(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    phases = st.one_of(st.sampled_from([0.0, math.pi, -1e-17, -5e-324]),
+                       st.floats(-20.0, 20.0))
+    listed = data.draw(st.dictionaries(pairs, phases, max_size=3 * n), label="listed")
+    profile = EdgeProfile(n, listed)
+    expected = {}
+    for (k, l), phi in listed.items():   # a later listing of a pair wins
+        expected[k, l] = expected[l, k] = _reduced(phi)
+    k = data.draw(st.integers(0, n - 1), label="k")
+    ls = data.draw(st.lists(st.integers(0, n - 1).filter(lambda l: l != k),
+                            max_size=2 * n), label="ls")
+    row = profile.phase_row(k, ls)
+    assert row.shape == (len(ls),)
+    for l, phi in zip(ls, row):
+        assert 0.0 <= phi < TWO_PI
+        assert phi == expected.get((k, l), 0.0) == profile.phase(k, l)
+    with pytest.raises(ValueError, match="paired with itself"):
+        profile.phase_row(k, ls + [k])
+    for bad in ([n], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            profile.phase_row(k, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        profile.phase_row(n, [0])
+
+
+def test_phases_just_below_a_full_turn_reduce_to_zero():
+    # np.mod(-1e-17, 2*pi) rounds to 2*pi itself, outside [0, 2*pi)
+    edges = EdgeProfile(4, {(0, 1): -1e-17})
+    assert edges.phase(0, 1) == 0.0
+    assert edges.phase_row(1, [0, 2])[0] == 0.0
+    profile = PhaseProfile(Lattice(3), Table({1.0: -1e-17, 2.0: 1.0}), time=1.0)
+    assert profile.phase_row(0, [1, 2]).tolist() == [0.0, 1.0]
+
+
+def test_displacement_phases_match_phase_rows():
+    lattice = Lattice((5, 4, 3), ("open", "periodic", "periodic"))
+    profile = PhaseProfile(lattice, PowerLaw(alpha=1.5), time=2.3)
+    table = displacement_phases(profile)
+    assert table.shape == lattice.extents and table[0, 0, 0] == 0.0
+    coords = lattice.coords(np.arange(lattice.n_sites))
+    for k in (0, 17, 59):
+        others = np.delete(np.arange(lattice.n_sites), k)
+        d = np.abs(coords[others] - coords[k])
+        assert np.array_equal(table[tuple(d.T)], profile.phase_row(k, others))
+    disordered = PhaseProfile(lattice, Disordered(PowerLaw(alpha=1.5), seed=3), time=2.3)
+    assert displacement_phases(disordered) is None
+    assert displacement_phases(EdgeProfile.from_edges(4, [(0, 1)])) is None
 
 
 def test_parse_lattice():

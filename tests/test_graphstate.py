@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgstate.geometry import (
+    TWO_PI,
     Cutoff,
+    Disordered,
     EdgeProfile,
+    Exponential,
     Lattice,
     PhaseProfile,
     PowerLaw,
+    Table,
     centered_block,
 )
+from wgstate import graphstate
 from wgstate.graphstate import (
     BinaryMatrix,
     NotAGraphStateError,
@@ -237,6 +244,161 @@ def test_rank_matches_analytic_on_periodic_lattice():
     block = centered_block(lat, 2)
     assert gf2_rank(block_adjacency(prof, block)) == analytic_block_entropy(
         2, 2, 1.0)
+
+
+def reference_adjacency(profile, block, tol=1e-9):
+    """Block-to-environment words from one ``profile.phase`` call per pair.
+
+    Returns (words, None), or (None, (k, l)) for the first pair, in block
+    order and then ascending environment site, whose phase is neither 0
+    nor pi within ``tol``.
+    """
+    inside = set(int(k) for k in block)
+    env = [l for l in range(profile.n_sites) if l not in inside]
+    words = np.zeros((len(block), max((len(env) + 63) // 64, 1)), dtype=np.uint64)
+    for i, k in enumerate(block):
+        for j, l in enumerate(env):
+            phi = profile.phase(int(k), l)
+            if abs(phi - math.pi) <= tol:
+                words[i, j // 64] |= np.uint64(1 << (j % 64))
+            elif tol < phi < TWO_PI - tol:
+                return None, (int(k), l)
+    return words, None
+
+
+_BOUNDARIES = st.sampled_from(["open", "periodic"])
+
+
+@st.composite
+def graph_profiles(draw):
+    """A 1-3 D lattice of at most 60 sites with open, periodic or mixed axes,
+    under a law evaluated at t = pi: mostly graph states, sometimes not."""
+    dim = draw(st.integers(1, 3))
+    limit = {1: 60, 2: 8, 3: 4}[dim]
+    extents = tuple(draw(st.lists(st.integers(1, limit), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    lattice = Lattice(extents, tuple(draw(st.lists(_BOUNDARIES, min_size=dim,
+                                                   max_size=dim))))
+    kind = draw(st.sampled_from(["cutoff", "table", "exponential", "disordered",
+                                 "edges"]))
+    if kind == "edges":
+        n = lattice.n_sites
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        return EdgeProfile.from_edges(n, draw(st.lists(pairs, max_size=2 * n)))
+    reaches = st.sampled_from([1.0, 1.5, 2.0, 2.3, 3.0, 0.5, 4.5, 8.0])
+    if kind == "cutoff":
+        law = Cutoff(draw(reaches))
+    elif kind == "table":
+        # strength 1 or 3 is an edge, 0 or 2 none, 0.5 not a graph state;
+        # the phases of 1 + 1e-12 and 2 - 1e-12 lie within the tolerance
+        # of pi and of a full turn
+        reach = np.unique(lattice.distances(0, np.arange(1, lattice.n_sites)))
+        strengths = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 0.5,
+                                     1.0 + 1e-12, 2.0 - 1e-12])
+        law = Table({float(r): draw(strengths) for r in reach})
+    elif kind == "exponential":
+        # exp(-kappa r) * pi is not a graph-state phase until it underflows
+        # below the tolerance, so near sites raise and far ones do not
+        law = Exponential(draw(st.floats(0.5, 40.0)))
+    else:
+        law = Disordered(Cutoff(draw(reaches)), seed=draw(st.integers(0, 9)),
+                         amplitude=(1.0, 1.0))
+    return PhaseProfile(lattice, law, time=math.pi)
+
+
+@st.composite
+def blocks(draw, n, extents):
+    """A box, scattered sites in any order, a single site, or all sites but one."""
+    shape = draw(st.sampled_from(["box", "scattered", "single", "all_but_one"]))
+    if shape == "box":
+        start = [draw(st.integers(0, e - 1)) for e in extents]
+        stop = [draw(st.integers(s + 1, e)) for s, e in zip(start, extents)]
+        grids = np.meshgrid(*[np.arange(a, b) for a, b in zip(start, stop)],
+                            indexing="ij")
+        return np.ravel_multi_index([g.ravel() for g in grids], extents)
+    if shape == "scattered":
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=n, unique=True)))
+    if shape == "single":
+        return np.array([draw(st.integers(0, n - 1))])
+    return np.delete(np.arange(n), draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_adjacency_matches_pairwise_reference(data):
+    profile = data.draw(graph_profiles(), label="profile")
+    n = profile.n_sites
+    extents = profile.lattice.extents if hasattr(profile, "lattice") else (n,)
+    block = data.draw(blocks(n, extents), label="block")
+    # a budget of one byte packs one row per group
+    budget = data.draw(st.sampled_from([1 << 21, 1, 3000]), label="budget")
+    words, bad = reference_adjacency(profile, block)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphstate, "_CHUNK_BYTES", budget)
+        if bad is None:
+            gamma = block_adjacency(profile, block)
+            assert gamma.words.dtype == np.uint64
+            assert np.array_equal(gamma.words, words)
+        else:
+            with pytest.raises(NotAGraphStateError,
+                               match=rf"between sites {bad[0]} and {bad[1]} "):
+                block_adjacency(profile, block)
+
+
+def test_generic_power_law_names_the_reference_pair():
+    lat = Lattice((5, 6), ("open", "periodic"))
+    prof = PhaseProfile(lat, PowerLaw(alpha=2.0), time=0.7)
+    for block in ([17, 3, 4], centered_block(lat, 2), [29]):
+        _, (k, l) = reference_adjacency(prof, block)
+        with pytest.raises(NotAGraphStateError, match=rf"between sites {k} and {l} "):
+            block_adjacency(prof, block)
+
+
+def test_unrealized_bad_phase_does_not_raise():
+    # strength 0.5 at distance 5 gives phase pi/2, but no block-environment
+    # pair is 5 apart: (0, 5) lies inside the first block, and the second
+    # block's farthest environment site is 3 away
+    law = Table({1.0: 1.0, 2.0: 0.0, 3.0: 1.0, 4.0: 0.0, 5.0: 0.5})
+    prof = PhaseProfile(Lattice(6), law, time=math.pi)
+    for block in ([0, 5], [2]):
+        words, bad = reference_adjacency(prof, block)
+        assert bad is None
+        assert np.array_equal(block_adjacency(prof, block).words, words)
+    with pytest.raises(NotAGraphStateError, match="between sites 0 and 5 "):
+        block_adjacency(prof, [0])
+
+
+def _count_phase_rows(monkeypatch, cls):
+    calls = []
+    original = cls.phase_row
+
+    def counting(self, k, ls):
+        calls.append(k)
+        return original(self, k, ls)
+
+    monkeypatch.setattr(cls, "phase_row", counting)
+    return calls
+
+
+def test_distance_law_reads_one_phase_row(monkeypatch):
+    calls = _count_phase_rows(monkeypatch, PhaseProfile)
+    lat = Lattice((40, 40))
+    prof = PhaseProfile(lat, Cutoff(reach=2.0), time=math.pi)
+    block = centered_block(lat, 8)
+    assert gf2_rank(block_adjacency(prof, block)) == analytic_block_entropy(2, 8, 2.0)
+    assert len(calls) == 1
+
+
+def test_block_covering_the_lattice_has_rank_zero():
+    lat = Lattice((4, 5))
+    for prof in (PhaseProfile(lat, Cutoff(reach=1.5), time=math.pi),
+                 EdgeProfile.from_edges(20, [(0, 1), (3, 19)])):
+        gamma = block_adjacency(prof, np.arange(20)[::-1])
+        assert gamma.n_rows == 20 and not gamma.row_any().any()
+        assert gf2_rank(gamma) == 0
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -36,8 +36,8 @@ from wgstate.rdm import (
 
 FEW = settings(max_examples=25, deadline=None, derandomize=True)
 
-# -5e-324 reduces mod 2*pi to exactly 2*pi: a phase that is a full turn but
-# not the float 0.0, so it is swept rather than pruned
+# np.mod(-5e-324, 2*pi) rounds to exactly 2*pi; phase reduction returns that
+# full turn as 0.0, so the site is pruned like one listed at 0.0
 _FULL_TURN = -5e-324
 _PHASES = st.one_of(st.sampled_from([0.0, _FULL_TURN, math.pi]),
                     st.floats(0.0, TWO_PI, allow_nan=False))
