@@ -25,12 +25,10 @@ from .geometry import (
 from .graphstate import (
     BinaryMatrix,
     NotAGraphStateError,
-    adjacency_from_profile,
     analytic_block_entropy,
     block_adjacency,
     connected_vertex_count,
     gf2_rank,
-    graph_block_entropy,
 )
 from .measures import (
     NotPositiveSemidefiniteError,
@@ -75,7 +73,6 @@ __all__ = [
     "ProductInput",
     "SubsetTooLargeError",
     "Table",
-    "adjacency_from_profile",
     "analytic_block_entropy",
     "assistance_and_localizable_bounds",
     "block_adjacency",
@@ -91,7 +88,6 @@ __all__ = [
     "environment_factor",
     "environment_product",
     "gf2_rank",
-    "graph_block_entropy",
     "max_correlation",
     "meyer_wallach",
     "reduced_density",

@@ -28,8 +28,19 @@ or --out.  Schema:
     path = out.csv
 
 Integer-list values accept commas and inclusive ranges: '1, 4, 8:10' means
-1, 4, 8, 9, 10.  Exit status: 0 on success, 1 on bad input or config, 2
-when `verify` finds a mismatch against the brute-force reference.
+1, 4, 8, 9, 10.  On a lattice of dimension d >= 2 the block sizes `sizes`,
+`size`, `l_max` and `sides` are side lengths of a centered box (a block
+with `start` is a run of that many linear indices).  Exit status: 0 on
+success, 1 on bad input or config, 2 when `verify` finds a mismatch
+against the brute-force reference.
+
+Runner contract: each subcommand is one entry of ``_COMMANDS``, a runner
+``(args, cp, items) -> _Table`` and its help line.  :func:`main` parses
+the flags, starts the clock, loads the config (``cp`` is None for
+`verify`, which takes none), hands the runner the ``[task]`` items, writes
+the table it returns and exits with the table's status.  A runner raises
+:class:`ConfigError` (or ValueError / OSError) for bad input, which main
+reports as exit status 1.
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +63,9 @@ from .geometry import (
     Cutoff,
     EdgeProfile,
     PhaseProfile,
+    _parse_float,
+    _parse_int,
+    _require,
     centered_block,
     parse_lattice,
     parse_law,
@@ -87,6 +103,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Table(NamedTuple):
+    """What a runner returns: the output table and the exit status."""
+    columns: list[str]
+    rows: list[tuple]
+    summary: dict | None = None
+    status: int = 0
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
@@ -105,34 +129,24 @@ def _section(cp: configparser.ConfigParser, name: str) -> dict:
     return dict(cp.items(name))
 
 
-def _task_items(cp: configparser.ConfigParser) -> dict:
-    return dict(cp.items("task")) if cp.has_section("task") else {}
-
-
 def _build_profile(cp: configparser.ConfigParser) -> PhaseProfile:
     lattice = parse_lattice(_section(cp, "lattice"))
     law = parse_law(_section(cp, "law"))
-    time_items = _section(cp, "time")
-    if "t_over_pi" not in time_items:
-        raise ConfigError("missing key 't_over_pi' in section [time]")
-    try:
-        t_over_pi = float(time_items["t_over_pi"])
-    except ValueError:
-        raise ConfigError(
-            f"key 't_over_pi': expected a number, got {time_items['t_over_pi']!r}"
-        ) from None
+    t_over_pi = _parse_float(_require(_section(cp, "time"), "t_over_pi", "time"),
+                             "t_over_pi")
     return PhaseProfile(lattice, law, t_over_pi * math.pi)
 
 
-def _build_state(cp: configparser.ConfigParser, n_sites: int,
-                 seed: int) -> ProductInput:
+def _profile_and_state(args, cp) -> tuple[PhaseProfile, ProductInput]:
+    profile = _build_profile(cp)
     kind = "plus"
     if cp.has_section("state"):
         kind = cp.get("state", "kind", fallback="plus").strip().lower()
     if kind == "plus":
-        return ProductInput.plus(n_sites)
+        return profile, ProductInput.plus(profile.n_sites)
     if kind == "random":
-        return ProductInput.random(n_sites, np.random.default_rng(seed))
+        return profile, ProductInput.random(profile.n_sites,
+                                            np.random.default_rng(args.seed))
     raise ConfigError(f"key 'kind': unknown input state {kind!r} (plus|random)")
 
 
@@ -165,39 +179,9 @@ def _parse_int_list(text: str, key: str) -> list[int]:
     return out
 
 
-def _task_int(items: dict, key: str, default=None) -> int:
-    if key not in items:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in section [task]")
-        return default
-    try:
-        return int(items[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {items[key]!r}") from None
-
-
-def _task_float(items: dict, key: str, default=None) -> float:
-    if key not in items:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in section [task]")
-        return default
-    try:
-        return float(items[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {items[key]!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
-
-def _config_echo(cp) -> list[str]:
-    lines = []
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            lines.append(f"{section}.{key} = {value}")
-    return lines
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -207,9 +191,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_table(args, cp, columns: list[str], rows: list[tuple],
-                 started: float, summary: dict | None = None) -> None:
-    wall = time.perf_counter() - started
+def _write_table(args, cp, table: _Table, wall: float) -> None:
     fmt = args.format
     path = args.out
     if cp is not None and cp.has_section("output"):
@@ -220,17 +202,19 @@ def _write_table(args, cp, columns: list[str], rows: list[tuple],
     fmt = (fmt or "csv").lower()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r} (csv|json)")
-    echo = _config_echo(cp) if cp is not None else []
+    echo = [] if cp is None else [f"{section}.{key} = {value}"
+                                  for section in cp.sections()
+                                  for key, value in cp.items(section)]
+    summary = table.summary or {}
     if fmt == "csv":
         lines = [f"# wgstate {__version__}",
                  f"# command: {args.command}"]
         lines += [f"# config: {line}" for line in echo]
         lines += [f"# seed: {args.seed}"]
-        for key, value in (summary or {}).items():
-            lines.append(f"# {key}: {_format_cell(value)}")
+        lines += [f"# {key}: {_format_cell(value)}" for key, value in summary.items()]
         lines += [f"# wall_seconds: {wall:.3f}",
-                  ",".join(columns)]
-        lines += [",".join(_format_cell(v) for v in row) for row in rows]
+                  ",".join(table.columns)]
+        lines += [",".join(_format_cell(v) for v in row) for row in table.rows]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -239,10 +223,10 @@ def _write_table(args, cp, columns: list[str], rows: list[tuple],
             "command": args.command,
             "config": echo,
             "seed": args.seed,
-            "summary": summary or {},
+            "summary": summary,
             "wall_seconds": round(wall, 3),
-            "columns": columns,
-            "rows": [list(row) for row in rows],
+            "columns": table.columns,
+            "rows": [list(row) for row in table.rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     if path in (None, "-"):
@@ -264,21 +248,15 @@ def _pmap(fn, items, threads: int):
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _run_correlations(args) -> int:
+def _run_correlations(args, cp, items) -> _Table:
     """[task] separations = <int list>; site = <int> (default center).
 
     One row per separation r: pair correlations between `site` and
     `site + r` along the linear index (interior pairs of a chain).
     """
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    profile = _build_profile(cp)
-    state = _build_state(cp, profile.n_sites, args.seed)
-    items = _task_items(cp)
-    site = _task_int(items, "site", default=profile.n_sites // 2)
-    if "separations" not in items:
-        raise ConfigError("missing key 'separations' in section [task]")
-    seps = _parse_int_list(items["separations"], "separations")
+    profile, state = _profile_and_state(args, cp)
+    site = _parse_int(items.get("site", str(profile.n_sites // 2)), "site")
+    seps = _parse_int_list(_require(items, "separations", "task"), "separations")
     for r in seps:
         if not 0 <= site + r < profile.n_sites:
             raise ConfigError(f"separation {r} puts the partner outside the lattice")
@@ -288,55 +266,44 @@ def _run_correlations(args) -> int:
         return (r, max_correlation(correlation_matrix(rho)), concurrence(rho),
                 concurrence_of_assistance(rho))
 
-    rows = _pmap(one, seps, args.threads)
-    _write_table(args, cp, ["separation", "q_max", "concurrence", "assistance_upper"],
-                 rows, started)
-    return 0
+    return _Table(["separation", "q_max", "concurrence", "assistance_upper"],
+                  _pmap(one, seps, args.threads))
 
 
 def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
     if "start" in items:
-        start = _task_int(items, "start")
+        start = _parse_int(items["start"], "start")
         if start < 0 or start + size > profile.n_sites:
             raise ConfigError(f"block {start}..{start + size - 1} outside lattice")
-        return np.arange(start, start + size)
-    if profile.lattice.dimension == 1:
-        start = (profile.n_sites - size) // 2
         return np.arange(start, start + size)
     return centered_block(profile.lattice, size)
 
 
-def _run_entropy_scan(args) -> int:
+def _run_entropy_scan(args, cp, items) -> _Table:
     """[task] sizes = <int list>; m = <int> sub-block size (default 4);
     radius = <float> kept-environment radius (default 4); start = <int>
     (default: centered block).
 
-    One row per block size L: exact entropy (blank above the exact
-    ceiling), the sub-block upper bound, and the truncated-environment
-    lower bound.
+    One row per block size L: exact entropy (blank once the block has more
+    than A_MAX sites), the sub-block upper bound, and the
+    truncated-environment lower bound.
     """
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    profile = _build_profile(cp)
-    state = _build_state(cp, profile.n_sites, args.seed)
-    items = _task_items(cp)
+    profile, state = _profile_and_state(args, cp)
     sizes = _parse_int_list(items.get("sizes", f"1:{A_MAX}"), "sizes")
-    m = _task_int(items, "m", default=4)
-    radius = _task_float(items, "radius", default=4.0)
+    m = _parse_int(items.get("m", "4"), "m")
+    radius = _parse_float(items.get("radius", "4"), "radius")
 
     def one(size: int):
         block = _contiguous_block(profile, items, size)
-        exact = block_entropy(profile, state, block) if size <= A_MAX else None
+        exact = block_entropy(profile, state, block) if block.size <= A_MAX else None
         upper = block_entropy_upper(profile, state, block, m=m, exact=exact)
         lower = block_entropy_lower(profile, state, block, radius)
         return (size, exact, upper, lower)
 
-    rows = _pmap(one, sizes, args.threads)
-    _write_table(args, cp, ["size", "exact", "upper", "lower"], rows, started)
-    return 0
+    return _Table(["size", "exact", "upper", "lower"], _pmap(one, sizes, args.threads))
 
 
-def _run_bounds_scan(args) -> int:
+def _run_bounds_scan(args, cp, items) -> _Table:
     """[task] size = <int> block size; ms = <int list> sub-block sizes
     (default 1:5); radii = <int list> environment radii (default 0:5);
     start = <int> (default centered).
@@ -345,12 +312,8 @@ def _run_bounds_scan(args) -> int:
     bracket tightens: one row per (m, radius) value, lists zipped side by
     side.
     """
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    profile = _build_profile(cp)
-    state = _build_state(cp, profile.n_sites, args.seed)
-    items = _task_items(cp)
-    size = _task_int(items, "size")
+    profile, state = _profile_and_state(args, cp)
+    size = _parse_int(_require(items, "size", "task"), "size")
     ms = _parse_int_list(items.get("ms", "1:5"), "ms")
     radii = _parse_int_list(items.get("radii", "0:5"), "radii")
     block = _contiguous_block(profile, items, size)
@@ -359,18 +322,12 @@ def _run_bounds_scan(args) -> int:
                    ms, args.threads)
     lowers = _pmap(lambda r: block_entropy_lower(profile, state, block, float(r)),
                    radii, args.threads)
-    rows = []
-    for i in range(max(len(ms), len(radii))):
-        m = ms[i] if i < len(ms) else None
-        upper = uppers[i] if i < len(ms) else None
-        radius = radii[i] if i < len(radii) else None
-        lower = lowers[i] if i < len(radii) else None
-        rows.append((size, m, upper, radius, lower))
-    _write_table(args, cp, ["size", "m", "upper", "radius", "lower"], rows, started)
-    return 0
+    rows = [(size, m, upper, radius, lower) for (m, upper), (radius, lower)
+            in zip_longest(zip(ms, uppers), zip(radii, lowers), fillvalue=(None, None))]
+    return _Table(["size", "m", "upper", "radius", "lower"], rows)
 
 
-def _run_dynamics(args) -> int:
+def _run_dynamics(args, cp, items) -> _Table:
     """[task] grid = lo:hi:steps in units of pi (default 0:1:21);
     l_max = <int> largest block size (default 4); separation = <int>
     pair separation for q_max (default 1).
@@ -379,11 +336,7 @@ def _run_dynamics(args) -> int:
     the pair correlation strength at the given separation, and the global
     (average single-site) entanglement.
     """
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    base = _build_profile(cp)
-    state = _build_state(cp, base.n_sites, args.seed)
-    items = _task_items(cp)
+    base, state = _profile_and_state(args, cp)
     grid_text = items.get("grid", "0:1:21")
     parts = grid_text.split(":")
     if len(parts) != 3:
@@ -394,31 +347,32 @@ def _run_dynamics(args) -> int:
         raise ConfigError(f"key 'grid': expected lo:hi:steps, got {grid_text!r}") from None
     if steps < 1 or (steps > 1 and not hi > lo):
         raise ConfigError("key 'grid': need steps >= 1 and hi > lo")
-    l_max = _task_int(items, "l_max", default=4)
+    l_max = _parse_int(items.get("l_max", "4"), "l_max")
     if l_max < 1 or l_max > min(A_MAX, base.n_sites):
         raise ConfigError(f"key 'l_max': must be in 1..{min(A_MAX, base.n_sites)}")
-    separation = _task_int(items, "separation", default=1)
+    separation = _parse_int(items.get("separation", "1"), "separation")
     site = base.n_sites // 2
     if not 0 <= site + separation < base.n_sites:
         raise ConfigError(f"separation {separation} puts the pair outside the lattice")
-    ts = np.linspace(lo, hi, steps)
+    blocks = [_contiguous_block(base, items, l) for l in range(1, l_max + 1)]
+    if blocks[-1].size > A_MAX:
+        raise ConfigError(f"key 'l_max': block {l_max} has {blocks[-1].size} sites, "
+                          f"more than the exact limit of {A_MAX}")
 
     def one(t_over_pi: float):
         profile = PhaseProfile(base.lattice, base.law, t_over_pi * math.pi)
-        entropies = [block_entropy(profile, state, _contiguous_block(profile, items, l))
-                     for l in range(1, l_max + 1)]
+        entropies = [block_entropy(profile, state, block) for block in blocks]
         pair = reduced_density(profile, state, [site, site + separation])
         q = max_correlation(correlation_matrix(pair))
         return (t_over_pi, *entropies, q, meyer_wallach(profile, state))
 
-    rows = _pmap(one, [float(t) for t in ts], args.threads)
+    rows = _pmap(one, [float(t) for t in np.linspace(lo, hi, steps)], args.threads)
     columns = (["t_over_pi"] + [f"s_{l}" for l in range(1, l_max + 1)]
                + ["q_max", "e_mw"])
-    _write_table(args, cp, columns, rows, started)
-    return 0
+    return _Table(columns, rows)
 
 
-def _run_graph_rank(args) -> int:
+def _run_graph_rank(args, cp, items) -> _Table:
     """[task] sides = <int list> of centered-block side lengths, or
     block = <int list> of explicit sites; or edges = <path> plus
     n_sites = <int> and block = <int list> to rank an edge-list file.
@@ -427,11 +381,8 @@ def _run_graph_rank(args) -> int:
     edge matrix, the closed-form value where it applies (cutoff law,
     enough margin), and the connected-vertex count for comparison.
     """
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    items = _task_items(cp)
     if "edges" in items:
-        n_sites = _task_int(items, "n_sites")
+        n_sites = _parse_int(_require(items, "n_sites", "task"), "n_sites")
         profile = EdgeProfile.from_edges(n_sites, read_edge_list(items["edges"]))
         lattice = None
     else:
@@ -441,61 +392,50 @@ def _run_graph_rank(args) -> int:
     def analytic_cell(side: int):
         # closed form only holds for a cutoff law with the block at least
         # `reach` away from any boundary effect
-        if lattice is None or not isinstance(profile.law, Cutoff):
+        if not isinstance(profile.law, Cutoff):
             return None
         reach = profile.law.reach
         if any((extent - side) // 2 < reach for extent in lattice.extents):
             return None
         return analytic_block_entropy(lattice.dimension, side, reach)
 
-    rows = []
+    def row(label: str, block, analytic=None):
+        gamma = block_adjacency(profile, block)
+        return (label, gf2_rank(gamma), analytic, connected_vertex_count(gamma))
+
     if "block" in items:
         block = np.asarray(_parse_int_list(items["block"], "block"))
-        gamma = block_adjacency(profile, block)
-        rows.append((f"block[{block.size}]", gf2_rank(gamma), None,
-                     connected_vertex_count(gamma)))
+        rows = [row(f"block[{block.size}]", block)]
     elif "sides" in items:
         if lattice is None:
             raise ConfigError("key 'sides' needs a [lattice] section, not an edge list")
-        for side in _parse_int_list(items["sides"], "sides"):
-            block = centered_block(lattice, side)
-            gamma = block_adjacency(profile, block)
-            rows.append((str(side), gf2_rank(gamma), analytic_cell(side),
-                         connected_vertex_count(gamma)))
+        rows = [row(str(side), centered_block(lattice, side), analytic_cell(side))
+                for side in _parse_int_list(items["sides"], "sides")]
     else:
         raise ConfigError("need key 'sides' or 'block' in section [task]")
-    _write_table(args, cp, ["block", "rank_entropy", "analytic_entropy",
-                            "vertex_count"], rows, started)
-    return 0
+    return _Table(["block", "rank_entropy", "analytic_entropy", "vertex_count"], rows)
 
 
-def _run_mw(args) -> int:
+def _run_mw(args, cp, items) -> _Table:
     """[task] sample = <int> (optional): average over that many random
     sites instead of all of them (estimator, flagged in the output)."""
-    started = time.perf_counter()
-    cp = _load_config(args.config)
-    profile = _build_profile(cp)
-    state = _build_state(cp, profile.n_sites, args.seed)
-    items = _task_items(cp)
+    profile, state = _profile_and_state(args, cp)
     summary = None
     sites = None
     if "sample" in items:
-        count = _task_int(items, "sample")
+        count = _parse_int(items["sample"], "sample")
         if not 1 <= count <= profile.n_sites:
             raise ConfigError(f"key 'sample': must be in 1..{profile.n_sites}")
         rng = np.random.default_rng(args.seed)
         sites = np.sort(rng.choice(profile.n_sites, size=count, replace=False))
         summary = {"estimator": f"sampled {count} of {profile.n_sites} sites"}
     value = meyer_wallach(profile, state, sites)
-    _write_table(args, cp, ["n_sites", "t_over_pi", "e_mw"],
-                 [(profile.n_sites, profile.time / math.pi, value)],
-                 started, summary)
-    return 0
+    return _Table(["n_sites", "t_over_pi", "e_mw"],
+                  [(profile.n_sites, profile.time / math.pi, value)], summary)
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, cp, items) -> _Table:
     """Fast path vs brute-force statevector on random small instances."""
-    started = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     rows = []
     failures = 0
@@ -512,19 +452,32 @@ def _run_verify(args) -> int:
         failures += 0 if ok else 1
         rows.append((i, profile.n_sites, len(sites), distance,
                      "ok" if ok else "FAIL"))
-    _write_table(args, None, ["instance", "n_sites", "subset", "distance", "status"],
-                 rows, started, {"max_distance": worst,
-                                 "tolerance": args.tolerance})
     if failures:
         print(f"verify: {failures}/{args.instances} instances beyond tolerance "
               f"{args.tolerance}", file=sys.stderr)
-        return 2
-    return 0
+    return _Table(["instance", "n_sites", "subset", "distance", "status"], rows,
+                  {"max_distance": worst, "tolerance": args.tolerance},
+                  2 if failures else 0)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and entry point
 # ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "correlations": (_run_correlations,
+                     "pair correlations and entanglement vs separation"),
+    "entropy-scan": (_run_entropy_scan,
+                     "block entropy (exact and bounds) vs block size"),
+    "bounds-scan": (_run_bounds_scan,
+                    "entropy bound tightness vs bound parameters"),
+    "dynamics": (_run_dynamics,
+                 "entropies, correlations, and global entanglement vs time"),
+    "graph-rank": (_run_graph_rank, "block entropy of graph states via GF(2) rank"),
+    "mw": (_run_mw, "global (average single-site) entanglement"),
+    "verify": (_run_verify, "cross-check the fast path against a statevector"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wgstate",
@@ -533,9 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"wgstate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_config=True):
-        if needs_config:
+    for name, (runner, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=runner)
+        if runner is not _run_verify:
             p.add_argument("--config", required=True,
                            help="INI file with [lattice], [law], [time] sections")
         p.add_argument("--out", default=None,
@@ -546,45 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads for independent grid points")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random inputs")
-
-    p = sub.add_parser("correlations",
-                       help="pair correlations and entanglement vs separation")
-    common(p)
-    p.set_defaults(func=_run_correlations)
-
-    p = sub.add_parser("entropy-scan",
-                       help="block entropy (exact and bounds) vs block size")
-    common(p)
-    p.set_defaults(func=_run_entropy_scan)
-
-    p = sub.add_parser("bounds-scan",
-                       help="entropy bound tightness vs bound parameters")
-    common(p)
-    p.set_defaults(func=_run_bounds_scan)
-
-    p = sub.add_parser("dynamics",
-                       help="entropies, correlations, and global entanglement vs time")
-    common(p)
-    p.set_defaults(func=_run_dynamics)
-
-    p = sub.add_parser("graph-rank",
-                       help="block entropy of graph states via GF(2) rank")
-    common(p)
-    p.set_defaults(func=_run_graph_rank)
-
-    p = sub.add_parser("mw", help="global (average single-site) entanglement")
-    common(p)
-    p.set_defaults(func=_run_mw)
-
-    p = sub.add_parser("verify",
-                       help="cross-check the fast path against a statevector")
-    common(p, needs_config=False)
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--a-max", type=int, default=5, dest="a_max")
-    p.add_argument("--tolerance", type=float, default=1e-10)
-    p.set_defaults(func=_run_verify)
-
+    verify = sub.choices["verify"]
+    verify.add_argument("--instances", type=int, default=200)
+    verify.add_argument("--n-max", type=int, default=12, dest="n_max")
+    verify.add_argument("--a-max", type=int, default=5, dest="a_max")
+    verify.add_argument("--tolerance", type=float, default=1e-10)
     return parser
 
 
@@ -592,7 +512,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        cp = _load_config(args.config) if "config" in args else None
+        items = dict(cp.items("task")) if cp is not None and cp.has_section("task") else {}
+        table = args.func(args, cp, items)
+        _write_table(args, cp, table, time.perf_counter() - started)
+        return table.status
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -159,24 +159,6 @@ def _rows_per_chunk(row_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // max(row_bytes, 1))
 
 
-def adjacency_from_profile(profile, tol: float = 1e-9) -> BinaryMatrix:
-    """Full N x N adjacency matrix of the interaction graph.
-
-    Every pair's phase must be 0 or pi within ``tol``.  Quadratic in N;
-    use :func:`block_adjacency` when only one block's edges matter.
-    """
-    n = profile.n_sites
-    edges = np.zeros((n, n), dtype=bool)
-    for k in range(n):
-        others = np.delete(np.arange(n), k)
-        phi = profile.phase_row(k, others)[None]
-        edge, bad = _classify(phi, tol)
-        if bad.any():
-            _raise_first_bad(bad, phi, [k], others, tol)
-        edges[k, others] = edge[0]
-    return BinaryMatrix(_pack_rows(edges, (n + 63) // 64), n)
-
-
 def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
     """Block-to-environment edge matrix, one packed row per block site.
 
@@ -280,42 +262,10 @@ def _gather_rows(table, lattice, block, mask, tol, words) -> None:
         words[lo:lo + step, first:first + n_words] = _pack_rows(bits, n_words)
 
 
-def block_slice(adjacency: BinaryMatrix, block) -> BinaryMatrix:
-    """Block-vs-rest submatrix of a full adjacency matrix.
-
-    Rows are the block sites (in the given order), columns the remaining
-    sites in ascending order.
-    """
-    if adjacency.n_rows != adjacency.n_cols:
-        raise ValueError("adjacency matrix must be square")
-    n = adjacency.n_rows
-    block = np.asarray(block, dtype=np.intp).ravel()
-    if block.size == 0 or len(set(block.tolist())) != block.size:
-        raise ValueError("block must be a non-empty list of distinct sites")
-    if block.min() < 0 or block.max() >= n:
-        raise ValueError(f"site index out of range 0..{n - 1}")
-    mask = np.ones(n, dtype=bool)
-    mask[block] = False
-    dense = adjacency.to_dense()
-    return BinaryMatrix.from_dense(dense[block][:, mask])
-
-
-def graph_block_entropy(adjacency: BinaryMatrix, block) -> int:
-    """Entanglement entropy (in bits) of a block of a graph state.
-
-    Equals the GF(2) rank of the block-vs-rest adjacency slice, an exact
-    integer -- no amplitudes, no eigenvalues, no block-size ceiling.  For
-    lattices too large to hold the full adjacency, build the slice
-    directly with :func:`block_adjacency` and call :func:`gf2_rank`.
-    """
-    return gf2_rank(block_slice(adjacency, block))
-
-
 def connected_vertex_count(gamma: BinaryMatrix) -> int:
     """Number of block sites with at least one edge into the environment.
 
-    Takes the block-vs-rest slice (from :func:`block_slice` or
-    :func:`block_adjacency`).  Always an upper bound on the GF(2) rank;
+    Takes the block-vs-rest slice from :func:`block_adjacency`.  Always an upper bound on the GF(2) rank;
     the gap counts linear dependencies among the rows' edge patterns.
     """
     return int(gamma.row_any().sum())

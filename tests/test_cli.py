@@ -130,6 +130,36 @@ def test_entropy_scan_blank_exact_above_ceiling(capsys, tmp_path):
         assert float(row[3]) <= float(row[2]) + 1e-9
 
 
+GRID_8X8 = """
+[lattice]
+extents = 8, 8
+
+[law]
+variant = exponential
+kappa = 1
+
+[time]
+t_over_pi = 0.3
+"""
+
+
+def test_entropy_scan_2d_sizes_are_side_lengths(capsys, tmp_path):
+    # a side-4 block holds 16 sites, more than A_MAX: exact is left blank
+    cfg = write_config(tmp_path, GRID_8X8 + "[task]\nsizes = 2:4\nm = 2\nradius = 0\n")
+    code, out, err = run(capsys, "entropy-scan", "--config", cfg)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["2", "3", "4"]
+    assert rows[1][1] != "" and rows[2][1] == ""
+    assert float(rows[2][2]) > float(rows[1][1])
+
+
+def test_block_size_outside_chain_exits_one(capsys, tmp_path):
+    cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 25\n")
+    code, _, err = run(capsys, "entropy-scan", "--config", cfg)
+    assert code == 1 and "block side 25 does not fit extent 20" in err
+
+
 def test_entropy_scan_start_key(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2\nstart = 0\n")
     code, out, _ = run(capsys, "entropy-scan", "--config", cfg)
@@ -186,6 +216,27 @@ def test_bounds_scan_zips_parameter_sweeps(capsys, tmp_path):
     assert float(rows[0][4]) == 0.0  # radius 0 keeps nothing
 
 
+def test_bounds_scan_blanks_the_shorter_list(capsys, tmp_path):
+    body = CHAIN.replace("extents = 20", "extents = 30") + "[task]\nsize = 6\n"
+    cfg = write_config(tmp_path, body + "ms = 1:4\nradii = 0:1\n")
+    code, out, _ = run(capsys, "bounds-scan", "--config", cfg)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[1] for r in rows] == ["1", "2", "3", "4"]
+    assert [(r[3], r[4] == "") for r in rows] == [
+        ("0", False), ("1", False), ("", True), ("", True)]
+    assert all(r[0] == "6" and r[2] != "" for r in rows)
+
+    cfg = write_config(tmp_path, body + "ms = 2\nradii = 0:2\n", name="b2.ini")
+    code, out, _ = run(capsys, "bounds-scan", "--config", cfg, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r[1] for r in rows] == [2, None, None]
+    assert [r[2] is None for r in rows] == [False, True, True]
+    assert [r[3] for r in rows] == [0, 1, 2]
+    assert all(r[0] == 6 and r[4] is not None for r in rows)
+
+
 def test_dynamics_grid(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN.replace("extents = 20", "extents = 12")
                        + "[task]\ngrid = 0:0.5:3\nl_max = 2\n")
@@ -197,6 +248,20 @@ def test_dynamics_grid(capsys, tmp_path):
     # nothing is entangled before the evolution starts
     assert all(abs(float(v)) < 1e-12 for v in rows[0][1:])
     assert float(rows[2][1]) > 0
+
+
+def test_dynamics_l_max_counts_block_sites(capsys, tmp_path, monkeypatch):
+    # on an 8x8 grid l_max = 4 means a 16-site block: rejected before any sweep
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, GRID_8X8 + "[task]\ngrid = 0:1:3\nl_max = 4\n")
+    code, _, err = run(capsys, "dynamics", "--config", cfg)
+    assert code == 1 and "'l_max'" in err and "16 sites" in err
+    assert calls == []
+    cfg = write_config(tmp_path, GRID_8X8 + "[task]\ngrid = 0:1:3\nl_max = 3\n",
+                       name="ok.ini")
+    code, out, err = run(capsys, "dynamics", "--config", cfg)
+    assert code == 0, err
+    assert parse_csv(out)[0] == ["t_over_pi", "s_1", "s_2", "s_3", "q_max", "e_mw"]
 
 
 def test_dynamics_bad_grid(capsys, tmp_path):
@@ -213,6 +278,13 @@ def test_graph_rank_sides(capsys, tmp_path):
     assert header == ["block", "rank_entropy", "analytic_entropy", "vertex_count"]
     assert [(r[0], r[1], r[2]) for r in rows] == [
         ("2", "4", "4"), ("3", "8", "8"), ("4", "12", "12")]
+
+    # an explicit block of sites on the lattice: the centered 3x3 box
+    box = ", ".join(str(12 * r + c) for r in range(4, 7) for c in range(4, 7))
+    cfg = write_config(tmp_path, GRAPH_2D + f"[task]\nblock = {box}\n", name="box.ini")
+    code, out, _ = run(capsys, "graph-rank", "--config", cfg)
+    assert code == 0
+    assert parse_csv(out)[1] == [["block[9]", "8", "", "8"]]
 
 
 def test_graph_rank_analytic_blank_without_margin(capsys, tmp_path):
@@ -232,6 +304,11 @@ def test_graph_rank_edge_list(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows == [["block[2]", "1", "", "2"]]
+
+    cfg = write_config(tmp_path, f"[task]\nedges = {edges}\nn_sites = 4\n"
+                       "sides = 2\n", name="sides.ini")
+    code, _, err = run(capsys, "graph-rank", "--config", cfg)
+    assert code == 1 and "key 'sides' needs a [lattice] section" in err
 
 
 def test_graph_rank_needs_block_or_sides(capsys, tmp_path):
@@ -281,11 +358,17 @@ def test_output_file_and_config_defaults(capsys, tmp_path):
 
 
 def test_threads_match_serial(capsys, tmp_path):
-    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1:4\n")
-    _, serial, _ = run(capsys, "correlations", "--config", cfg)
-    _, threaded, _ = run(capsys, "correlations", "--config", cfg,
-                         "--threads", "4")
-    assert parse_csv(serial) == parse_csv(threaded)
+    for command, threads, task in [
+            ("correlations", "4", "separations = 1:4"),
+            ("entropy-scan", "2", "sizes = 2:5\nm = 2\nradius = 2"),
+            ("dynamics", "2", "grid = 0:1:4\nl_max = 3")]:
+        cfg = write_config(tmp_path, CHAIN + f"[task]\n{task}\n", name=f"{command}.ini")
+        code, serial, _ = run(capsys, command, "--config", cfg)
+        assert code == 0
+        code, threaded, _ = run(capsys, command, "--config", cfg, "--threads", threads)
+        assert code == 0
+        assert parse_csv(serial) == parse_csv(threaded)
+        assert len(parse_csv(serial)[1]) == 4
 
 
 def test_verify_passes(capsys):
@@ -297,6 +380,15 @@ def test_verify_passes(capsys):
     assert len(rows) == 3
     assert all(r[4] == "ok" for r in rows)
     assert "# max_distance:" in out
+
+    code, out, _ = run(capsys, "verify", "--instances", "2", "--n-max", "6",
+                       "--a-max", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "verify" and payload["config"] == []
+    assert set(payload["summary"]) == {"max_distance", "tolerance"}
+    assert payload["summary"]["tolerance"] == 1e-10
+    assert payload["summary"]["max_distance"] == max(r[3] for r in payload["rows"])
 
 
 def test_verify_reports_failures(capsys):

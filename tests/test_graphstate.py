@@ -21,13 +21,10 @@ from wgstate import graphstate
 from wgstate.graphstate import (
     BinaryMatrix,
     NotAGraphStateError,
-    adjacency_from_profile,
     analytic_block_entropy,
     block_adjacency,
-    block_slice,
     connected_vertex_count,
     gf2_rank,
-    graph_block_entropy,
     read_edge_list,
     write_edge_list,
 )
@@ -108,10 +105,19 @@ def test_gf2_rank_transpose_invariant():
         assert gf2_rank(dense) == gf2_rank(dense.T)
 
 
+def full_adjacency(profile):
+    """N x N adjacency, row k from ``block_adjacency(profile, [k])``."""
+    n = profile.n_sites
+    dense = np.zeros((n, n), dtype=int)
+    for k in range(n):
+        dense[k, np.delete(np.arange(n), k)] = block_adjacency(profile, [k]).to_dense()[0]
+    return dense
+
+
 def test_adjacency_from_nearest_neighbor_profile():
     lat = Lattice(5)
     prof = PhaseProfile(lat, Cutoff(reach=1.0), time=math.pi)
-    dense = adjacency_from_profile(prof).to_dense()
+    dense = full_adjacency(prof)
     expected = np.zeros((5, 5), dtype=int)
     for k in range(4):
         expected[k, k + 1] = expected[k + 1, k] = 1
@@ -121,7 +127,7 @@ def test_adjacency_from_nearest_neighbor_profile():
 def test_adjacency_band_width_follows_reach():
     lat = Lattice(9)
     prof = PhaseProfile(lat, Cutoff(reach=2.0), time=math.pi)
-    dense = adjacency_from_profile(prof).to_dense()
+    dense = full_adjacency(prof)
     assert np.array_equal(dense, dense.T)
     assert not dense.diagonal().any()
     assert dense[4].sum() == 4  # two neighbors on each side
@@ -131,32 +137,16 @@ def test_adjacency_rejects_generic_phases():
     lat = Lattice(6)
     prof = PhaseProfile(lat, PowerLaw(alpha=3.0), time=0.3 * math.pi)
     with pytest.raises(NotAGraphStateError):
-        adjacency_from_profile(prof)
-    with pytest.raises(NotAGraphStateError):
         block_adjacency(prof, [2, 3])
 
 
 def test_adjacency_from_edge_profile():
     prof = EdgeProfile.from_edges(5, [(0, 4), (1, 2)])
-    dense = adjacency_from_profile(prof).to_dense()
+    dense = full_adjacency(prof)
     expected = np.zeros((5, 5), dtype=int)
     expected[0, 4] = expected[4, 0] = 1
     expected[1, 2] = expected[2, 1] = 1
     assert np.array_equal(dense, expected)
-
-
-def test_block_adjacency_equals_full_slice():
-    rng = np.random.default_rng(47)
-    for _ in range(8):
-        n = int(rng.integers(6, 30))
-        lat = Lattice(n, str(rng.choice(["open", "periodic"])))
-        prof = PhaseProfile(lat, Cutoff(reach=float(rng.integers(1, 4))),
-                            time=math.pi)
-        size = int(rng.integers(1, 5))
-        block = rng.choice(n, size=size, replace=False)
-        direct = block_adjacency(prof, block)
-        sliced = block_slice(adjacency_from_profile(prof), block)
-        assert np.array_equal(direct.to_dense(), sliced.to_dense())
 
 
 def test_block_adjacency_validates():
@@ -168,30 +158,25 @@ def test_block_adjacency_validates():
         block_adjacency(prof, [3, 3])
     with pytest.raises(ValueError):
         block_adjacency(prof, [10])
-    with pytest.raises(ValueError):
-        block_slice(block_adjacency(prof, [0, 1]), [0])
 
 
 def test_graph_block_entropy_isolated_block():
     prof = EdgeProfile.from_edges(6, [(0, 1)])
-    adj = adjacency_from_profile(prof)
-    assert graph_block_entropy(adj, [3, 4]) == 0
+    assert gf2_rank(block_adjacency(prof, [3, 4])) == 0
 
 
 def test_graph_block_entropy_interior_chain_block():
     lat = Lattice(40)
     prof = PhaseProfile(lat, Cutoff(reach=1.0), time=math.pi)
-    adj = adjacency_from_profile(prof)
-    gamma = block_slice(adj, np.arange(10, 20))
-    assert graph_block_entropy(adj, np.arange(10, 20)) == 2
+    gamma = block_adjacency(prof, np.arange(10, 20))
+    assert gf2_rank(gamma) == 2
     assert connected_vertex_count(gamma) == 2
 
 
 def test_graph_block_entropy_wide_band():
     lat = Lattice(40)
     prof = PhaseProfile(lat, Cutoff(reach=3.0), time=math.pi)
-    adj = adjacency_from_profile(prof)
-    assert graph_block_entropy(adj, np.arange(15, 25)) == 6
+    assert gf2_rank(block_adjacency(prof, np.arange(15, 25))) == 6
 
 
 def test_graph_block_entropy_square_block():
