@@ -29,8 +29,8 @@ or --out.  Schema:
 
 Integer-list values accept commas and inclusive ranges: '1, 4, 8:10' means
 1, 4, 8, 9, 10.  On a lattice of dimension d >= 2 the block sizes `sizes`,
-`size`, `l_max` and `sides` are side lengths of a centered box (a block
-with `start` is a run of that many linear indices).  Exit status: 0 on
+`size`, `l_max` and `sides` are side lengths of a centered box, and the
+key `start` (a chain's block start) is rejected.  Exit status: 0 on
 success, 1 on bad input or config, 2 when `verify` finds a mismatch
 against the brute-force reference.
 
@@ -86,6 +86,7 @@ from .measures import (
     correlation_matrix,
     max_correlation,
     meyer_wallach,
+    trace_distance,
 )
 from .oracle import partial_trace, random_instance
 from .oracle import evolve as brute_force_evolve
@@ -272,6 +273,8 @@ def _run_correlations(args, cp, items) -> _Table:
 
 def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
     if "start" in items:
+        if profile.lattice.dimension >= 2:
+            raise ConfigError("key 'start': only a chain takes a block start")
         start = _parse_int(items["start"], "start")
         if start < 0 or start + size > profile.n_sites:
             raise ConfigError(f"block {start}..{start + size - 1} outside lattice")
@@ -282,7 +285,7 @@ def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
 def _run_entropy_scan(args, cp, items) -> _Table:
     """[task] sizes = <int list>; m = <int> sub-block size (default 4);
     radius = <float> kept-environment radius (default 4); start = <int>
-    (default: centered block).
+    (chains only; default: centered block).
 
     One row per block size L: exact entropy (blank once the block has more
     than A_MAX sites), the sub-block upper bound, and the
@@ -306,7 +309,7 @@ def _run_entropy_scan(args, cp, items) -> _Table:
 def _run_bounds_scan(args, cp, items) -> _Table:
     """[task] size = <int> block size; ms = <int list> sub-block sizes
     (default 1:5); radii = <int list> environment radii (default 0:5);
-    start = <int> (default centered).
+    start = <int> (chains only; default centered).
 
     Sweeps the bound parameters at fixed block size to show how the
     bracket tightens: one row per (m, radius) value, lists zipped side by
@@ -444,9 +447,7 @@ def _run_verify(args, cp, items) -> _Table:
         profile, state, sites = random_instance(rng, args.n_max, args.a_max)
         fast = reduced_density(profile, state, sites)
         psi = brute_force_evolve(profile, state)
-        slow = partial_trace(psi, sites)
-        gap = np.linalg.eigvalsh(fast - slow)
-        distance = 0.5 * float(np.abs(gap).sum())
+        distance = trace_distance(fast, partial_trace(psi, sites))
         worst = max(worst, distance)
         ok = distance < args.tolerance
         failures += 0 if ok else 1

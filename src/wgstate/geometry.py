@@ -92,8 +92,7 @@ class Lattice:
         return out
 
     def coords(self, sites) -> np.ndarray:
-        sites = self._check_sites(sites)
-        return self._coords[sites]
+        return np.take(self._coords, self._check_sites(sites), axis=0)
 
     def site_index(self, coords: Sequence[int]) -> int:
         coords = tuple(int(c) for c in coords)
@@ -126,12 +125,6 @@ class Lattice:
 
     def distance(self, k: int, l: int) -> float:
         return float(self.distances(k, [l])[0])
-
-    def diameter(self) -> float:
-        """Upper bound on any pairwise distance."""
-        spans = [e - 1 if b == "open" else e // 2
-                 for e, b in zip(self.extents, self.boundary)]
-        return math.sqrt(sum(s * s for s in spans))
 
 
 def centered_block(lattice: Lattice, shape) -> np.ndarray:
@@ -324,6 +317,14 @@ class PhaseProfile:
             raise ValueError(f"phase(k, k) is undefined (got k = l = {k})")
         return float(self.phase_row(k, np.array([l]))[0])
 
+    @cached_property
+    def _displacement_table(self) -> np.ndarray:
+        """Read-only table of :func:`displacement_phases`, built on first use."""
+        phi = np.zeros(self.lattice.extents)
+        phi.flat[1:] = self.phase_row(0, np.arange(1, self.n_sites))
+        phi.setflags(write=False)
+        return phi
+
 
 class EdgeProfile:
     """Phases listed explicitly per site pair; unlisted pairs have phase 0.
@@ -387,6 +388,11 @@ class EdgeProfile:
         pos = np.minimum(np.searchsorted(cols, ls), cols.size - 1)
         return np.where(cols[pos] == ls, self._phases[start:stop][pos], 0.0)
 
+    def neighbours(self, sites) -> np.ndarray:
+        """Every site listed in a pair with one of ``sites``, ascending, once."""
+        return np.unique(np.concatenate(
+            [self._cols[self._indptr[k]:self._indptr[k + 1]] for k in sites]))
+
 
 def displacement_phases(profile) -> np.ndarray | None:
     """Every phase of a profile whose law depends on distance alone.
@@ -397,14 +403,32 @@ def displacement_phases(profile) -> np.ndarray | None:
     inside :meth:`Lattice.distances`).  Returns an array shaped like the
     lattice whose entry at (|d_0|, .., |d_D-1|) is the very float
     ``profile.phase_row(k, l)`` gives for any k, l that far apart: it is
-    site 0's phase row, read in one ``phase_row`` call.  The entry at the
-    origin (k = l) is 0.0.  Any other profile returns None.
+    site 0's phase row, read in one ``phase_row`` call the first time a
+    profile is asked and kept, read-only, for the profile's lifetime.  The
+    entry at the origin (k = l) is 0.0.  Any other profile returns None.
     """
     if not isinstance(profile, PhaseProfile) or isinstance(profile.law, Disordered):
         return None
-    phi = np.zeros(profile.n_sites)
-    phi[1:] = profile.phase_row(0, np.arange(1, profile.n_sites))
-    return phi.reshape(profile.lattice.extents)
+    return profile._displacement_table
+
+
+def near_box(lattice: Lattice, live: np.ndarray, sites, ls) -> np.ndarray:
+    """Mask of the sites ``ls`` that a coupling may reach from ``sites``.
+
+    ``live`` is shaped like the lattice, True where the
+    :func:`displacement_phases` entry counts as a coupling.  Kept are the
+    sites inside the bounding box of ``sites`` dilated, along each axis, by
+    the largest |d| along it with a live entry (on a periodic axis the
+    table is indexed by |d| before the minimum image, so this holds there).
+    """
+    if not live.any():
+        return np.zeros(len(ls), dtype=bool)
+    reach = np.max(np.nonzero(live), axis=1)
+    ends = lattice.coords(sites)
+    box = np.zeros(lattice.extents, dtype=bool)
+    box[tuple(map(slice, np.maximum(ends.min(axis=0) - reach, 0),
+                  ends.max(axis=0) + reach + 1))] = True
+    return box.ravel()[ls]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI, displacement_phases
+from .geometry import TWO_PI, displacement_phases, near_box
 
 # Byte budget for the transients of one group of rows in block_adjacency.
 _CHUNK_BYTES = 1 << 19
@@ -56,10 +56,6 @@ class BinaryMatrix:
         self.n_cols = int(n_cols)
 
     @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BinaryMatrix":
-        return cls(np.zeros((n_rows, (n_cols + 63) // 64), dtype=np.uint64), n_cols)
-
-    @classmethod
     def from_dense(cls, dense) -> "BinaryMatrix":
         dense = np.asarray(dense)
         if dense.ndim != 2:
@@ -71,16 +67,6 @@ class BinaryMatrix:
         flat = np.unpackbits(self.words.view(np.uint8).reshape(self.n_rows, -1),
                              axis=1, bitorder="little")
         return flat[:, :self.n_cols]
-
-    def get(self, row: int, col: int) -> int:
-        return int((self.words[row, col >> 6] >> np.uint64(col & 63)) & np.uint64(1))
-
-    def set(self, row: int, col: int, value: int = 1) -> None:
-        bit = np.uint64(1) << np.uint64(col & 63)
-        if value:
-            self.words[row, col >> 6] |= bit
-        else:
-            self.words[row, col >> 6] &= ~bit
 
     def row_any(self) -> np.ndarray:
         """Boolean mask of rows holding at least one set bit."""
@@ -192,7 +178,7 @@ def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
         return BinaryMatrix(words, n_cols)
     table = displacement_phases(profile)
     if table is not None:
-        _gather_rows(table, profile.lattice, block, mask, tol, words)
+        _gather_rows(table, profile.lattice, block, env, tol, words)
         return BinaryMatrix(words, n_cols)
     step = _rows_per_chunk(16 * env.size)
     for lo in range(0, block.size, step):
@@ -205,7 +191,7 @@ def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
     return BinaryMatrix(words, n_cols)
 
 
-def _gather_rows(table, lattice, block, mask, tol, words) -> None:
+def _gather_rows(table, lattice, block, env, tol, words) -> None:
     """Fill ``words`` (one row per block site) from the displacement table.
 
     Outside the block's bounding box dilated by the support radius every
@@ -215,29 +201,14 @@ def _gather_rows(table, lattice, block, mask, tol, words) -> None:
     """
     edge, bad = _classify(table, tol)
     kind = np.where(bad, 2, edge).astype(np.int8).ravel()
-    live = edge | bad
-    if not live.any():
+    cols = np.flatnonzero(near_box(lattice, edge | bad, block, env))
+    if cols.size == 0:
         return
-    dim = lattice.dimension
+    sites = env[cols]
+    box = lattice.coords(sites)
     coords = lattice.coords(block)
-    ranges = []
-    for axis, extent in enumerate(lattice.extents):
-        # the largest |d| along this axis with a phase that is not 0; on a
-        # periodic axis the table is indexed by |d| before the minimum
-        # image, so the same bound holds there
-        others = tuple(a for a in range(dim) if a != axis)
-        reach = int(np.flatnonzero(live.any(axis=others))[-1])
-        lo = max(coords[:, axis].min() - reach, 0)
-        hi = min(coords[:, axis].max() + reach, extent - 1)
-        ranges.append(np.arange(lo, hi + 1))
-    box = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dim)
+    dim = lattice.dimension
     strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
-    sites = box @ strides
-    inside = mask[sites]
-    box, sites = box[inside], sites[inside]
-    if sites.size == 0:
-        return
-    cols = np.cumsum(mask)[sites] - 1
     first = cols[0] >> 6
     n_words = (cols[-1] >> 6) - first + 1
     cols -= first * 64
@@ -299,15 +270,8 @@ def analytic_block_entropy(dimension: int, side: int, reach: float) -> int:
 # Edge-list files
 # ---------------------------------------------------------------------------
 
-def write_edge_list(path, edges) -> None:
-    """One 'k l' pair per line; lines starting with '#' are comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# edge list: one 'site site' pair per line\n")
-        for k, l in edges:
-            fh.write(f"{int(k)} {int(l)}\n")
-
-
 def read_edge_list(path) -> list[tuple[int, int]]:
+    """One 'k l' pair per line; text after a '#' is a comment."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

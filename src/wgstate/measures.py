@@ -19,16 +19,13 @@ import numpy as np
 from .geometry import displacement_phases
 from .rdm import A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, reduced_density
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-_PAULIS = (_SX, _SY, _SZ)
+# Pauli x, y, z stacked along the first axis
+_PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
+                    [[0.0, -1.0j], [1.0j, 0.0]],
+                    [[1.0, 0.0], [0.0, -1.0]]], dtype=np.complex128)
 
 # sigma_y (x) sigma_y, the spin-flip kernel of the concurrence
-_YY = np.array([[0.0, 0.0, 0.0, -1.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [-1.0, 0.0, 0.0, 0.0]], dtype=np.complex128)
+_YY = np.kron(_PAULIS[1], _PAULIS[1])
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -49,10 +46,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) * trace norm of rho - sigma."""
     evals = np.linalg.eigvalsh(rho - sigma)
     return 0.5 * float(np.abs(evals).sum())
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +154,6 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float,
 # Two-site correlations and pair entanglement
 # ---------------------------------------------------------------------------
 
-def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.trace(rho @ s) for s in _PAULIS])
-
-
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """Connected correlation matrix Q[a, b] = <s_a s_b> - <s_a><s_b>.
 
@@ -178,15 +167,12 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
+    # t[i, j, k, l] = <i j| rho |k l>, so tr(rho (A x B)) sums
+    # t[i, j, k, l] A[k, i] B[l, j]; a repeated index traces a site out
     t = rho.reshape(2, 2, 2, 2)
-    rho_k = np.einsum("ajbj->ab", t)
-    rho_l = np.einsum("jajb->ab", t)
-    ev_k = _pauli_expectations(rho_k)
-    ev_l = _pauli_expectations(rho_l)
-    joint = np.empty((3, 3), dtype=np.complex128)
-    for a, sa in enumerate(_PAULIS):
-        for b, sb in enumerate(_PAULIS):
-            joint[a, b] = np.trace(rho @ np.kron(sa, sb))
+    joint = np.einsum("ijkl,aki,blj->ab", t, _PAULIS, _PAULIS)
+    ev_k = np.einsum("ijkj,aki->a", t, _PAULIS)
+    ev_l = np.einsum("ijil,blj->b", t, _PAULIS)
     q = joint - np.outer(ev_k, ev_l)
     worst = float(np.abs(q.imag).max())
     if worst >= 1e-9:

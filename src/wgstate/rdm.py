@@ -15,9 +15,13 @@ sweep over the environment fills a table of 3^m numbers and the full
 2^m x 2^m matrix is assembled from it.  Populations are real, so
 E(-d) = conj E(d) and the sweep computes only (3^m + 1) / 2 classes; sites
 with no coupling to the subset contribute the constant p0_l + p1_l and are
-folded in as one scalar.  Total cost is O(N_coupled * (3^m + 1) / 2) time,
-in chunks of about 2 MiB, and O(3^m + 4^m) memory -- linear in system
-size, never a 2^N statevector.
+folded in as one scalar.  For a law of distance alone so is every site
+outside the subset's near box: its bounding box dilated by the largest
+displacement whose phase (from a table built once per profile) is not
+exactly 0.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
+finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
+rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
+memory -- linear in system size, never a 2^N statevector.
 
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
 left index and the conjugate on the right; they never change the spectrum,
@@ -35,6 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import EdgeProfile, displacement_phases, near_box
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -64,13 +70,15 @@ class ProductInput:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (n, 2), got {amps.shape}")
-        norms = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
+        pops = np.abs(amps[:, 0]) ** 2, np.abs(amps[:, 1]) ** 2
+        norms = pops[0] + pops[1]
         bad = np.abs(norms - 1.0) > 1e-12
         if np.any(bad):
             site = int(np.argmax(bad))
             raise ValueError(
                 f"site {site} amplitudes not normalized (|a0|^2 + |a1|^2 = {norms[site]!r})")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_populations", pops)
         amps.setflags(write=False)
 
     @property
@@ -92,8 +100,8 @@ class ProductInput:
 
     def populations(self, sites) -> tuple[np.ndarray, np.ndarray]:
         """(p0, p1) occupation probabilities at the given sites."""
-        a = self.amplitudes[np.asarray(sites, dtype=np.intp)]
-        return np.abs(a[:, 0]) ** 2, np.abs(a[:, 1]) ** 2
+        sites = np.asarray(sites, dtype=np.intp)
+        return self._populations[0][sites], self._populations[1][sites]
 
 
 def _check_subset(n_sites: int, sites, a_max: int) -> np.ndarray:
@@ -134,6 +142,25 @@ def _bit_table(m: int) -> np.ndarray:
     return (x >> shifts) & 1
 
 
+def _coupled_phases(profile, sites: np.ndarray, ls: np.ndarray):
+    """(coupled, phi): a mask of the sites ``ls`` with a phase that is not
+    0.0 to some site of ``sites``, and the (m, coupled.sum()) phases."""
+    table = displacement_phases(profile)
+    if table is not None:
+        lattice = profile.lattice
+        near = near_box(lattice, table != 0.0, sites, ls)
+        at = lattice.coords(ls[near])
+        phi = np.stack([table[tuple(np.abs(at - c).T)] for c in lattice.coords(sites)])
+    else:
+        near = (np.isin(ls, profile.neighbours(sites)) if isinstance(profile, EdgeProfile)
+                else np.ones(ls.size, dtype=bool))
+        phi = np.stack([profile.phase_row(int(k), ls[near]) for k in sites])
+    live = (phi != 0.0).any(axis=0)
+    coupled = np.zeros(ls.size, dtype=bool)
+    coupled[near] = live
+    return coupled, phi[:, live]
+
+
 def environment_product(profile, state: ProductInput, sites, environment=None,
                         a_max: int = A_MAX) -> np.ndarray:
     """Accumulated environment factor for every difference class.
@@ -151,7 +178,8 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     Only the codes up to the center (d = 0) are swept; the others follow
     from E(-d) = conj E(d).  Environment sites whose phases to every subset
     site are exactly 0.0 give every class the same factor p0_l + p1_l, so
-    they are multiplied in as one scalar instead of being swept.
+    they are multiplied in as one scalar instead of being swept.  Only a
+    distance law's near box or an edge profile's neighbours are looked at.
     """
     sites = _check_subset(profile.n_sites, sites, a_max)
     env = _resolve_environment(profile.n_sites, sites, environment)
@@ -164,15 +192,12 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     buf = np.empty((min(chunk, env.size), half.size), dtype=np.complex128)
     for start in range(0, env.size, ENV_SLAB):
         ls = env[start:start + ENV_SLAB]
-        phi = np.empty((m, ls.size), dtype=np.float64)
-        for j, k in enumerate(sites):
-            phi[j] = profile.phase_row(int(k), ls)
+        coupled, phi = _coupled_phases(profile, sites, ls)
         p0, p1 = state.populations(ls)
-        coupled = (phi != 0.0).any(axis=0)
         if not coupled.all():
             # every class gets the same factor p0 + p1 from these sites
             uncoupled *= float(np.prod(p0[~coupled] + p1[~coupled]))
-            phi, p0, p1 = phi[:, coupled], p0[coupled], p1[coupled]
+            p0, p1 = p0[coupled], p1[coupled]
         for lo in range(0, p0.size, chunk):
             z = np.exp(-1j * phi[:, lo:lo + chunk])
             c = z.shape[1]

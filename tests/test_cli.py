@@ -6,7 +6,6 @@ import pytest
 
 import wgstate.rdm as rdm
 from wgstate.cli import main
-from wgstate.graphstate import write_edge_list
 
 
 def run(capsys, *argv):
@@ -154,6 +153,20 @@ def test_entropy_scan_2d_sizes_are_side_lengths(capsys, tmp_path):
     assert float(rows[2][2]) > float(rows[1][1])
 
 
+@pytest.mark.parametrize("command,task", [
+    ("entropy-scan", "sizes = 2:3\n"),
+    ("bounds-scan", "size = 2\nms = 1\nradii = 0\n"),
+    ("dynamics", "grid = 0:1:2\nl_max = 2\n"),
+], ids=["entropy-scan", "bounds-scan", "dynamics"])
+def test_start_rejected_on_a_grid(capsys, tmp_path, command, task):
+    # on a grid a block size is a side length; a start would make it a run
+    # of linear indices that wraps across rows
+    cfg = write_config(tmp_path, GRID_8X8 + "[task]\n" + task + "start = 9\n")
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 1 and out == ""
+    assert "key 'start'" in err
+
+
 def test_block_size_outside_chain_exits_one(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 25\n")
     code, _, err = run(capsys, "entropy-scan", "--config", cfg)
@@ -297,7 +310,7 @@ def test_graph_rank_analytic_blank_without_margin(capsys, tmp_path):
 
 def test_graph_rank_edge_list(capsys, tmp_path):
     edges = tmp_path / "edges.txt"
-    write_edge_list(edges, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    edges.write_text("# edge list\n0 2\n0 3\n1 2\n1 3\n")
     cfg = write_config(tmp_path, f"[task]\nedges = {edges}\nn_sites = 4\n"
                        "block = 0, 1\n")
     code, out, _ = run(capsys, "graph-rank", "--config", cfg)

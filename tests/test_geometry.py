@@ -80,16 +80,6 @@ def test_periodic_translation_invariance():
         assert d0 == ds
 
 
-def test_diameter_bounds_every_distance():
-    rng = np.random.default_rng(3)
-    for lat in [Lattice(17), Lattice(17, boundary="periodic"),
-                Lattice((4, 5), boundary=("periodic", "open"))]:
-        diam = lat.diameter()
-        for _ in range(40):
-            k, l = rng.integers(0, lat.n_sites, size=2)
-            assert lat.distance(int(k), int(l)) <= diam + 1e-12
-
-
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice(1)

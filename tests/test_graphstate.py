@@ -26,7 +26,6 @@ from wgstate.graphstate import (
     connected_vertex_count,
     gf2_rank,
     read_edge_list,
-    write_edge_list,
 )
 
 
@@ -57,17 +56,16 @@ def test_binary_matrix_roundtrip():
         assert np.array_equal(mat.to_dense(), dense)
 
 
-def test_binary_matrix_get_set():
-    mat = BinaryMatrix.zeros(3, 100)
-    mat.set(1, 0)
-    mat.set(1, 63)
-    mat.set(2, 64)
-    mat.set(2, 99)
-    assert mat.get(1, 0) == 1 and mat.get(1, 63) == 1
-    assert mat.get(1, 64) == 0
-    assert mat.get(2, 64) == 1 and mat.get(2, 99) == 1
-    mat.set(1, 63, 0)
-    assert mat.get(1, 63) == 0
+def test_binary_matrix_bit_layout():
+    dense = np.zeros((3, 100), dtype=int)
+    dense[1, [0, 63]] = 1
+    dense[2, [64, 99]] = 1
+    mat = BinaryMatrix.from_dense(dense)
+    # column c is bit c & 63 of word c >> 6
+    assert mat.words.shape == (3, 2)
+    assert mat.words[1].tolist() == [1 | 1 << 63, 0]
+    assert mat.words[2].tolist() == [0, 1 | 1 << 35]
+    assert np.array_equal(mat.to_dense(), dense)
     assert np.array_equal(mat.row_any(), [False, True, True])
 
 
@@ -388,9 +386,8 @@ def test_block_covering_the_lattice_has_rank_zero():
 
 def test_edge_list_roundtrip(tmp_path):
     path = tmp_path / "edges.txt"
-    edges = [(0, 1), (3, 7), (2, 5)]
-    write_edge_list(path, edges)
-    assert read_edge_list(path) == edges
+    path.write_text("0 1\n3 7\n2 5\n")
+    assert read_edge_list(path) == [(0, 1), (3, 7), (2, 5)]
 
 
 def test_edge_list_comments_and_errors(tmp_path):

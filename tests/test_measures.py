@@ -16,7 +16,6 @@ from wgstate.measures import (
     entropy,
     max_correlation,
     meyer_wallach,
-    purity,
     trace_distance,
 )
 from wgstate.oracle import evolve, partial_trace, random_instance
@@ -27,6 +26,10 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
+
+
+def _purity(rho):
+    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 def test_entropy_values():
@@ -50,11 +53,6 @@ def test_trace_distance_values():
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-14)
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(a, np.eye(2) / 2) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_purity_values():
-    assert purity(np.eye(2) / 2) == pytest.approx(0.5, abs=1e-14)
-    assert purity(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_block_entropy_no_evolution():
@@ -352,7 +350,7 @@ def test_meyer_wallach_matches_oracle():
     for _ in range(5):
         prof, state, _ = random_instance(rng, n_max=10, a_max=2)
         psi = evolve(prof, state)
-        purities = [purity(partial_trace(psi, [k])) for k in range(prof.n_sites)]
+        purities = [_purity(partial_trace(psi, [k])) for k in range(prof.n_sites)]
         expected = 2.0 * (1.0 - float(np.mean(purities)))
         assert abs(meyer_wallach(prof, state) - expected) < 1e-10
 
@@ -362,6 +360,6 @@ def test_meyer_wallach_site_subset():
     prof, state, _ = random_instance(rng, n_max=10, a_max=2)
     psi = evolve(prof, state)
     sites = [1, prof.n_sites - 2]
-    purities = [purity(partial_trace(psi, [k])) for k in sites]
+    purities = [_purity(partial_trace(psi, [k])) for k in sites]
     expected = 2.0 * (1.0 - float(np.mean(purities)))
     assert abs(meyer_wallach(prof, state, sites=sites) - expected) < 1e-10

@@ -28,7 +28,7 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
 )
-from wgstate.measures import meyer_wallach, purity
+from wgstate.measures import meyer_wallach
 from wgstate.oracle import evolve, partial_trace
 from wgstate.rdm import ProductInput, reduced_density, single_site_coherence
 
@@ -78,6 +78,10 @@ def uniform_input(n, theta, chi):
     return ProductInput(amps)
 
 
+def _purity(rho):
+    return float(np.einsum("ij,ji->", rho, rho).real)
+
+
 def _from_purities(purities):
     return 2.0 * (1.0 - float(np.mean(purities)))
 
@@ -89,7 +93,7 @@ def test_matches_single_site_reduced_states(boundary, kind, data, theta, chi):
     profile = data.draw(profiles(boundary, kind, max_sites=40), label="profile")
     n = profile.n_sites
     state = uniform_input(n, theta, chi)
-    purities = np.array([purity(reduced_density(profile, state, [k]))
+    purities = np.array([_purity(reduced_density(profile, state, [k]))
                          for k in range(n)])
     assert meyer_wallach(profile, state) == pytest.approx(
         _from_purities(purities), abs=1e-12)
@@ -106,7 +110,7 @@ def test_matches_statevector_oracle(boundary, kind, data, theta, chi):
     profile = data.draw(profiles(boundary, kind, max_sites=12), label="profile")
     state = uniform_input(profile.n_sites, theta, chi)
     psi = evolve(profile, state)
-    purities = [purity(partial_trace(psi, [k])) for k in range(profile.n_sites)]
+    purities = [_purity(partial_trace(psi, [k])) for k in range(profile.n_sites)]
     assert meyer_wallach(profile, state) == pytest.approx(
         _from_purities(purities), abs=1e-12)
 
@@ -171,7 +175,7 @@ def test_other_inputs_sweep_every_site(monkeypatch, case):
             state = ProductInput.random(n, rng)
         profile = PhaseProfile(Lattice(n), law, time=1.3)
     psi = evolve(profile, state)
-    expected = _from_purities([purity(partial_trace(psi, [k])) for k in range(n)])
+    expected = _from_purities([_purity(partial_trace(psi, [k])) for k in range(n)])
     calls = _count_phase_rows(monkeypatch, type(profile))
     assert meyer_wallach(profile, state) == pytest.approx(expected, abs=1e-12)
     assert len(calls) == n

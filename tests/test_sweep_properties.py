@@ -2,11 +2,13 @@
 
 The sweep computes half of the 3^m difference classes, mirrors the rest by
 complex conjugation, skips environment sites whose phases to the subset
-are exactly 0 and works in cache-sized chunks over slabs of sites.  Each
-of those shortcuts is checked here against the one-class-at-a-time
-reference :func:`wgstate.rdm.environment_factor` and, for the assembled
-matrix, against the statevector oracle.  Examples are derandomized so the
-suite runs the same cases every time.
+are exactly 0 and works in cache-sized chunks over slabs of sites.  For a
+law of distance alone it reads phases from the cached displacement table
+and looks only inside the subset's near box; for an edge profile only at
+the subset's neighbours.  Each of those shortcuts is checked here against
+the one-class-at-a-time reference :func:`wgstate.rdm.environment_factor`
+and, for the assembled matrix, against the statevector oracle.  Examples
+are derandomized so the suite runs the same cases every time.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from wgstate.geometry import (
     Lattice,
     PhaseProfile,
     PowerLaw,
+    Table,
 )
 from wgstate.oracle import evolve, partial_trace
 from wgstate.rdm import (
@@ -173,3 +176,123 @@ def test_reduced_density_matches_oracle(case):
     fast = reduced_density(profile, state, sites)
     slow = partial_trace(evolve(profile, state), sites)
     assert 0.5 * np.abs(np.linalg.eigvalsh(fast - slow)).sum() < 1e-10
+
+
+# -- near field ----------------------------------------------------------
+
+NEAR = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def lattices(draw, max_sites):
+    """A 1-3-D lattice of 2..max_sites sites, each axis open or periodic."""
+    extents = []
+    for _ in range(draw(st.integers(1, 3))):
+        room = max_sites // math.prod(extents, start=1)
+        if room < 2:
+            break
+        extents.append(draw(st.integers(1, min(room, 30))))
+    if math.prod(extents) < 2:
+        extents[0] = 2
+    boundary = [draw(st.sampled_from(["open", "periodic"])) for _ in extents]
+    return Lattice(extents, boundary)
+
+
+@st.composite
+def near_profiles(draw, max_sites):
+    """A distance law whose phases reach only part of the lattice (a cutoff,
+    an exponential that underflows to 0, a table, one with finite support)
+    or a sparse edge profile."""
+    lattice = draw(lattices(max_sites))
+    n = lattice.n_sites
+    kind = draw(st.sampled_from(["cutoff", "exponential", "table", "finite", "edges"]))
+    if kind == "edges":
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+        return EdgeProfile(n, {pair: draw(_PHASES) for pair in chosen})
+    if kind == "cutoff":
+        law = Cutoff(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.0])))
+    elif kind == "exponential":
+        # exp(-kappa r) is exactly 0 once kappa r > 745
+        law = Exponential(draw(st.floats(20.0, 400.0)))
+    else:
+        r = np.unique(np.concatenate([lattice.distances(k, np.arange(n))
+                                      for k in range(n)]))
+        f = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+                          min_size=r.size, max_size=r.size))
+        if kind == "finite":
+            cut = draw(st.integers(1, r.size))
+            f = f[:cut] + [0.0] * (r.size - cut)
+        law = Table(dict(zip(r.tolist(), f)))
+    return PhaseProfile(lattice, law, draw(st.one_of(st.just(math.pi), st.floats(0.1, 6.0))))
+
+
+@st.composite
+def near_states(draw, n):
+    """|+> or a random input, half the time with populations summing to
+    1 + 9e-13, the most the input accepts: then every environment site's
+    p0 + p1 shows in the table at the 1e-12 level, folded or swept."""
+    amps = draw(states(n)).amplitudes
+    if draw(st.booleans()):
+        amps = amps * math.sqrt(1.0 + 9e-13)
+    return ProductInput(amps)
+
+
+@st.composite
+def near_instances(draw, max_sites, m_max):
+    """(profile, state, subset, environment) with subset sites drawn
+    towards the lattice's faces, so that boxes meet its edges and wrap
+    across periodic axes, and the default or an explicit environment."""
+    profile = draw(near_profiles(max_sites))
+    n = profile.n_sites
+    if isinstance(profile, EdgeProfile):
+        pick = st.integers(0, n - 1)
+    else:
+        lattice = profile.lattice
+        pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
+                           for e in lattice.extents]).map(lattice.site_index)
+    m = draw(st.integers(1, min(m_max, n)))
+    sites = draw(st.lists(pick, min_size=m, max_size=m, unique=True))
+    environment = None
+    if draw(st.booleans()):
+        rest = draw(st.permutations([l for l in range(n) if l not in sites]))
+        environment = rest[:draw(st.integers(0, len(rest)))]
+    return profile, draw(near_states(n)), sites, environment
+
+
+@NEAR
+@given(near_instances(max_sites=150, m_max=3))
+def test_near_field_matches_environment_factor(case):
+    profile, state, sites, environment = case
+    table = environment_product(profile, state, sites, environment)
+    scale = abs(table[table.size // 2])     # d = 0: prod of p0 + p1, ~1
+    _assert_matches_factor(table, profile, state, sites, environment,
+                           tol=1e-12 * scale)
+
+
+@NEAR
+@given(near_instances(max_sites=12, m_max=4))
+def test_near_field_matches_oracle(case):
+    profile, state, sites, _ = case
+    fast = reduced_density(profile, state, sites)
+    slow = partial_trace(evolve(profile, state), sites)
+    assert 0.5 * np.abs(np.linalg.eigvalsh(fast - slow)).sum() < 1e-10
+
+
+def test_pairs_read_one_phase_row(monkeypatch):
+    # the sweep reads the displacement table, built once per profile; only
+    # the pair's own phase is asked for per call
+    n = 2000
+    profile = PhaseProfile(Lattice(n), Exponential(1.0), 0.3 * math.pi)
+    state = ProductInput.random(n, np.random.default_rng(11))
+    sizes = []
+    row = PhaseProfile.phase_row
+
+    def counted(self, k, ls):
+        sizes.append(np.size(ls))
+        return row(self, k, ls)
+
+    monkeypatch.setattr(PhaseProfile, "phase_row", counted)
+    for r in range(1, 65):
+        reduced_density(profile, state, [n // 2, n // 2 + r])
+    assert sizes == [n - 1] + [1] * 64
