@@ -201,7 +201,8 @@ class Table:
     """Explicit distance -> strength lookup.
 
     Every queried distance must match a table entry within ``tolerance``;
-    anything else is an error rather than an implicit zero.
+    anything else is an error rather than an implicit zero.  The exact paths
+    read every lattice distance at once (:func:`displacement_phases`).
     """
 
     def __init__(self, entries: Mapping[float, float], tolerance: float = 1e-9):
@@ -387,11 +388,6 @@ class EdgeProfile:
         cols = self._cols[start:stop]
         pos = np.minimum(np.searchsorted(cols, ls), cols.size - 1)
         return np.where(cols[pos] == ls, self._phases[start:stop][pos], 0.0)
-
-    def neighbours(self, sites) -> np.ndarray:
-        """Every site listed in a pair with one of ``sites``, ascending, once."""
-        return np.unique(np.concatenate(
-            [self._cols[self._indptr[k]:self._indptr[k + 1]] for k in sites]))
 
 
 def displacement_phases(profile) -> np.ndarray | None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EdgeProfile, displacement_phases, near_box
+from .geometry import displacement_phases, near_box
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -146,15 +146,14 @@ def _coupled_phases(profile, sites: np.ndarray, ls: np.ndarray):
     """(coupled, phi): a mask of the sites ``ls`` with a phase that is not
     0.0 to some site of ``sites``, and the (m, coupled.sum()) phases."""
     table = displacement_phases(profile)
-    if table is not None:
+    if table is None:
+        near = np.ones(ls.size, dtype=bool)
+        phi = np.stack([profile.phase_row(int(k), ls) for k in sites])
+    else:
         lattice = profile.lattice
         near = near_box(lattice, table != 0.0, sites, ls)
         at = lattice.coords(ls[near])
         phi = np.stack([table[tuple(np.abs(at - c).T)] for c in lattice.coords(sites)])
-    else:
-        near = (np.isin(ls, profile.neighbours(sites)) if isinstance(profile, EdgeProfile)
-                else np.ones(ls.size, dtype=bool))
-        phi = np.stack([profile.phase_row(int(k), ls[near]) for k in sites])
     live = (phi != 0.0).any(axis=0)
     coupled = np.zeros(ls.size, dtype=bool)
     coupled[near] = live
@@ -178,8 +177,10 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     Only the codes up to the center (d = 0) are swept; the others follow
     from E(-d) = conj E(d).  Environment sites whose phases to every subset
     site are exactly 0.0 give every class the same factor p0_l + p1_l, so
-    they are multiplied in as one scalar instead of being swept.  Only a
-    distance law's near box or an edge profile's neighbours are looked at.
+    they are multiplied in as one scalar instead of being swept.  A law of
+    distance alone is looked at only in the subset's near box, but its
+    phase table spans every lattice displacement: a :class:`Table` law
+    missing any lattice distance raises ValueError, whatever the subset.
     """
     sites = _check_subset(profile.n_sites, sites, a_max)
     env = _resolve_environment(profile.n_sites, sites, environment)

@@ -11,6 +11,7 @@ from wgstate.geometry import (
     Lattice,
     PhaseProfile,
     PowerLaw,
+    Table,
 )
 from wgstate.oracle import evolve, partial_trace, random_instance
 from wgstate.rdm import (
@@ -229,6 +230,20 @@ def test_subset_validation():
         reduced_density(prof, state, [10])
     with pytest.raises(ValueError):
         reduced_density(prof, state, [1, 2], environment=[2, 5])
+
+
+def test_table_law_must_cover_every_lattice_distance():
+    # the subset's own phases need distances up to 10 only, but the exact
+    # sweep reads one table of every lattice displacement, up to 19
+    lat = Lattice(20)
+    prof = PhaseProfile(lat, Table({r: 1.0 / r for r in range(1, 11)}), time=1.0)
+    state = ProductInput.plus(20)
+    others = [l for l in range(20) if l != 10]
+    assert prof.phase_row(10, others).shape == (19,)
+    with pytest.raises(ValueError, match="distance 11.0 not in coupling table"):
+        reduced_density(prof, state, [10], environment=[9, 11])
+    with pytest.raises(ValueError, match="not in coupling table"):
+        environment_product(prof, state, [9, 10])
 
 
 def test_single_site_coherence_trivial_cases():

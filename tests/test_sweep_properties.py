@@ -4,11 +4,11 @@ The sweep computes half of the 3^m difference classes, mirrors the rest by
 complex conjugation, skips environment sites whose phases to the subset
 are exactly 0 and works in cache-sized chunks over slabs of sites.  For a
 law of distance alone it reads phases from the cached displacement table
-and looks only inside the subset's near box; for an edge profile only at
-the subset's neighbours.  Each of those shortcuts is checked here against
-the one-class-at-a-time reference :func:`wgstate.rdm.environment_factor`
-and, for the assembled matrix, against the statevector oracle.  Examples
-are derandomized so the suite runs the same cases every time.
+and looks only inside the subset's near box.  Each of those shortcuts is
+checked here against the one-class-at-a-time reference
+:func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
+against the statevector oracle.  Examples are derandomized so the suite
+runs the same cases every time.
 """
 
 import itertools
