@@ -11,8 +11,13 @@ everything downstream.
 Phases are computed on demand and reduced mod 2*pi at query time; no N x N
 table is ever materialized, so memory stays O(N).  A law of distance alone
 gives every pair's phase from one table over the lattice's displacements,
-:func:`displacement_phases`.  All objects here are immutable after
-construction and safe to query from any number of threads.
+:func:`displacement_phases`.  Which environment sites a subset can feel, and
+with what phase, is decided here alone: :func:`coupled_sites` names the
+candidates (for a table, those in the subset's near box, dilated by every
+displacement whose phase is not 0.0) and :func:`pair_phases` reads their
+phases, from the table or one ``phase_row`` per subset site.  All objects
+here are immutable after construction and safe to query from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -408,23 +413,51 @@ def displacement_phases(profile) -> np.ndarray | None:
     return profile._displacement_table
 
 
-def near_box(lattice: Lattice, live: np.ndarray, sites, ls) -> np.ndarray:
-    """Mask of the sites ``ls`` that a coupling may reach from ``sites``.
+def coupled_sites(profile, sites, ls) -> np.ndarray:
+    """Ascending positions in ``ls`` of the sites that may couple to ``sites``.
 
-    ``live`` is shaped like the lattice, True where the
-    :func:`displacement_phases` entry counts as a coupling.  Kept are the
-    sites inside the bounding box of ``sites`` dilated, along each axis, by
-    the largest |d| along it with a live entry (on a periodic axis the
-    table is indexed by |d| before the minimum image, so this holds there).
+    With a :func:`displacement_phases` table these are the sites inside the
+    near box of ``sites``: their bounding box dilated, along each axis, by
+    the largest |d| along it whose table entry is not 0.0 (on a periodic
+    axis the table is indexed by |d| before the minimum image, so this
+    holds there).  Every site outside it has phase exactly 0.0 to every
+    site of ``sites``.  For any other profile they are all positions.
     """
+    table = displacement_phases(profile)
+    if table is None:
+        return np.arange(len(ls))
+    live = table != 0.0
     if not live.any():
-        return np.zeros(len(ls), dtype=bool)
+        return np.empty(0, dtype=np.intp)
     reach = np.max(np.nonzero(live), axis=1)
+    lattice = profile.lattice
     ends = lattice.coords(sites)
     box = np.zeros(lattice.extents, dtype=bool)
     box[tuple(map(slice, np.maximum(ends.min(axis=0) - reach, 0),
                   ends.max(axis=0) + reach + 1))] = True
-    return box.ravel()[ls]
+    return np.flatnonzero(box.ravel()[ls])
+
+
+def pair_phases(profile, sites, ls) -> np.ndarray:
+    """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s.
+
+    With a :func:`displacement_phases` table they are read from it through
+    a flat index summed one axis at a time; otherwise each row is one
+    ``phase_row`` call.
+    """
+    table = displacement_phases(profile)
+    if table is None:
+        return np.stack([profile.phase_row(int(k), ls) for k in sites])
+    lattice = profile.lattice
+    ends, at = lattice.coords(sites), lattice.coords(ls)
+    strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
+    idx = np.zeros((ends.shape[0], at.shape[0]), dtype=np.intp)
+    for axis, stride in enumerate(strides):
+        step = np.subtract.outer(ends[:, axis], at[:, axis])
+        np.abs(step, out=step)
+        step *= stride
+        idx += step
+    return table.ravel()[idx]
 
 
 # ---------------------------------------------------------------------------

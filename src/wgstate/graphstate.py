@@ -4,14 +4,17 @@ When every interaction phase is 0 or pi (mod 2*pi) the evolved state is a
 graph state, and the entanglement entropy of a block equals the GF(2) rank
 of the block-to-environment slice of the adjacency matrix -- an integer
 count of independent edge patterns, computed here without touching any
-amplitudes.  Rows are bit-packed into 64-bit words so the rank of an
-m x (N - m) slice costs O(m^2 * N / 64) word operations.
+amplitudes.  Rows are bit-packed into 64-bit words; the rank reduces each
+row as one Python integer, so an m x (N - m) slice costs O(m^2) XORs of
+N-bit integers.
 
-For a law of distance alone, :func:`block_adjacency` reads every phase from
-one table over the lattice's displacements and looks at each block site's
-environment only inside the block's bounding box dilated by the coupling's
-support radius: O(N + m * |box|) table lookups in place of O(m * N)
-distance and law evaluations.  Other profiles (a
+:func:`block_adjacency` asks the same reader as the environment sweep,
+:func:`~wgstate.geometry.coupled_sites` and
+:func:`~wgstate.geometry.pair_phases`.  For a law of distance alone that
+reads every phase from one table over the lattice's displacements, and only
+inside the block's bounding box dilated by every displacement whose phase
+is not 0.0: O(N + m * |box|) table lookups in place of O(m * N) distance
+and law evaluations.  Other profiles (a
 :class:`~wgstate.geometry.Disordered` law, an
 :class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per block
 site, O(m * N).
@@ -23,10 +26,13 @@ import math
 
 import numpy as np
 
-from .geometry import TWO_PI, displacement_phases, near_box
+from .geometry import TWO_PI, coupled_sites, pair_phases
 
 # Byte budget for the transients of one group of rows in block_adjacency.
 _CHUNK_BYTES = 1 << 19
+
+# A phase this close to 0, pi or 2*pi counts as that value.
+_TOL = 1e-9
 
 
 class NotAGraphStateError(ValueError):
@@ -81,36 +87,25 @@ def _pack_rows(bits: np.ndarray, n_words: int) -> np.ndarray:
     return padded.view("<u8")
 
 
-def _leading_bit(row: np.ndarray) -> int:
-    """Index of the lowest set bit, or -1 for an all-zero row."""
-    nz = np.nonzero(row)[0]
-    if nz.size == 0:
-        return -1
-    word = int(row[nz[0]])
-    return int(nz[0]) * 64 + ((word & -word).bit_length() - 1)
-
-
 def gf2_rank(matrix) -> int:
     """Rank over GF(2) by row reduction against stored pivots.
 
-    Each reduction XORs a full packed row, and a row's leading bit moves
-    strictly right with every XOR, so the sweep terminates after at most
-    n_cols reductions per row.
+    Each nonzero row becomes one Python integer, column c at bit c.  It is
+    XORed with the pivot that shares its lowest set bit until it has none
+    (the row was dependent) or its lowest bit is new (a pivot); each XOR
+    moves that bit strictly up, so a row needs at most n_cols of them.
     """
     if not isinstance(matrix, BinaryMatrix):
         matrix = BinaryMatrix.from_dense(matrix)
-    pivots: dict[int, np.ndarray] = {}
-    for i in range(matrix.n_rows):
-        row = matrix.words[i].copy()
-        while True:
-            lead = _leading_bit(row)
-            if lead < 0:
+    pivots: dict[int, int] = {}
+    for words in matrix.words[matrix.row_any()]:
+        row = int.from_bytes(words.tobytes(), "little")
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
                 break
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                break
+            row ^= pivots[low]
     return len(pivots)
 
 
@@ -118,50 +113,31 @@ def gf2_rank(matrix) -> int:
 # Adjacency extraction from interaction phases
 # ---------------------------------------------------------------------------
 
-def _classify(phi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _classify(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(edge, bad) masks of an array of phases in [0, 2*pi).
 
-    A phase within ``tol`` of pi is an edge, one within ``tol`` of 0 or
+    A phase within ``_TOL`` of pi is an edge, one within ``_TOL`` of 0 or
     2*pi is no edge, and anything else is not a graph-state phase.
     """
-    edge = np.abs(phi - math.pi) <= tol
-    bad = ~(edge | (phi <= tol) | (phi >= TWO_PI - tol))
+    edge = np.abs(phi - math.pi) <= _TOL
+    bad = ~(edge | (phi <= _TOL) | (phi >= TWO_PI - _TOL))
     return edge, bad
 
 
-def _raise_first_bad(bad: np.ndarray, phi: np.ndarray, rows, cols, tol: float):
-    """Raise for the first True of ``bad`` in row-major order.
-
-    ``bad[i, j]`` and ``phi[i, j]`` belong to the pair of sites
-    ``rows[i]``, ``cols[j]``.
-    """
-    i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    raise NotAGraphStateError(
-        f"phase {phi[i, j]!r} between sites {int(rows[i])} and {int(cols[j])} "
-        f"is neither 0 nor pi (tolerance {tol})")
-
-
-def _rows_per_chunk(row_bytes: int) -> int:
-    return max(1, _CHUNK_BYTES // max(row_bytes, 1))
-
-
-def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
+def block_adjacency(profile, block) -> BinaryMatrix:
     """Block-to-environment edge matrix, one packed row per block site.
 
     Columns run over the environment sites in ascending order.  Only the
-    block rows are inspected, so the cost never involves the full graph:
+    block rows are inspected, so the cost never involves the full graph.
+    Phases come from :func:`~wgstate.geometry.pair_phases`, and only for
+    the environment sites :func:`~wgstate.geometry.coupled_sites` names: for
+    a distance law other than ``Disordered`` those inside the block's near
+    box, O(N + |block| * |box|) table lookups; for any other profile every
+    environment site, one ``phase_row`` per block site, O(|block| * N).
 
-    - A profile with a :func:`~wgstate.geometry.displacement_phases` table
-      (a distance law other than ``Disordered``) reads all its phases
-      from that table, built with one ``phase_row`` call.  Each block site
-      is paired only with the environment inside the block's bounding box
-      dilated, along each axis, by the largest displacement along it whose
-      phase is not 0, so the cost is O(N + |block| * |box|) lookups.
-    - Any other profile takes one ``phase_row`` per block site, O(|block| * N).
-
-    Either way, a pair whose phase is neither 0 nor pi within ``tol``
-    raises :class:`NotAGraphStateError` naming the first such pair: the
-    first block site in the given order, then the lowest environment site.
+    A pair whose phase is neither 0 nor pi within 1e-9 raises
+    :class:`NotAGraphStateError` naming the first such pair: the first
+    block site in the given order, then the lowest environment site.
     """
     n = profile.n_sites
     block = np.asarray(block, dtype=np.intp).ravel()
@@ -174,63 +150,28 @@ def block_adjacency(profile, block, tol: float = 1e-9) -> BinaryMatrix:
     env = np.flatnonzero(mask)
     n_cols = max(env.size, 1)
     words = np.zeros((block.size, (n_cols + 63) // 64), dtype=np.uint64)
-    if env.size == 0:
-        return BinaryMatrix(words, n_cols)
-    table = displacement_phases(profile)
-    if table is not None:
-        _gather_rows(table, profile.lattice, block, env, tol, words)
-        return BinaryMatrix(words, n_cols)
-    step = _rows_per_chunk(16 * env.size)
-    for lo in range(0, block.size, step):
-        ks = block[lo:lo + step]
-        phi = np.stack([profile.phase_row(int(k), env) for k in ks])
-        edge, bad = _classify(phi, tol)
-        if bad.any():
-            _raise_first_bad(bad, phi, ks, env, tol)
-        words[lo:lo + step] = _pack_rows(edge, words.shape[1])
-    return BinaryMatrix(words, n_cols)
-
-
-def _gather_rows(table, lattice, block, env, tol, words) -> None:
-    """Fill ``words`` (one row per block site) from the displacement table.
-
-    Outside the block's bounding box dilated by the support radius every
-    block-environment pair has a phase that is exactly no edge, so only
-    the environment sites inside that box are looked up.  Their columns
-    span a run of whole words, which each group of rows packs in one go.
-    """
-    edge, bad = _classify(table, tol)
-    kind = np.where(bad, 2, edge).astype(np.int8).ravel()
-    cols = np.flatnonzero(near_box(lattice, edge | bad, block, env))
+    cols = coupled_sites(profile, block, env)
     if cols.size == 0:
-        return
+        return BinaryMatrix(words, n_cols)
+    # the candidates' columns span a run of whole words, packed in one go
     sites = env[cols]
-    box = lattice.coords(sites)
-    coords = lattice.coords(block)
-    dim = lattice.dimension
-    strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
     first = cols[0] >> 6
     n_words = (cols[-1] >> 6) - first + 1
-    cols -= first * 64
-    step = _rows_per_chunk(18 * sites.size + 72 * n_words)
+    cols = cols - first * 64
+    step = max(1, _CHUNK_BYTES // (26 * sites.size + 80 * n_words))
     for lo in range(0, block.size, step):
-        at = coords[lo:lo + step]
-        idx = np.empty((at.shape[0], sites.size), dtype=np.intp)
-        term = np.empty_like(idx)
-        for axis in range(dim):
-            out = term if axis else idx
-            np.subtract(box[:, axis], at[:, axis, None], out=out)
-            np.abs(out, out=out)
-            out *= strides[axis]
-            if axis:
-                idx += term
-        pair = kind[idx]
-        bad = pair == 2
+        ks = block[lo:lo + step]
+        phi = pair_phases(profile, ks, sites)
+        edge, bad = _classify(phi)
         if bad.any():
-            _raise_first_bad(bad, table.ravel()[idx], block[lo:lo + step], sites, tol)
-        bits = np.zeros((at.shape[0], n_words * 64), dtype=bool)
-        bits[:, cols] = pair == 1
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NotAGraphStateError(
+                f"phase {phi[i, j]!r} between sites {int(ks[i])} and "
+                f"{int(sites[j])} is neither 0 nor pi (tolerance {_TOL})")
+        bits = np.zeros((ks.size, n_words * 64), dtype=bool)
+        bits[:, cols] = edge
         words[lo:lo + step, first:first + n_words] = _pack_rows(bits, n_words)
+    return BinaryMatrix(words, n_cols)
 
 
 def connected_vertex_count(gamma: BinaryMatrix) -> int:

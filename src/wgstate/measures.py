@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import displacement_phases
-from .rdm import A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, reduced_density
+from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_subset,
+                  reduced_density)
 
 # Pauli x, y, z stacked along the first axis
 _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
@@ -28,16 +29,20 @@ _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
 _YY = np.kron(_PAULIS[1], _PAULIS[1])
 
 
+# Most negative eigenvalue a density matrix may show from rounding.
+_PSD_TOL = 1e-8
+
+
 class NotPositiveSemidefiniteError(ValueError):
     """Matrix has a negative eigenvalue beyond numerical tolerance."""
 
 
-def entropy(rho: np.ndarray, tol: float = 1e-8) -> float:
+def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, -sum p log2 p over the spectrum."""
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
+    if evals.min() < -_PSD_TOL:
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {evals.min()!r} below -{tol}; not a density matrix")
+            f"eigenvalue {evals.min()!r} below -{_PSD_TOL}; not a density matrix")
     p = evals[evals > 0.0]
     return float(-(p * np.log2(p)).sum())
 
@@ -52,19 +57,19 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # Block entropies
 # ---------------------------------------------------------------------------
 
-def block_entropy(profile, state: ProductInput, sites, a_max: int = A_MAX) -> float:
+def block_entropy(profile, state: ProductInput, sites) -> float:
     """Exact entanglement entropy of the block, in bits.
 
     Phases internal to the block are a diagonal unitary and drop out of the
-    spectrum, so they are skipped.  Blocks above ``a_max`` sites raise; use
+    spectrum, so they are skipped.  Blocks above ``A_MAX`` sites raise; use
     :func:`block_entropy_upper` / :func:`block_entropy_lower` there.
     """
-    rho = reduced_density(profile, state, sites, include_internal=False, a_max=a_max)
+    rho = reduced_density(profile, state, sites, include_internal=False)
     return entropy(rho)
 
 
 def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
-                        a_max: int = A_MAX, exact: float | None = None) -> float:
+                        exact: float | None = None) -> float:
     """Upper bound on the block entropy from a chain of sub-blocks.
 
     Split the block into consecutive sub-blocks L_1..L_n of ``m`` sites
@@ -88,24 +93,23 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
     n = total // m
     if n <= 1:
         if exact is None:
-            exact = block_entropy(profile, state, sites, a_max)
+            exact = block_entropy(profile, state, sites)
         return min(exact, float(total))
     blocks = [sites[i * m:(i + 1) * m] for i in range(n - 1)]
     blocks.append(sites[(n - 1) * m:])
-    if blocks[-1].size + m > a_max:
+    if blocks[-1].size + m > A_MAX:
         raise SubsetTooLargeError(
             f"adjacent sub-blocks span {blocks[-1].size + m} sites, over the "
-            f"limit of {a_max}; pick m so that 3*m - 1 <= {a_max}")
+            f"limit of {A_MAX}; pick m so that 3*m - 1 <= {A_MAX}")
     bound = 0.0
     for left, right in zip(blocks[:-1], blocks[1:]):
-        bound += block_entropy(profile, state, np.concatenate([left, right]), a_max)
+        bound += block_entropy(profile, state, np.concatenate([left, right]))
     for inner in blocks[1:-1]:
-        bound -= block_entropy(profile, state, inner, a_max)
+        bound -= block_entropy(profile, state, inner)
     return min(max(bound, 0.0), float(total))
 
 
-def block_entropy_lower(profile, state: ProductInput, sites, radius: float,
-                        a_max: int = A_MAX) -> float:
+def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> float:
     """Lower bound on the block entropy from a truncated environment.
 
     Only environment sites within ``radius`` of the block are kept;
@@ -124,7 +128,7 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float,
     if lattice is None:
         raise TypeError("profile has no lattice geometry; the finite-radius "
                         "bound needs distances")
-    sites = np.asarray(sites, dtype=np.intp).ravel()
+    sites = _check_subset(profile.n_sites, sites, profile.n_sites)
     mask = np.ones(profile.n_sites, dtype=bool)
     mask[sites] = False
     rest = np.flatnonzero(mask)
@@ -137,16 +141,16 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float,
         near = rest
     if near.size == 0:
         return 0.0
-    if sites.size <= a_max:
+    if sites.size <= A_MAX:
         rho = reduced_density(profile, state, sites, include_internal=False,
-                              environment=near, a_max=a_max)
-    elif near.size <= a_max:
+                              environment=near)
+    elif near.size <= A_MAX:
         rho = reduced_density(profile, state, near, include_internal=False,
-                              environment=sites, a_max=a_max)
+                              environment=sites)
     else:
         raise SubsetTooLargeError(
             f"both the block ({sites.size} sites) and the kept environment "
-            f"({near.size} sites) exceed the limit of {a_max}; shrink radius")
+            f"({near.size} sites) exceed the limit of {A_MAX}; shrink radius")
     return entropy(rho)
 
 
@@ -246,7 +250,9 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     if sites is None:
         sites = np.arange(n)
     sites = np.asarray(sites, dtype=np.intp).ravel()
-    if sites.size and (sites.min() < 0 or sites.max() >= n):
+    if sites.size == 0:
+        raise ValueError("sites must contain at least one site")
+    if sites.min() < 0 or sites.max() >= n:
         raise ValueError(f"site index out of range 0..{n - 1}")
     amps = state.amplitudes
     p0, p1 = state.populations(np.arange(n))

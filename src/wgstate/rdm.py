@@ -15,10 +15,12 @@ sweep over the environment fills a table of 3^m numbers and the full
 2^m x 2^m matrix is assembled from it.  Populations are real, so
 E(-d) = conj E(d) and the sweep computes only (3^m + 1) / 2 classes; sites
 with no coupling to the subset contribute the constant p0_l + p1_l and are
-folded in as one scalar.  For a law of distance alone so is every site
-outside the subset's near box: its bounding box dilated by the largest
-displacement whose phase (from a table built once per profile) is not
-exactly 0.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
+folded in as one scalar.  Which sites those are, and the phases of the
+rest, come from :func:`wgstate.geometry.coupled_sites` and
+:func:`wgstate.geometry.pair_phases`; for a law of distance alone every
+site outside the subset's near box is folded unread: the box is its
+bounding box dilated by the largest displacement whose phase (from a table
+built once per profile) is not exactly 0.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
 finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
 rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import displacement_phases, near_box
+from .geometry import coupled_sites, pair_phases
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -104,7 +106,7 @@ class ProductInput:
         return self._populations[0][sites], self._populations[1][sites]
 
 
-def _check_subset(n_sites: int, sites, a_max: int) -> np.ndarray:
+def _check_subset(n_sites: int, sites, a_max: int = A_MAX) -> np.ndarray:
     sites = np.asarray(sites, dtype=np.intp).ravel()
     if sites.size == 0:
         raise ValueError("subset must contain at least one site")
@@ -145,23 +147,15 @@ def _bit_table(m: int) -> np.ndarray:
 def _coupled_phases(profile, sites: np.ndarray, ls: np.ndarray):
     """(coupled, phi): a mask of the sites ``ls`` with a phase that is not
     0.0 to some site of ``sites``, and the (m, coupled.sum()) phases."""
-    table = displacement_phases(profile)
-    if table is None:
-        near = np.ones(ls.size, dtype=bool)
-        phi = np.stack([profile.phase_row(int(k), ls) for k in sites])
-    else:
-        lattice = profile.lattice
-        near = near_box(lattice, table != 0.0, sites, ls)
-        at = lattice.coords(ls[near])
-        phi = np.stack([table[tuple(np.abs(at - c).T)] for c in lattice.coords(sites)])
+    near = coupled_sites(profile, sites, ls)
+    phi = pair_phases(profile, sites, ls[near])
     live = (phi != 0.0).any(axis=0)
     coupled = np.zeros(ls.size, dtype=bool)
     coupled[near] = live
     return coupled, phi[:, live]
 
 
-def environment_product(profile, state: ProductInput, sites, environment=None,
-                        a_max: int = A_MAX) -> np.ndarray:
+def environment_product(profile, state: ProductInput, sites, environment=None) -> np.ndarray:
     """Accumulated environment factor for every difference class.
 
     Returns a complex array of length 3^m indexed by the base-3 code
@@ -182,7 +176,7 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     phase table spans every lattice displacement: a :class:`Table` law
     missing any lattice distance raises ValueError, whatever the subset.
     """
-    sites = _check_subset(profile.n_sites, sites, a_max)
+    sites = _check_subset(profile.n_sites, sites)
     env = _resolve_environment(profile.n_sites, sites, environment)
     m = sites.size
     center = (3 ** m - 1) // 2      # code of d = 0
@@ -264,7 +258,7 @@ def _internal_phases(profile, sites: np.ndarray, bits: np.ndarray) -> np.ndarray
 
 
 def reduced_density(profile, state: ProductInput, sites, include_internal=True,
-                    environment=None, a_max: int = A_MAX) -> np.ndarray:
+                    environment=None) -> np.ndarray:
     """Exact reduced density matrix of the subset ``sites``.
 
     Rows/columns are indexed by the subset bitstring with the first listed
@@ -273,8 +267,8 @@ def reduced_density(profile, state: ProductInput, sites, include_internal=True,
     diagonal conjugation, so the returned matrix is different but has the
     same spectrum (cheaper when only eigenvalues are needed).
     """
-    sites = _check_subset(profile.n_sites, sites, a_max)
-    env = environment_product(profile, state, sites, environment, a_max)
+    sites = _check_subset(profile.n_sites, sites)
+    env = environment_product(profile, state, sites, environment)
     m = sites.size
     bits = _bit_table(m)
     amps = state.amplitudes[sites]

@@ -184,9 +184,9 @@ def count_sweeps(monkeypatch):
     calls = []
     sweep = rdm.environment_product
 
-    def counted(profile, state, sites, environment=None, a_max=rdm.A_MAX):
+    def counted(profile, state, sites, environment=None):
         calls.append((list(sites), None if environment is None else list(environment)))
-        return sweep(profile, state, sites, environment, a_max)
+        return sweep(profile, state, sites, environment)
 
     monkeypatch.setattr(rdm, "environment_product", counted)
     return calls

@@ -17,7 +17,9 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
     centered_block,
+    coupled_sites,
     displacement_phases,
+    pair_phases,
     pair_uniform,
     parse_lattice,
     parse_law,
@@ -282,6 +284,61 @@ def test_displacement_phases_match_phase_rows():
     disordered = PhaseProfile(lattice, Disordered(PowerLaw(alpha=1.5), seed=3), time=2.3)
     assert displacement_phases(disordered) is None
     assert displacement_phases(EdgeProfile.from_edges(4, [(0, 1)])) is None
+
+
+@st.composite
+def profiles(draw):
+    """A 1-3 D lattice of at most 40 sites with open, periodic or mixed axes,
+    under any law: a distance law, a Table of every lattice distance, a
+    Disordered law, or random explicit edges."""
+    dim = draw(st.integers(1, 3))
+    limit = {1: 40, 2: 7, 3: 4}[dim]
+    extents = tuple(draw(st.lists(st.integers(1, limit), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    boundary = draw(st.lists(st.sampled_from(["open", "periodic"]),
+                             min_size=dim, max_size=dim))
+    lattice = Lattice(extents, tuple(boundary))
+    n = lattice.n_sites
+    kind = draw(st.sampled_from(["power", "exponential", "cutoff", "table",
+                                 "disordered", "edges"]))
+    if kind == "edges":
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        phases = st.sampled_from([0.0, math.pi, 0.7, TWO_PI])
+        return EdgeProfile(n, draw(st.dictionaries(pairs, phases, max_size=2 * n)))
+    reach = st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.3, 3.0, 5.0])
+    if kind == "power":
+        law = PowerLaw(draw(st.floats(0.5, 4.0)))
+    elif kind == "exponential":
+        law = Exponential(draw(st.floats(0.1, 400.0)))
+    elif kind == "cutoff":
+        law = Cutoff(draw(reach))
+    elif kind == "table":
+        r = np.unique(lattice.distances(0, np.arange(1, n)))
+        strengths = st.sampled_from([0.0, 0.0, 1.0, 0.25, 2.0])
+        law = Table({float(x): draw(strengths) for x in r})
+    else:
+        law = Disordered(Cutoff(draw(reach)), seed=draw(st.integers(0, 9)))
+    time = draw(st.sampled_from([math.pi, 0.3, 2.0 * math.pi, 7.5]))
+    return PhaseProfile(lattice, law, time=time)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), profile=profiles())
+def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile):
+    n = profile.n_sites
+    order = data.draw(st.permutations(range(n)))
+    m = data.draw(st.integers(1, min(4, n - 1)))
+    sites = np.array(order[:m])
+    ls = np.array(data.draw(st.lists(st.sampled_from(order[m:]), unique=True)),
+                  dtype=np.intp)
+    rows = np.stack([profile.phase_row(int(k), ls) for k in sites])
+    phi = pair_phases(profile, sites, ls)
+    assert phi.shape == rows.shape and phi.tobytes() == rows.tobytes()
+    near = coupled_sites(profile, sites, ls)
+    assert np.all(np.diff(near) > 0) and np.all((0 <= near) & (near < ls.size))
+    assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
 
 
 def test_parse_lattice():

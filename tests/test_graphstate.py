@@ -87,12 +87,16 @@ def test_gf2_rank_small_cases():
     assert gf2_rank(m) == 2
 
 
-def test_gf2_rank_matches_dense_elimination():
-    rng = np.random.default_rng(43)
-    for _ in range(25):
-        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 150)))
-        dense = rng.integers(0, 2, size=shape)
-        assert gf2_rank(dense) == dense_gf2_rank(dense)
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 150), inner=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gf2_rank_matches_dense_elimination(rows, cols, inner, seed):
+    # a product of (rows x inner) and (inner x cols) factors has rank at
+    # most inner, so dependent rows are common, not only full-rank draws
+    rng = np.random.default_rng(seed)
+    dense = (rng.integers(0, 2, size=(rows, inner))
+             @ rng.integers(0, 2, size=(inner, cols))) % 2
+    assert gf2_rank(dense) == dense_gf2_rank(dense)
 
 
 def test_gf2_rank_transpose_invariant():

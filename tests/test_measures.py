@@ -19,7 +19,7 @@ from wgstate.measures import (
     trace_distance,
 )
 from wgstate.oracle import evolve, partial_trace, random_instance
-from wgstate.rdm import ProductInput, SubsetTooLargeError, reduced_density
+from wgstate.rdm import A_MAX, ProductInput, SubsetTooLargeError, reduced_density
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -147,6 +147,19 @@ def test_block_entropy_lower_trivial_radius():
     assert block_entropy_lower(prof, state, [8, 9], radius=0.0) == 0.0
 
 
+def test_block_entropy_lower_rejects_empty_block():
+    prof = PhaseProfile(Lattice(10), PowerLaw(alpha=2.0), time=0.5)
+    with pytest.raises(ValueError, match="subset must contain at least one site"):
+        block_entropy_lower(prof, ProductInput.plus(10), [], radius=1.0)
+
+
+def test_block_entropy_lower_rejects_sites_out_of_range():
+    prof = PhaseProfile(Lattice(10), PowerLaw(alpha=2.0), time=0.5)
+    for sites in ([3, 10], [-1]):
+        with pytest.raises(ValueError, match="site index out of range"):
+            block_entropy_lower(prof, ProductInput.plus(10), sites, radius=1.0)
+
+
 def test_block_entropy_lower_full_radius_is_exact():
     lat = Lattice(10)
     prof = PhaseProfile(lat, PowerLaw(alpha=1.0), time=0.3 * math.pi)
@@ -158,15 +171,17 @@ def test_block_entropy_lower_full_radius_is_exact():
 
 
 def test_block_entropy_lower_routes_agree():
-    # forcing the small-environment route (tiny a_max) must reproduce the
-    # direct route: the truncated state is pure across the cut
-    lat = Lattice(12)
+    # a block over the ceiling with one kept site takes the small-environment
+    # route; the global state is pure, so the kept site's own entropy is the
+    # bound, and the radius covers every coupling, so the bound is exact
+    lat = Lattice(13)
     prof = PhaseProfile(lat, PowerLaw(alpha=3.0), time=0.3 * math.pi)
-    state = ProductInput.plus(12)
-    sites = [4, 5, 6, 7]
-    direct = block_entropy_lower(prof, state, sites, radius=1.0)
-    dual = block_entropy_lower(prof, state, sites, radius=1.0, a_max=3)
-    assert abs(direct - dual) < 1e-12
+    state = ProductInput.plus(13)
+    sites = [l for l in range(13) if l != 5]
+    assert len(sites) > A_MAX
+    dual = block_entropy_lower(prof, state, sites, radius=100.0)
+    assert dual > 0.1
+    assert abs(dual - block_entropy(prof, state, [5])) < 1e-12
 
 
 def test_block_entropy_lower_close_for_fast_decay():

@@ -186,3 +186,9 @@ def test_rejects_sites_out_of_range():
     for sites in ([8], [-1]):
         with pytest.raises(ValueError):
             meyer_wallach(profile, ProductInput.plus(8), sites)
+
+
+def test_rejects_empty_sites():
+    profile = PhaseProfile(Lattice(8), PowerLaw(alpha=1.0), time=0.4)
+    with pytest.raises(ValueError, match="at least one site"):
+        meyer_wallach(profile, ProductInput.plus(8), [])

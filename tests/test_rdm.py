@@ -213,9 +213,6 @@ def test_subset_too_large():
     state = ProductInput.plus(20)
     with pytest.raises(SubsetTooLargeError):
         reduced_density(prof, state, list(range(11)))
-    # the ceiling is adjustable
-    rho = reduced_density(prof, state, list(range(11)), a_max=11)
-    assert rho.shape == (2048, 2048)
 
 
 def test_subset_validation():
