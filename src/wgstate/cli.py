@@ -51,7 +51,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -241,6 +240,8 @@ def _pmap(fn, items, threads: int):
     """Map over grid points, in order, optionally on a thread pool."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # only a threaded run pays for this import and the logging it pulls in
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

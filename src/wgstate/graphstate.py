@@ -17,7 +17,8 @@ is not 0.0: O(N + m * |box|) table lookups in place of O(m * N) distance
 and law evaluations.  Other profiles (a
 :class:`~wgstate.geometry.Disordered` law, an
 :class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per block
-site, O(m * N).
+site, O(m * N).  The block goes through the input contract of
+:mod:`wgstate.rdm` first, with the lattice as its size limit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import numpy as np
 
 from .geometry import TWO_PI, coupled_sites, pair_phases
+from .rdm import _check_subset, _resolve_environment
 
 # Byte budget for the transients of one group of rows in block_adjacency.
 _CHUNK_BYTES = 1 << 19
@@ -139,15 +141,8 @@ def block_adjacency(profile, block) -> BinaryMatrix:
     :class:`NotAGraphStateError` naming the first such pair: the first
     block site in the given order, then the lowest environment site.
     """
-    n = profile.n_sites
-    block = np.asarray(block, dtype=np.intp).ravel()
-    if block.size == 0 or len(set(block.tolist())) != block.size:
-        raise ValueError("block must be a non-empty list of distinct sites")
-    if block.min() < 0 or block.max() >= n:
-        raise ValueError(f"site index out of range 0..{n - 1}")
-    mask = np.ones(n, dtype=bool)
-    mask[block] = False
-    env = np.flatnonzero(mask)
+    block = _check_subset(profile, block, a_max=profile.n_sites)
+    env = _resolve_environment(profile, block)
     n_cols = max(env.size, 1)
     words = np.zeros((block.size, (n_cols + 63) // 64), dtype=np.uint64)
     cols = coupled_sites(profile, block, env)

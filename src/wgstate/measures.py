@@ -6,7 +6,9 @@ beyond the exact-diagonalization ceiling are bracketed instead of computed:
 an upper bound from subadditivity over a sliding chain of small sub-blocks,
 and a lower bound from truncating the environment to a finite interaction
 radius (dropping environment couplings can only make the reduced spectrum
-more ordered, never less).
+more ordered, never less).  Every function that takes sites checks them and
+the input state against the contract in :mod:`wgstate.rdm` first, with the
+lattice as the size limit for the bounds and :func:`meyer_wallach`.
 
 All entropies are in bits (log base 2), so a block of L spins maxes out at
 L and a maximally mixed pair of levels gives exactly 1.
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import displacement_phases
+from .geometry import displacement_phases, pair_phases
 from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_subset,
-                  reduced_density)
+                  _resolve_environment, reduced_density)
 
 # Pauli x, y, z stacked along the first axis
 _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
@@ -86,7 +88,7 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
     With a single sub-block the bound is the block entropy itself; pass it
     as ``exact`` when it is already known and the block is not swept again.
     """
-    sites = np.asarray(sites, dtype=np.intp).ravel()
+    sites = _check_subset(profile, sites, state, profile.n_sites)
     total = sites.size
     if m < 1:
         raise ValueError("sub-block size m must be at least 1")
@@ -124,21 +126,16 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> f
     with a small radius that is the kept environment, which is what makes
     the bound affordable exactly where the exact entropy is not.
     """
+    sites = _check_subset(profile, sites, state, profile.n_sites)
     lattice = getattr(profile, "lattice", None)
     if lattice is None:
         raise TypeError("profile has no lattice geometry; the finite-radius "
                         "bound needs distances")
-    sites = _check_subset(profile.n_sites, sites, profile.n_sites)
-    mask = np.ones(profile.n_sites, dtype=bool)
-    mask[sites] = False
-    rest = np.flatnonzero(mask)
-    if rest.size:
-        min_dist = np.full(rest.size, np.inf)
-        for k in sites:
-            np.minimum(min_dist, lattice.distances(int(k), rest), out=min_dist)
-        near = rest[min_dist <= radius]
-    else:
-        near = rest
+    rest = _resolve_environment(profile, sites)
+    min_dist = np.full(rest.size, np.inf)
+    for k in sites:
+        np.minimum(min_dist, lattice.distances(int(k), rest), out=min_dist)
+    near = rest[min_dist <= radius]
     if near.size == 0:
         return 0.0
     if sites.size <= A_MAX:
@@ -247,13 +244,7 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     one environment sweep per listed site, O(N) each and O(N^2) for all.
     """
     n = profile.n_sites
-    if sites is None:
-        sites = np.arange(n)
-    sites = np.asarray(sites, dtype=np.intp).ravel()
-    if sites.size == 0:
-        raise ValueError("sites must contain at least one site")
-    if sites.min() < 0 or sites.max() >= n:
-        raise ValueError(f"site index out of range 0..{n - 1}")
+    sites = _check_subset(profile, sites, state, n)
     amps = state.amplitudes
     p0, p1 = state.populations(np.arange(n))
     uniform = (p0 == p0[0]).all() and (p1 == p1[0]).all()
@@ -265,11 +256,11 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
         return float(2.0 * (1.0 - purities.mean()))
     purities = np.empty(sites.size)
     for i, k in enumerate(sites):
-        others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
+        others = _resolve_environment(profile, sites[i:i + 1])
         off = amps[k, 0] * np.conj(amps[k, 1])
         for start in range(0, others.size, ENV_SLAB):
             ls = others[start:start + ENV_SLAB]
-            phi = profile.phase_row(int(k), ls)
+            phi = pair_phases(profile, [k], ls)[0]
             off *= np.prod(p0[ls] + p1[ls] * np.exp(1j * phi))
         purities[i] = p0[k] ** 2 + p1[k] ** 2 + 2.0 * abs(off) ** 2
     return float(2.0 * (1.0 - purities.mean()))

@@ -30,6 +30,15 @@ left index and the conjugate on the right; they never change the spectrum,
 so spectral quantities (entropies, eigenvalues) may skip them via
 ``include_internal=False``.
 
+Input contract: every public function that takes a site list passes it,
+with the input state and any explicit environment, through
+:func:`_check_subset` and :func:`_resolve_environment` before other work,
+and so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`.  The
+sites must be non-empty, in range and distinct, and at most ``A_MAX`` of
+them (:class:`SubsetTooLargeError`) for an exact reduced state; the state
+must hold one amplitude pair per profile site; an environment must be in
+range, distinct and disjoint from the sites.  A breach raises ValueError.
+
 Bit convention: the first site listed in ``sites`` is the most significant
 bit of the row/column index, matching the statevector layout used by the
 brute-force cross-check in :mod:`wgstate.oracle`.
@@ -106,7 +115,14 @@ class ProductInput:
         return self._populations[0][sites], self._populations[1][sites]
 
 
-def _check_subset(n_sites: int, sites, a_max: int = A_MAX) -> np.ndarray:
+def _check_subset(profile, sites, state: ProductInput | None = None,
+                  a_max: int = A_MAX) -> np.ndarray:
+    """Checked index array of ``sites`` (None: every site) for ``state``."""
+    n_sites = profile.n_sites
+    if state is not None and state.n_sites != n_sites:
+        raise ValueError(f"input state has {state.n_sites} sites, the profile {n_sites}")
+    if sites is None:
+        return np.arange(n_sites)
     sites = np.asarray(sites, dtype=np.intp).ravel()
     if sites.size == 0:
         raise ValueError("subset must contain at least one site")
@@ -121,7 +137,9 @@ def _check_subset(n_sites: int, sites, a_max: int = A_MAX) -> np.ndarray:
     return sites
 
 
-def _resolve_environment(n_sites: int, sites: np.ndarray, environment) -> np.ndarray:
+def _resolve_environment(profile, sites: np.ndarray, environment=None) -> np.ndarray:
+    """Every site outside checked ``sites``, or ``environment`` checked."""
+    n_sites = profile.n_sites
     if environment is None:
         mask = np.ones(n_sites, dtype=bool)
         mask[sites] = False
@@ -176,8 +194,8 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     phase table spans every lattice displacement: a :class:`Table` law
     missing any lattice distance raises ValueError, whatever the subset.
     """
-    sites = _check_subset(profile.n_sites, sites)
-    env = _resolve_environment(profile.n_sites, sites, environment)
+    sites = _check_subset(profile, sites, state)
+    env = _resolve_environment(profile, sites, environment)
     m = sites.size
     center = (3 ** m - 1) // 2      # code of d = 0
     n_lead = 3 ** (m - 1)           # codes with d_0 = -1; the rest have d_0 = 0
@@ -227,15 +245,12 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
     also usable when only a few elements of a large-subset matrix are
     needed.
     """
-    sites = np.asarray(sites, dtype=np.intp).ravel()
-    sites = _check_subset(profile.n_sites, sites, a_max=64)
-    env = _resolve_environment(profile.n_sites, sites, environment)
+    sites = _check_subset(profile, sites, state, a_max=64)
+    env = _resolve_environment(profile, sites, environment)
     d = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
     if d.shape != (sites.size,):
         raise ValueError(f"x and y must each hold {sites.size} bits")
     out = 1.0 + 0.0j
-    if env.size == 0:
-        return out
     p0, p1 = state.populations(env)
     active = np.flatnonzero(d)
     for start in range(0, env.size, ENV_SLAB):
@@ -252,7 +267,7 @@ def _internal_phases(profile, sites: np.ndarray, bits: np.ndarray) -> np.ndarray
     """theta(x) = sum_{j < j'} phi(site_j, site_j') x_j x_j' for every x."""
     theta = np.zeros(bits.shape[0], dtype=np.float64)
     for j in range(sites.size - 1):
-        phis = profile.phase_row(int(sites[j]), sites[j + 1:])
+        phis = pair_phases(profile, sites[j:j + 1], sites[j + 1:])[0]
         theta += bits[:, j] * (bits[:, j + 1:] @ phis)
     return theta
 
@@ -267,7 +282,7 @@ def reduced_density(profile, state: ProductInput, sites, include_internal=True,
     diagonal conjugation, so the returned matrix is different but has the
     same spectrum (cheaper when only eigenvalues are needed).
     """
-    sites = _check_subset(profile.n_sites, sites)
+    sites = _check_subset(profile, sites, state)
     env = environment_product(profile, state, sites, environment)
     m = sites.size
     bits = _bit_table(m)
@@ -298,10 +313,7 @@ def single_site_coherence(profile, k: int) -> complex:
     The phase sum uses compensated summation so the returned argument is
     reliable even when N is large and |c| has decayed to the noise floor.
     """
-    n = profile.n_sites
-    if not 0 <= k < n:
-        raise ValueError(f"site index out of range 0..{n - 1}")
-    others = np.concatenate([np.arange(k), np.arange(k + 1, n)])
+    others = _resolve_environment(profile, _check_subset(profile, [k]))
     mag = 1.0
     half_sum = 0.0
     for start in range(0, others.size, ENV_SLAB):
