@@ -23,10 +23,6 @@ or --out.  Schema:
 
     [task]               ; subcommand parameters, see each runner below
 
-    [output]             ; optional defaults for --format / --out
-    format = csv
-    path = out.csv
-
 Integer-list values accept commas and inclusive ranges: '1, 4, 8:10' means
 1, 4, 8, 9, 10.  On a lattice of dimension d >= 2 the block sizes `sizes`,
 `size`, `l_max` and `sides` are side lengths of a centered box, and the
@@ -192,21 +188,11 @@ def _format_cell(value) -> str:
 
 
 def _write_table(args, cp, table: _Table, wall: float) -> None:
-    fmt = args.format
-    path = args.out
-    if cp is not None and cp.has_section("output"):
-        if fmt is None:
-            fmt = cp.get("output", "format", fallback=None)
-        if path is None:
-            path = cp.get("output", "path", fallback=None)
-    fmt = (fmt or "csv").lower()
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r} (csv|json)")
     echo = [] if cp is None else [f"{section}.{key} = {value}"
                                   for section in cp.sections()
                                   for key, value in cp.items(section)]
     summary = table.summary or {}
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [f"# wgstate {__version__}",
                  f"# command: {args.command}"]
         lines += [f"# config: {line}" for line in echo]
@@ -229,21 +215,11 @@ def _write_table(args, cp, table: _Table, wall: float) -> None:
             "rows": [list(row) for row in table.rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    if path in (None, "-"):
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _pmap(fn, items, threads: int):
-    """Map over grid points, in order, optionally on a thread pool."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # only a threaded run pays for this import and the logging it pulls in
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +245,7 @@ def _run_correlations(args, cp, items) -> _Table:
                 concurrence_of_assistance(rho))
 
     return _Table(["separation", "q_max", "concurrence", "assistance_upper"],
-                  _pmap(one, seps, args.threads))
+                  [one(r) for r in seps])
 
 
 def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
@@ -304,7 +280,7 @@ def _run_entropy_scan(args, cp, items) -> _Table:
         lower = block_entropy_lower(profile, state, block, radius)
         return (size, exact, upper, lower)
 
-    return _Table(["size", "exact", "upper", "lower"], _pmap(one, sizes, args.threads))
+    return _Table(["size", "exact", "upper", "lower"], [one(size) for size in sizes])
 
 
 def _run_bounds_scan(args, cp, items) -> _Table:
@@ -322,10 +298,8 @@ def _run_bounds_scan(args, cp, items) -> _Table:
     radii = _parse_int_list(items.get("radii", "0:5"), "radii")
     block = _contiguous_block(profile, items, size)
 
-    uppers = _pmap(lambda m: block_entropy_upper(profile, state, block, m=m),
-                   ms, args.threads)
-    lowers = _pmap(lambda r: block_entropy_lower(profile, state, block, float(r)),
-                   radii, args.threads)
+    uppers = [block_entropy_upper(profile, state, block, m=m) for m in ms]
+    lowers = [block_entropy_lower(profile, state, block, float(r)) for r in radii]
     rows = [(size, m, upper, radius, lower) for (m, upper), (radius, lower)
             in zip_longest(zip(ms, uppers), zip(radii, lowers), fillvalue=(None, None))]
     return _Table(["size", "m", "upper", "radius", "lower"], rows)
@@ -370,7 +344,7 @@ def _run_dynamics(args, cp, items) -> _Table:
         q = max_correlation(correlation_matrix(pair))
         return (t_over_pi, *entropies, q, meyer_wallach(profile, state))
 
-    rows = _pmap(one, [float(t) for t in np.linspace(lo, hi, steps)], args.threads)
+    rows = [one(float(t)) for t in np.linspace(lo, hi, steps)]
     columns = (["t_over_pi"] + [f"s_{l}" for l in range(1, l_max + 1)]
                + ["q_max", "e_mw"])
     return _Table(columns, rows)
@@ -496,10 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="INI file with [lattice], [law], [time] sections")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None,
+        p.add_argument("--format", choices=["csv", "json"], default="csv",
                        help="output format (default: csv)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent grid points")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random inputs")
     verify = sub.choices["verify"]
@@ -510,10 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         started = time.perf_counter()
         cp = _load_config(args.config) if "config" in args else None
         items = dict(cp.items("task")) if cp is not None and cp.has_section("task") else {}

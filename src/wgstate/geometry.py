@@ -15,9 +15,7 @@ gives every pair's phase from one table over the lattice's displacements,
 with what phase, is decided here alone: :func:`coupled_sites` names the
 candidates (for a table, those in the subset's near box, dilated by every
 displacement whose phase is not 0.0) and :func:`pair_phases` reads their
-phases, from the table or one ``phase_row`` per subset site.  All objects
-here are immutable after construction and safe to query from any number of
-threads.
+phases, from the table or one ``phase_row`` per subset site.
 """
 
 from __future__ import annotations

@@ -184,13 +184,14 @@ def analytic_block_entropy(dimension: int, side: int, reach: float) -> int:
     For a box of linear size ``side`` in a ``dimension``-dimensional
     lattice with edges up to distance ``reach``, and at least ``reach``
     margin between the box and any open boundary, the rank of the edge
-    matrix counts the sites within ``reach`` of the box surface:
+    matrix counts the sites within ``reach`` of the box surface.  A
+    Euclidean cutoff reaches floor(reach) lattice layers on each side:
 
-        side**dimension - (side - min(2*reach, side))**dimension
+        side**dimension - (side - min(2*floor(reach), side))**dimension
 
-    For dimension 1 this reduces to min(2*reach, side).  The margin is the
-    caller's obligation; without it (or off the cutoff law entirely) the
-    formula does not apply -- rank the actual edge matrix instead.
+    For dimension 1 this reduces to min(2*floor(reach), side).  The margin
+    is the caller's obligation; without it (or off the cutoff law entirely)
+    the formula does not apply -- rank the actual edge matrix instead.
     """
     side = int(side)
     dimension = int(dimension)
@@ -198,7 +199,7 @@ def analytic_block_entropy(dimension: int, side: int, reach: float) -> int:
         raise ValueError("side and dimension must be positive")
     if reach < 0:
         raise ValueError("reach must be non-negative")
-    core = side - min(int(2 * reach), side)
+    core = side - min(2 * math.floor(reach), side)
     return side ** dimension - core ** dimension
 
 

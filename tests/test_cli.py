@@ -73,10 +73,9 @@ def test_config_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "correlations", "--config", cfg)
     assert code == 1 and "missing section" in err
 
-    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1\n"
-                       "[output]\nformat = xml\n", name="badfmt.ini")
-    code, _, err = run(capsys, "correlations", "--config", cfg)
-    assert code == 1 and "unknown output format" in err
+    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1\n", name="ok.ini")
+    code, _, err = run(capsys, "correlations", "--config", cfg, "--format", "xml")
+    assert code == 1 and "usage error" in err
 
 
 def test_correlations_table(capsys, tmp_path):
@@ -356,32 +355,32 @@ def test_random_state_is_seeded(capsys, tmp_path):
 
 def test_output_file_and_config_defaults(capsys, tmp_path):
     dest = tmp_path / "table.json"
-    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1\n"
-                       f"[output]\nformat = json\npath = {dest}\n")
-    code, out, _ = run(capsys, "correlations", "--config", cfg)
+    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1\n")
+    code, out, _ = run(capsys, "correlations", "--config", cfg,
+                       "--out", str(dest), "--format", "json")
     assert code == 0
     assert out == ""
     payload = json.loads(dest.read_text())
     assert payload["columns"][0] == "separation"
-    # explicit flags win over the [output] section
-    code, out, _ = run(capsys, "correlations", "--config", cfg, "--out", "-",
-                       "--format", "csv")
+    # an [output] section is echoed like any other section, never obeyed
+    ignored = tmp_path / "ignored.json"
+    cfg = write_config(tmp_path, CHAIN + "[task]\nseparations = 1\n"
+                       f"[output]\nformat = xml\npath = {ignored}\n", name="out.ini")
+    code, out, _ = run(capsys, "correlations", "--config", cfg)
     assert code == 0
     assert out.startswith("# wgstate")
+    assert f"# config: output.path = {ignored}" in out
+    assert not ignored.exists()
 
 
-def test_threads_match_serial(capsys, tmp_path):
-    for command, threads, task in [
-            ("correlations", "4", "separations = 1:4"),
-            ("entropy-scan", "2", "sizes = 2:5\nm = 2\nradius = 2"),
-            ("dynamics", "2", "grid = 0:1:4\nl_max = 3")]:
+def test_threads_flag_is_a_usage_error(capsys, tmp_path):
+    for command, task in [("correlations", "separations = 1:4"),
+                          ("entropy-scan", "sizes = 2:5\nm = 2\nradius = 2"),
+                          ("dynamics", "grid = 0:1:4\nl_max = 3")]:
         cfg = write_config(tmp_path, CHAIN + f"[task]\n{task}\n", name=f"{command}.ini")
-        code, serial, _ = run(capsys, command, "--config", cfg)
-        assert code == 0
-        code, threaded, _ = run(capsys, command, "--config", cfg, "--threads", threads)
-        assert code == 0
-        assert parse_csv(serial) == parse_csv(threaded)
-        assert len(parse_csv(serial)[1]) == 4
+        code, out, err = run(capsys, command, "--config", cfg, "--threads", "2")
+        assert code == 1 and "usage error" in err
+        assert out == ""
 
 
 def test_verify_passes(capsys):

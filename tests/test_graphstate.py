@@ -215,9 +215,10 @@ def test_analytic_block_entropy_values():
 def test_rank_matches_analytic_across_dimensions():
     rng = np.random.default_rng(49)
     for dim in (1, 2, 3):
-        for reach in (1, 2, 3):
+        # a Euclidean cutoff at a non-integer reach spans floor(reach) layers
+        for reach in (1, 1.5, 2, 2.5, 3):
             side = int(rng.integers(2, 5))
-            extent = side + 2 * reach + 2
+            extent = side + 2 * math.ceil(reach) + 2
             lat = Lattice((extent,) * dim)
             prof = PhaseProfile(lat, Cutoff(reach=float(reach)), time=math.pi)
             block = centered_block(lat, side)

@@ -296,3 +296,44 @@ def test_pairs_read_one_phase_row(monkeypatch):
     for r in range(1, 65):
         reduced_density(profile, state, [n // 2, n // 2 + r])
     assert sizes == [n - 1]
+
+
+# -- subset order --------------------------------------------------------
+
+@st.composite
+def large_instances(draw, m_max=5):
+    """(profile, state, sites, perm): a distance law of each family on a
+    lattice of 50..600 sites, beyond the oracle, a random input, an
+    unsorted subset and a permutation of it."""
+    lattice = draw(lattices(600).filter(lambda lat: lat.n_sites >= 50))
+    n = lattice.n_sites
+    kind = draw(st.sampled_from(["power", "exponential", "cutoff", "table"]))
+    if kind == "power":
+        law = PowerLaw(draw(st.floats(0.3, 4.0)))
+    elif kind == "exponential":
+        law = Exponential(draw(st.floats(0.2, 40.0)))
+    elif kind == "cutoff":
+        law = Cutoff(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
+    else:
+        r = np.unique(np.concatenate([lattice.distances(k, np.arange(n))
+                                      for k in range(n)]))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        law = Table(dict(zip(r.tolist(), np.random.default_rng(seed).uniform(0, 3, r.size))))
+    profile = PhaseProfile(lattice, law, draw(st.floats(0.1, 6.0)))
+    state = ProductInput.random(n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    m = draw(st.integers(2, m_max))
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))
+    return profile, state, sites, draw(st.permutations(range(m)))
+
+
+@FEW
+@given(large_instances())
+def test_permuting_the_subset_permutes_rho(case):
+    profile, state, sites, perm = case
+    m = len(sites)
+    rho = reduced_density(profile, state, sites)
+    permuted = reduced_density(profile, state, [sites[j] for j in perm])
+    # bit j of the permuted index is bit perm[j] of the original one
+    tensor = rho.reshape((2,) * (2 * m))
+    expected = tensor.transpose(list(perm) + [m + j for j in perm]).reshape(rho.shape)
+    assert np.abs(permuted - expected).max() < 1e-12
