@@ -266,21 +266,25 @@ def _run_entropy_scan(args, cp, items) -> _Table:
 
     One row per block size L: exact entropy (blank once the block has more
     than A_MAX sites), the sub-block upper bound, and the
-    truncated-environment lower bound.
+    truncated-environment lower bound.  Only the largest exact block is
+    swept; the nested smaller ones are traced out of its ρ.
     """
     profile, state = _profile_and_state(args, cp)
     sizes = _parse_int_list(items.get("sizes", f"1:{A_MAX}"), "sizes")
     m = _parse_int(items.get("m", "4"), "m")
     radius = _parse_float(items.get("radius", "4"), "radius")
+    blocks = [_contiguous_block(profile, items, size) for size in sizes]
+    largest = max(blocks, key=lambda block: block.size if block.size <= A_MAX else 0)
+    if largest.size <= A_MAX:
+        outer = (largest, reduced_density(profile, state, largest))
 
-    def one(size: int):
-        block = _contiguous_block(profile, items, size)
-        exact = block_entropy(profile, state, block) if block.size <= A_MAX else None
+    def one(size: int, block: np.ndarray):
+        exact = block_entropy(profile, state, block, outer) if block.size <= A_MAX else None
         upper = block_entropy_upper(profile, state, block, m=m, exact=exact)
         lower = block_entropy_lower(profile, state, block, radius)
         return (size, exact, upper, lower)
 
-    return _Table(["size", "exact", "upper", "lower"], [one(size) for size in sizes])
+    return _Table(["size", "exact", "upper", "lower"], [one(*row) for row in zip(sizes, blocks)])
 
 
 def _run_bounds_scan(args, cp, items) -> _Table:
@@ -312,7 +316,8 @@ def _run_dynamics(args, cp, items) -> _Table:
 
     One row per time: block entropies S_1..S_l_max for centered blocks,
     the pair correlation strength at the given separation, and the global
-    (average single-site) entanglement.
+    (average single-site) entanglement.  Only the largest block is swept;
+    the nested smaller ones are traced out of its ρ.
     """
     base, state = _profile_and_state(args, cp)
     grid_text = items.get("grid", "0:1:21")
@@ -339,7 +344,8 @@ def _run_dynamics(args, cp, items) -> _Table:
 
     def one(t_over_pi: float):
         profile = PhaseProfile(base.lattice, base.law, t_over_pi * math.pi)
-        entropies = [block_entropy(profile, state, block) for block in blocks]
+        outer = (blocks[-1], reduced_density(profile, state, blocks[-1]))
+        entropies = [block_entropy(profile, state, block, outer) for block in blocks]
         pair = reduced_density(profile, state, [site, site + separation])
         q = max_correlation(correlation_matrix(pair))
         return (t_over_pi, *entropies, q, meyer_wallach(profile, state))

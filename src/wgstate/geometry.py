@@ -329,6 +329,12 @@ class PhaseProfile:
         phi.setflags(write=False)
         return phi
 
+    @cached_property
+    def _near_reach(self) -> np.ndarray | None:
+        """Per-axis largest |d| with a table entry not 0.0 (None: no such entry)."""
+        live = self._displacement_table != 0.0
+        return np.max(np.nonzero(live), axis=1) if live.any() else None
+
 
 class EdgeProfile:
     """Phases listed explicitly per site pair; unlisted pairs have phase 0.
@@ -421,13 +427,11 @@ def coupled_sites(profile, sites, ls) -> np.ndarray:
     holds there).  Every site outside it has phase exactly 0.0 to every
     site of ``sites``.  For any other profile they are all positions.
     """
-    table = displacement_phases(profile)
-    if table is None:
+    if displacement_phases(profile) is None:
         return np.arange(len(ls))
-    live = table != 0.0
-    if not live.any():
+    reach = profile._near_reach
+    if reach is None:
         return np.empty(0, dtype=np.intp)
-    reach = np.max(np.nonzero(live), axis=1)
     lattice = profile.lattice
     ends = lattice.coords(sites)
     box = np.zeros(lattice.extents, dtype=bool)

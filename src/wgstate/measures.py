@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import displacement_phases, pair_phases
 from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_subset,
-                  _resolve_environment, reduced_density)
+                  _resolve_environment, reduced_density, trace_to)
 
 # Pauli x, y, z stacked along the first axis
 _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
@@ -59,15 +59,21 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # Block entropies
 # ---------------------------------------------------------------------------
 
-def block_entropy(profile, state: ProductInput, sites) -> float:
+def block_entropy(profile, state: ProductInput, sites, outer=None) -> float:
     """Exact entanglement entropy of the block, in bits.
 
     Phases internal to the block are a diagonal unitary and drop out of the
     spectrum, so they are skipped.  Blocks above ``A_MAX`` sites raise; use
     :func:`block_entropy_upper` / :func:`block_entropy_lower` there.
+
+    ``outer = (outer_sites, outer_rho)``, a block holding ``sites`` and its
+    ``reduced_density`` with internal phases included, skips the sweep: the
+    state is traced out of ``outer_rho``.  A ρ built with ``include_internal=False``
+    is another state of any proper subset: its dropped phases couple kept and traced sites.
     """
-    rho = reduced_density(profile, state, sites, include_internal=False)
-    return entropy(rho)
+    if outer is None:
+        return entropy(reduced_density(profile, state, sites, include_internal=False))
+    return entropy(trace_to(outer[1], outer[0], _check_subset(profile, sites, state)))
 
 
 def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,

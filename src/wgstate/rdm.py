@@ -90,6 +90,7 @@ class ProductInput:
                 f"site {site} amplitudes not normalized (|a0|^2 + |a1|^2 = {norms[site]!r})")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_populations", pops)
+        object.__setattr__(self, "_norms", norms)
         amps.setflags(write=False)
 
     @property
@@ -162,17 +163,6 @@ def _bit_table(m: int) -> np.ndarray:
     return (x >> shifts) & 1
 
 
-def _coupled_phases(profile, sites: np.ndarray, ls: np.ndarray):
-    """(coupled, phi): a mask of the sites ``ls`` with a phase that is not
-    0.0 to some site of ``sites``, and the (m, coupled.sum()) phases."""
-    near = coupled_sites(profile, sites, ls)
-    phi = pair_phases(profile, sites, ls[near])
-    live = (phi != 0.0).any(axis=0)
-    coupled = np.zeros(ls.size, dtype=bool)
-    coupled[near] = live
-    return coupled, phi[:, live]
-
-
 def environment_product(profile, state: ProductInput, sites, environment=None) -> np.ndarray:
     """Accumulated environment factor for every difference class.
 
@@ -205,12 +195,16 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     buf = np.empty((min(chunk, env.size), half.size), dtype=np.complex128)
     for start in range(0, env.size, ENV_SLAB):
         ls = env[start:start + ENV_SLAB]
-        coupled, phi = _coupled_phases(profile, sites, ls)
-        p0, p1 = state.populations(ls)
+        near = coupled_sites(profile, sites, ls)
+        phi = pair_phases(profile, sites, ls[near])
+        live = (phi != 0.0).any(axis=0)
+        coupled = np.zeros(ls.size, dtype=bool)
+        coupled[near[live]] = True
         if not coupled.all():
             # every class gets the same factor p0 + p1 from these sites
-            uncoupled *= float(np.prod(p0[~coupled] + p1[~coupled]))
-            p0, p1 = p0[coupled], p1[coupled]
+            uncoupled *= float(np.prod(state._norms[ls[~coupled]]))
+        p0, p1 = state.populations(ls[coupled])
+        phi = phi[:, live]
         for lo in range(0, p0.size, chunk):
             z = np.exp(-1j * phi[:, lo:lo + chunk])
             c = z.shape[1]
@@ -300,6 +294,26 @@ def reduced_density(profile, state: ProductInput, sites, include_internal=True,
         raise ValueError(f"reduced matrix has non-positive trace {trace!r}")
     rho /= trace
     return rho
+
+
+def trace_to(rho: np.ndarray, sites, keep) -> np.ndarray:
+    """Reduced state of ``keep`` (rows in its own order) traced out of ``rho``,
+    ``reduced_density(..., sites)`` with internal phases included: that is
+    ``reduced_density(..., keep)`` up to rounding."""
+    sites = np.asarray(sites, dtype=np.intp).ravel().tolist()
+    keep = np.asarray(keep, dtype=np.intp).ravel().tolist()
+    m, pos = len(sites), {k: j for j, k in enumerate(sites)}
+    if not keep or len(set(keep)) < len(keep) or len(pos) < m or not pos.keys() >= set(keep):
+        raise ValueError(f"keep {keep} must be distinct sites of the distinct sites {sites}")
+    if np.shape(rho) != (2 ** m, 2 ** m):
+        raise ValueError(f"rho of {m} sites must be {2 ** m} x {2 ** m}, got {np.shape(rho)}")
+    # axis j is site j's row bit, axis m + j its column bit; a traced site
+    # reads its column bit from its row axis, so einsum sums the diagonal
+    kept = [pos[k] for k in keep]
+    cols = [m + j if j in kept else j for j in range(m)]
+    out = np.einsum(np.reshape(rho, (2,) * (2 * m)), [*range(m), *cols],
+                    kept + [m + j for j in kept])
+    return out.reshape(2 ** len(keep), -1)
 
 
 def single_site_coherence(profile, k: int) -> complex:

@@ -6,6 +6,9 @@ import pytest
 
 import wgstate.rdm as rdm
 from wgstate.cli import main
+from wgstate.geometry import Lattice, PhaseProfile, PowerLaw, centered_block
+from wgstate.measures import block_entropy
+from wgstate.rdm import ProductInput
 
 
 def run(capsys, *argv):
@@ -200,19 +203,22 @@ def test_correlations_sweep_once_per_row(capsys, tmp_path, monkeypatch):
     assert [sites for sites, _ in calls] == [[6, 6 + r] for r in range(1, 6)]
 
 
-def test_entropy_scan_sweeps_each_exact_block_once(capsys, tmp_path, monkeypatch):
-    # sizes below 2m leave block_entropy_upper a single sub-block, whose
-    # bound is the exact entropy the row already has
+def test_entropy_scan_sweeps_only_the_largest_exact_block(capsys, tmp_path, monkeypatch):
+    # the blocks share their start, so the 7-site block's state holds every
+    # smaller one; sizes below 2m leave block_entropy_upper a single
+    # sub-block, whose bound is the exact entropy the row already has
     calls = count_sweeps(monkeypatch)
     cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2:7\nm = 4\nstart = 3\n")
-    code, out, _ = run(capsys, "entropy-scan", "--config", cfg)
+    code, out, _ = run(capsys, "entropy-scan", "--config", cfg, "--format", "json")
     assert code == 0
-    rows = parse_csv(out)[1]
+    rows = json.loads(out)["rows"]
     assert len(rows) == 6
-    for row in rows:
-        block = list(range(3, 3 + int(row[0])))
-        assert calls.count((block, None)) == 1
-        assert float(row[2]) == float(row[1])
+    assert [sites for sites, env in calls if env is None] == [list(range(3, 10))]
+    profile = PhaseProfile(Lattice(20), PowerLaw(3.0), 0.3 * math.pi)   # CHAIN
+    state = ProductInput.plus(20)
+    for size, exact, upper, _ in rows:
+        assert upper == exact
+        assert abs(exact - block_entropy(profile, state, range(3, 3 + size))) < 1e-12
 
 
 def test_bounds_scan_zips_parameter_sweeps(capsys, tmp_path):
@@ -260,6 +266,24 @@ def test_dynamics_grid(capsys, tmp_path):
     # nothing is entangled before the evolution starts
     assert all(abs(float(v)) < 1e-12 for v in rows[0][1:])
     assert float(rows[2][1]) > 0
+
+
+def test_dynamics_sweeps_the_largest_block_and_the_pair(capsys, tmp_path, monkeypatch):
+    # per time step one sweep of the largest centered block, whose state
+    # holds the smaller nested ones, and one of the q_max pair
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, CHAIN + "[task]\ngrid = 0.2:0.8:3\nl_max = 4\n"
+                       "separation = 3\n")
+    code, out, err = run(capsys, "dynamics", "--config", cfg, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [sites for sites, env in calls if env is None] == [[8, 9, 10, 11], [10, 13]] * 3
+    state = ProductInput.plus(20)
+    for row in rows:
+        profile = PhaseProfile(Lattice(20), PowerLaw(3.0), row[0] * math.pi)
+        for l in range(1, 5):
+            direct = block_entropy(profile, state, centered_block(profile.lattice, l))
+            assert abs(row[l] - direct) < 1e-12
 
 
 def test_dynamics_l_max_counts_block_sites(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ state, against one contract and raises the same ValueError for a breach."""
 
 import math
 
+import numpy as np
 import pytest
 
 from wgstate.geometry import Lattice, PhaseProfile, PowerLaw
@@ -13,7 +14,7 @@ from wgstate.measures import (
     block_entropy_upper,
     meyer_wallach,
 )
-from wgstate.rdm import ProductInput, environment_product, reduced_density
+from wgstate.rdm import ProductInput, environment_product, reduced_density, trace_to
 
 N = 30
 
@@ -22,6 +23,9 @@ ENTRY_POINTS = {
     "environment_product": environment_product,
     "reduced_density": reduced_density,
     "block_entropy": block_entropy,
+    # traced out of a 2-site outer state: no sweep, the same site checks
+    "block_entropy_outer": lambda p, s, sites: block_entropy(
+        p, s, sites, outer=([3, 4], np.eye(4) / 4)),
     "block_entropy_upper": block_entropy_upper,
     "block_entropy_lower": lambda p, s, sites: block_entropy_lower(p, s, sites, radius=2.0),
     "meyer_wallach": meyer_wallach,
@@ -64,3 +68,20 @@ def test_entry_points_share_one_contract(entry, case):
         (sites, message), state = SITE_CASES[case], ProductInput.plus(N)
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](_profile(), state, sites)
+
+
+# trace_to(rho, sites, keep): a 3-site state traced down to part of it
+TRACE_CASES = {
+    "keep_outside": ([4, 6], 8, "must be distinct sites of the distinct sites"),
+    "keep_empty": ([], 8, "must be distinct sites of the distinct sites"),
+    "keep_repeat": ([4, 4], 8, "must be distinct sites of the distinct sites"),
+    "rho_too_small": ([4], 4, r"rho of 3 sites must be 8 x 8, got \(4, 4\)"),
+    "rho_too_large": ([4], 16, r"rho of 3 sites must be 8 x 8, got \(16, 16\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRACE_CASES))
+def test_trace_to_rejects(case):
+    keep, dim, message = TRACE_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        trace_to(np.eye(dim) / dim, [3, 4, 5], keep)

@@ -7,7 +7,9 @@ law of distance alone it reads phases from the cached displacement table
 and looks only inside the subset's near box.  Each of those shortcuts is
 checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
-against the statevector oracle.  Examples are derandomized so the suite
+against the statevector oracle.  A nested block's state traced out of a
+larger block's ρ is checked against its own sweep, and the entropy
+against a growing environment.  Examples are derandomized so the suite
 runs the same cases every time.
 """
 
@@ -29,12 +31,14 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
 )
+from wgstate.measures import block_entropy, entropy
 from wgstate.oracle import evolve, partial_trace
 from wgstate.rdm import (
     ProductInput,
     environment_factor,
     environment_product,
     reduced_density,
+    trace_to,
 )
 
 FEW = settings(max_examples=25, deadline=None, derandomize=True)
@@ -337,3 +341,48 @@ def test_permuting_the_subset_permutes_rho(case):
     tensor = rho.reshape((2,) * (2 * m))
     expected = tensor.transpose(list(perm) + [m + j for j in perm]).reshape(rho.shape)
     assert np.abs(permuted - expected).max() < 1e-12
+
+
+# -- nested blocks -------------------------------------------------------
+
+@st.composite
+def nested_instances(draw):
+    """(profile, state, sites, keep): a large instance of up to 6 sites and
+    some of them, unsorted and in another order than in ``sites``."""
+    profile, state, sites, perm = draw(large_instances(m_max=6))
+    keep = [sites[j] for j in perm[:draw(st.integers(1, len(sites)))]]
+    return profile, state, sites, keep
+
+
+@FEW
+@given(nested_instances())
+def test_tracing_a_block_matches_its_own_sweep(case):
+    profile, state, sites, keep = case
+    traced = trace_to(reduced_density(profile, state, sites), sites, keep)
+    assert np.abs(traced - reduced_density(profile, state, keep)).max() < 1e-12
+
+
+@FEW
+@given(nested_instances())
+def test_block_entropy_from_an_outer_block(case):
+    profile, state, sites, keep = case
+    outer = (sites, reduced_density(profile, state, sites))
+    direct = block_entropy(profile, state, keep)
+    assert abs(block_entropy(profile, state, keep, outer) - direct) < 1e-12
+
+
+# -- growing environment -------------------------------------------------
+
+@FEW
+@given(instances(), st.data())
+def test_entropy_grows_with_the_environment(case, data):
+    # each added environment site mixes z-rotations of the subset with
+    # weights p0 and p1, a mixed-unitary channel: entropy cannot fall
+    profile, state, sites, _ = case
+    rest = data.draw(st.permutations([l for l in range(profile.n_sites)
+                                      if l not in sites]), label="rest")
+    n2 = data.draw(st.integers(0, len(rest)), label="n2")
+    n1 = data.draw(st.integers(0, n2), label="n1")
+    s1, s2 = (entropy(reduced_density(profile, state, sites, environment=rest[:n]))
+              for n in (n1, n2))
+    assert s1 <= s2 + 1e-10
