@@ -230,7 +230,8 @@ def _run_correlations(args, cp, items) -> _Table:
     """[task] separations = <int list>; site = <int> (default center).
 
     One row per separation r: pair correlations between `site` and
-    `site + r` along the linear index (interior pairs of a chain).
+    `site + r` along the linear index (interior pairs of a chain).  Every
+    pair's state comes from one sweep of the stacked pairs.
     """
     profile, state = _profile_and_state(args, cp)
     site = _parse_int(items.get("site", str(profile.n_sites // 2)), "site")
@@ -238,14 +239,10 @@ def _run_correlations(args, cp, items) -> _Table:
     for r in seps:
         if not 0 <= site + r < profile.n_sites:
             raise ConfigError(f"separation {r} puts the partner outside the lattice")
-
-    def one(r: int):
-        rho = reduced_density(profile, state, [site, site + r])
-        return (r, max_correlation(correlation_matrix(rho)), concurrence(rho),
-                concurrence_of_assistance(rho))
-
+    rhos = reduced_density(profile, state, [[site, site + r] for r in seps])
     return _Table(["separation", "q_max", "concurrence", "assistance_upper"],
-                  [one(r) for r in seps])
+                  [(r, max_correlation(correlation_matrix(rho)), concurrence(rho),
+                    concurrence_of_assistance(rho)) for r, rho in zip(seps, rhos)])
 
 
 def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:

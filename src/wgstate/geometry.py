@@ -15,7 +15,9 @@ gives every pair's phase from one table over the lattice's displacements,
 with what phase, is decided here alone: :func:`coupled_sites` names the
 candidates (for a table, those in the subset's near box, dilated by every
 displacement whose phase is not 0.0) and :func:`pair_phases` reads their
-phases, from the table or one ``phase_row`` per subset site.
+phases, from the table or one ``phase_row`` per subset site;
+:func:`_pair_factors` keeps the sites with a phase other than 0.0 and
+gives the factors exp(-i phi) the sweep multiplies.
 """
 
 from __future__ import annotations
@@ -40,10 +42,17 @@ def _reduce_phase(x) -> np.ndarray:
     """x mod 2*pi, in [0, 2*pi).
 
     ``np.mod`` of a negative value smaller in magnitude than half an ulp of
-    2*pi rounds up to 2*pi itself; that full turn is returned as 0.0.
+    2*pi rounds up to 2*pi itself; that full turn is returned as 0.0.  Only
+    entries outside [0, 2*pi) go through ``np.mod``, the rest are copied:
+    ``np.mod`` returns those unchanged, except -0.0, which it turns into
+    0.0 and which therefore counts as outside.
     """
-    phi = np.mod(x, TWO_PI)
-    return np.where(phi == TWO_PI, 0.0, phi)
+    phi = np.array(x, dtype=np.float64)
+    out = np.signbit(phi) | ~(phi < TWO_PI)
+    if out.any():
+        wrapped = np.mod(phi[out], TWO_PI)
+        phi[out] = np.where(wrapped == TWO_PI, 0.0, wrapped)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +339,18 @@ class PhaseProfile:
         return phi
 
     @cached_property
-    def _near_reach(self) -> np.ndarray | None:
-        """Per-axis largest |d| with a table entry not 0.0 (None: no such entry)."""
+    def _displacement_factors(self) -> np.ndarray:
+        """Read-only exp(-1j * phi) of every entry of ``_displacement_table``."""
+        z = np.exp(-1j * self._displacement_table)
+        z.setflags(write=False)
+        return z
+
+    @cached_property
+    def _near_reach(self) -> np.ndarray:
+        """Per-axis largest |d| with a table entry not 0.0, or 0."""
         live = self._displacement_table != 0.0
-        return np.max(np.nonzero(live), axis=1) if live.any() else None
+        live.flat[0] = True     # the origin: a box always holds its own subset
+        return np.max(np.nonzero(live), axis=1)
 
 
 class EdgeProfile:
@@ -420,37 +437,28 @@ def displacement_phases(profile) -> np.ndarray | None:
 def coupled_sites(profile, sites, ls) -> np.ndarray:
     """Ascending positions in ``ls`` of the sites that may couple to ``sites``.
 
-    With a :func:`displacement_phases` table these are the sites inside the
-    near box of ``sites``: their bounding box dilated, along each axis, by
-    the largest |d| along it whose table entry is not 0.0 (on a periodic
-    axis the table is indexed by |d| before the minimum image, so this
-    holds there).  Every site outside it has phase exactly 0.0 to every
-    site of ``sites``.  For any other profile they are all positions.
+    ``sites`` is one subset or a (B, m) stack of them.  With a
+    :func:`displacement_phases` table these are the sites inside the near
+    box of a subset, or of any subset of a stack: its bounding box dilated,
+    along each axis, by the largest |d| along it whose table entry is not
+    0.0 (on a periodic axis the table is indexed by |d| before the minimum
+    image, so this holds there).  Every site outside it has phase exactly
+    0.0 to every site of the subset.  For any other profile they are all
+    positions.
     """
     if displacement_phases(profile) is None:
         return np.arange(len(ls))
     reach = profile._near_reach
-    if reach is None:
-        return np.empty(0, dtype=np.intp)
     lattice = profile.lattice
-    ends = lattice.coords(sites)
+    ends = lattice.coords(np.atleast_2d(sites))
     box = np.zeros(lattice.extents, dtype=bool)
-    box[tuple(map(slice, np.maximum(ends.min(axis=0) - reach, 0),
-                  ends.max(axis=0) + reach + 1))] = True
+    for lo, hi in zip(np.maximum(ends.min(axis=1) - reach, 0), ends.max(axis=1) + reach + 1):
+        box[tuple(map(slice, lo, hi))] = True
     return np.flatnonzero(box.ravel()[ls])
 
 
-def pair_phases(profile, sites, ls) -> np.ndarray:
-    """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s.
-
-    With a :func:`displacement_phases` table they are read from it through
-    a flat index summed one axis at a time; otherwise each row is one
-    ``phase_row`` call.
-    """
-    table = displacement_phases(profile)
-    if table is None:
-        return np.stack([profile.phase_row(int(k), ls) for k in sites])
-    lattice = profile.lattice
+def _table_index(lattice, sites, ls) -> np.ndarray:
+    """Flat index into a displacement table of every (site, l) pair."""
     ends, at = lattice.coords(sites), lattice.coords(ls)
     strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
     idx = np.zeros((ends.shape[0], at.shape[0]), dtype=np.intp)
@@ -459,7 +467,48 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
         np.abs(step, out=step)
         step *= stride
         idx += step
-    return table.ravel()[idx]
+    return idx
+
+
+def pair_phases(profile, sites, ls) -> np.ndarray:
+    """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s,
+    and 0.0 where l = k, as at the origin of a displacement table.
+
+    With a :func:`displacement_phases` table they are read from it through
+    a flat index summed one axis at a time; otherwise each row is one
+    ``phase_row`` call.
+    """
+    table = displacement_phases(profile)
+    if table is None:
+        ls = np.asarray(ls, dtype=np.intp)
+        phi = np.zeros((len(sites), ls.size))
+        for row, k in zip(phi, sites):
+            other = ls != k
+            row[other] = profile.phase_row(int(k), ls[other])
+        return phi
+    return table.ravel()[_table_index(profile.lattice, sites, ls)]
+
+
+def _pair_factors(profile, sites, ls) -> tuple[np.ndarray, np.ndarray]:
+    """Which sites of ``ls`` have a phase other than 0.0 to some of
+    ``sites``, or are one of them, and the factors exp(-1j * phi) of
+    ``pair_phases(profile, sites, ls)`` at those, (len(sites), count).
+
+    With a :func:`displacement_phases` table phases and factors are read
+    through one index, the factors from ``exp(-1j * table)``, computed once
+    per profile and kept read-only beside the table: bit for bit ``np.exp``
+    of the same phases, without one complex ``exp`` per pair.
+    """
+    table = displacement_phases(profile)
+    if table is None:
+        phi = pair_phases(profile, sites, ls)
+    else:
+        idx = _table_index(profile.lattice, sites, ls)
+        phi = table.ravel()[idx]
+    live = (phi != 0.0).any(axis=0) | np.isin(ls, sites)
+    if table is None:
+        return live, np.exp(-1j * phi[:, live])
+    return live, profile._displacement_factors.ravel()[idx[:, live]]
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def count_sweeps(monkeypatch):
     sweep = rdm.environment_product
 
     def counted(profile, state, sites, environment=None):
-        calls.append((list(sites), None if environment is None else list(environment)))
+        calls.append((np.asarray(sites).tolist(),
+                      None if environment is None else list(environment)))
         return sweep(profile, state, sites, environment)
 
     monkeypatch.setattr(rdm, "environment_product", counted)
@@ -200,7 +201,8 @@ def test_correlations_sweep_once_per_row(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "correlations", "--config", cfg)
     assert code == 0
     assert len(parse_csv(out)[1]) == 5
-    assert [sites for sites, _ in calls] == [[6, 6 + r] for r in range(1, 6)]
+    # one sweep of the stacked pairs, not one per row
+    assert [sites for sites, _ in calls] == [[[6, 6 + r] for r in range(1, 6)]]
 
 
 def test_entropy_scan_sweeps_only_the_largest_exact_block(capsys, tmp_path, monkeypatch):

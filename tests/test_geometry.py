@@ -16,6 +16,8 @@ from wgstate.geometry import (
     PhaseProfile,
     PowerLaw,
     Table,
+    _pair_factors,
+    _reduce_phase,
     centered_block,
     coupled_sites,
     displacement_phases,
@@ -271,6 +273,22 @@ def test_phases_just_below_a_full_turn_reduce_to_zero():
     assert profile.phase_row(0, [1, 2]).tolist() == [0.0, 1.0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-324, -1e-17, TWO_PI, -TWO_PI, math.pi,
+                     math.nextafter(TWO_PI, 0.0), math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3), st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(allow_nan=True, allow_infinity=True)), max_size=40))
+def test_phase_reduction_matches_np_mod_bit_for_bit(values):
+    # only entries outside [0, 2*pi), -0.0 among them, go through np.mod
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        wrapped = np.mod(x, TWO_PI)
+        expected = np.where(wrapped == TWO_PI, 0.0, wrapped)
+        got = _reduce_phase(x)
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+
 def test_displacement_phases_match_phase_rows():
     lattice = Lattice((5, 4, 3), ("open", "periodic", "periodic"))
     profile = PhaseProfile(lattice, PowerLaw(alpha=1.5), time=2.3)
@@ -339,6 +357,28 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     near = coupled_sites(profile, sites, ls)
     assert np.all(np.diff(near) > 0) and np.all((0 <= near) & (near < ls.size))
     assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
+    # the sites the sweep multiplies and their factors, from the cached
+    # table or np.exp
+    live, z = _pair_factors(profile, sites, ls)
+    assert np.array_equal(live, rows.any(axis=0))
+    assert z.tobytes() == np.exp(-1j * rows[:, live]).tobytes()
+    # a site paired with itself, as in a stack's own sites, has phase 0.0
+    assert not np.diagonal(pair_phases(profile, sites, sites)).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), profile=profiles())
+def test_a_stack_couples_the_union_of_its_subsets(data, profile):
+    n = profile.n_sites
+    m = data.draw(st.integers(1, min(3, n)))
+    stack = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True),
+        min_size=1, max_size=4)))
+    ls = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    union = np.unique(np.concatenate([coupled_sites(profile, row, ls) for row in stack]))
+    assert np.array_equal(coupled_sites(profile, stack, ls), union)
+    # the near box holds its own subset, even where no phase is other than 0.0
+    assert np.isin(stack, ls[union]).all()
 
 
 def test_parse_lattice():

@@ -85,3 +85,24 @@ def test_trace_to_rejects(case):
     keep, dim, message = TRACE_CASES[case]
     with pytest.raises(ValueError, match=message):
         trace_to(np.eye(dim) / dim, [3, 4, 5], keep)
+
+
+# a (B, m) stack of subsets, which environment_product and reduced_density
+# sweep at once: every row meets the same contract
+STACK_CASES = {
+    "ragged": ([[3, 4], [5]], None, "stack of equal-size subsets"),
+    "empty_stack": (np.empty((0, 2), dtype=np.intp), None, "at least one subset"),
+    "empty_rows": (np.empty((2, 0), dtype=np.intp), None,
+                   "subset must contain at least one site"),
+    "row_repeats": ([[3, 4], [5, 5]], None, r"subset contains repeated sites: \[5, 5\]"),
+    "row_past_end": ([[3, 4], [5, N]], None, r"site index out of range 0\.\.29"),
+    "env_meets_a_row": ([[3, 4], [5, 6]], [0, 1, 6], "environment overlaps the subset"),
+}
+
+
+@pytest.mark.parametrize("entry", ["environment_product", "reduced_density"])
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacks_share_the_contract(entry, case):
+    stack, environment, message = STACK_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](_profile(), ProductInput.plus(N), stack, environment=environment)

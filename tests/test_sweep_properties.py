@@ -2,15 +2,16 @@
 
 The sweep computes half of the 3^m difference classes, mirrors the rest by
 complex conjugation, skips environment sites whose phases to the subset
-are exactly 0 and works in cache-sized chunks over slabs of sites.  For a
-law of distance alone it reads phases from the cached displacement table
-and looks only inside the subset's near box.  Each of those shortcuts is
-checked here against the one-class-at-a-time reference
+are exactly 0 and works in cache-sized chunks, read a few to a block.  For
+a law of distance alone it reads phases and factors from the cached
+displacement tables and looks only inside the subset's near box.  Each of
+those shortcuts is checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
-against the statevector oracle.  A nested block's state traced out of a
-larger block's ρ is checked against its own sweep, and the entropy
-against a growing environment.  Examples are derandomized so the suite
-runs the same cases every time.
+against the statevector oracle.  A stack of subsets swept at once is
+checked against each subset's own sweep, and a nested block's state
+traced out of a larger block's ρ as well.  Entropies are checked for
+strong subadditivity and against a growing environment.  Examples are
+derandomized so the suite runs the same cases every time.
 """
 
 import itertools
@@ -24,6 +25,7 @@ import wgstate.rdm as rdm
 from wgstate.geometry import (
     TWO_PI,
     Cutoff,
+    Disordered,
     EdgeProfile,
     Exponential,
     Lattice,
@@ -31,7 +33,7 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
 )
-from wgstate.measures import block_entropy, entropy
+from wgstate.measures import block_entropy, entropy, trace_distance
 from wgstate.oracle import evolve, partial_trace
 from wgstate.rdm import (
     ProductInput,
@@ -147,11 +149,12 @@ def test_empty_and_fully_pruned_environments(data):
 @FEW
 @given(st.data())
 def test_chunk_and_slab_boundaries(data):
-    # chunks of c sites and slabs of s sites, with an environment of one
-    # site less than, exactly, or one more than a whole number of chunks
-    m = data.draw(st.integers(1, 3), label="m")
+    # chunks of c sites (at m = 5 read three to a block) and slabs of s
+    # sites in the one-class reference, with an environment of one site
+    # less than, exactly, or one more than a whole number of chunks
+    m = data.draw(st.integers(1, 5), label="m")
     c = data.draw(st.integers(1, 4), label="chunk")
-    n_env = max(0, c * data.draw(st.integers(1, 4), label="chunks")
+    n_env = max(0, c * data.draw(st.integers(1, 7), label="chunks")
                 + data.draw(st.sampled_from([-1, 0, 1]), label="offset"))
     slab = data.draw(st.integers(1, n_env + 2), label="slab")
     n = n_env + m + 2
@@ -167,10 +170,10 @@ def test_chunk_and_slab_boundaries(data):
         rdm._CHUNK_BUDGET = c * (3 ** m + 1) // 2
         rdm.ENV_SLAB = slab
         table = environment_product(profile, state, sites, environment)
+        _assert_matches_factor(table, profile, state, sites, environment)
     finally:
         rdm._CHUNK_BUDGET, rdm.ENV_SLAB = saved
     assert np.abs(table - whole).max() < 1e-14
-    _assert_matches_factor(table, profile, state, sites, environment)
 
 
 @FEW
@@ -283,6 +286,57 @@ def test_near_field_matches_oracle(case):
     assert 0.5 * np.abs(np.linalg.eigvalsh(fast - slow)).sum() < 1e-10
 
 
+# -- stacked subsets ------------------------------------------------------
+
+@st.composite
+def stack_instances(draw, max_sites=60, m_max=3, b_max=4):
+    """(profile, state, stack, environment): up to b_max subsets of m sites
+    drawn from a few sites towards the lattice's faces, so that they overlap,
+    hold sites of one another's environment and sit far apart; a law with
+    a displacement table or, without one, a Disordered law or an
+    EdgeProfile; the default environment or an explicit one that meets no
+    subset."""
+    profile = draw(near_profiles(max_sites))
+    if isinstance(profile, PhaseProfile) and draw(st.booleans()):
+        base = draw(st.sampled_from([Cutoff(1.5), PowerLaw(1.0)]))
+        profile = PhaseProfile(profile.lattice, Disordered(base, draw(st.integers(0, 9))),
+                               profile.time)
+    n = profile.n_sites
+    if isinstance(profile, EdgeProfile):
+        pick = st.integers(0, n - 1)
+    else:
+        lattice = profile.lattice
+        pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
+                           for e in lattice.extents]).map(lattice.site_index)
+    m = draw(st.integers(1, min(m_max, n)))
+    pool = draw(st.lists(pick, min_size=m, max_size=min(n, m + 3), unique=True))
+    stack = [draw(st.permutations(pool))[:m] for _ in range(draw(st.integers(1, b_max)))]
+    environment = None
+    if draw(st.booleans()):
+        rest = draw(st.permutations([l for l in range(n) if l not in pool]))
+        environment = rest[:draw(st.integers(0, len(rest)))]
+    return profile, draw(near_states(n)), stack, environment
+
+
+@NEAR
+@given(stack_instances())
+def test_a_stack_matches_its_subsets_one_by_one(case):
+    # one sweep of the union of the near boxes gives every subset its own
+    # table and state; with inputs whose p0 + p1 = 1 + 9e-13 the swept and
+    # folded factors of far sites show at the 1e-12 level
+    profile, state, stack, environment = case
+    tables = environment_product(profile, state, stack, environment)
+    rhos = reduced_density(profile, state, stack, environment=environment)
+    m = len(stack[0])
+    assert tables.shape == (len(stack), 3 ** m)
+    assert rhos.shape == (len(stack), 2 ** m, 2 ** m)
+    for sites, table, rho in zip(stack, tables, rhos):
+        lone = environment_product(profile, state, sites, environment)
+        assert np.abs(table - lone).max() < 1e-12 * abs(lone[lone.size // 2])
+        alone = reduced_density(profile, state, sites, environment=environment)
+        assert trace_distance(rho, alone) < 1e-12
+
+
 def test_pairs_read_one_phase_row(monkeypatch):
     # the sweep and the pair's own phase both read the displacement table,
     # built once per profile
@@ -369,6 +423,22 @@ def test_block_entropy_from_an_outer_block(case):
     outer = (sites, reduced_density(profile, state, sites))
     direct = block_entropy(profile, state, keep)
     assert abs(block_entropy(profile, state, keep, outer) - direct) < 1e-12
+
+
+# -- strong subadditivity -----------------------------------------------
+
+@FEW
+@given(large_instances(m_max=6).filter(lambda case: len(case[2]) >= 3), st.data())
+def test_strong_subadditivity(case, data):
+    # S(AB) + S(BC) >= S(ABC) + S(B) for any three disjoint blocks, each
+    # entropy from its own sweep
+    profile, state, sites, _ = case
+    i = data.draw(st.integers(1, len(sites) - 2), label="end of A")
+    j = data.draw(st.integers(i + 1, len(sites) - 1), label="end of B")
+    a, b, c = sites[:i], sites[i:j], sites[j:]
+    s_ab, s_bc, s_abc, s_b = (block_entropy(profile, state, block)
+                              for block in (a + b, b + c, a + b + c, b))
+    assert s_ab + s_bc >= s_abc + s_b - 1e-10
 
 
 # -- growing environment -------------------------------------------------
