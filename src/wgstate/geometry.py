@@ -489,10 +489,11 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
     return table.ravel()[_table_index(profile.lattice, sites, ls)]
 
 
-def _pair_factors(profile, sites, ls) -> tuple[np.ndarray, np.ndarray]:
+def _pair_factors(profile, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:
     """Which sites of ``ls`` have a phase other than 0.0 to some of
-    ``sites``, or are one of them, and the factors exp(-1j * phi) of
-    ``pair_phases(profile, sites, ls)`` at those, (len(sites), count).
+    ``sites``, or with ``own`` are one of them, and the factors
+    exp(-1j * phi) of ``pair_phases(profile, sites, ls)`` at those,
+    (len(sites), count).
 
     With a :func:`displacement_phases` table phases and factors are read
     through one index, the factors from ``exp(-1j * table)``, computed once
@@ -505,7 +506,9 @@ def _pair_factors(profile, sites, ls) -> tuple[np.ndarray, np.ndarray]:
     else:
         idx = _table_index(profile.lattice, sites, ls)
         phi = table.ravel()[idx]
-    live = (phi != 0.0).any(axis=0) | np.isin(ls, sites)
+    live = (phi != 0.0).any(axis=0)
+    if own:
+        live |= np.isin(ls, sites)
     if table is None:
         return live, np.exp(-1j * phi[:, live])
     return live, profile._displacement_factors.ravel()[idx[:, live]]

@@ -71,9 +71,10 @@ def block_entropy(profile, state: ProductInput, sites, outer=None) -> float:
     state is traced out of ``outer_rho``.  A ρ built with ``include_internal=False``
     is another state of any proper subset: its dropped phases couple kept and traced sites.
     """
+    sites = _check_subset(profile, sites, state)
     if outer is None:
         return entropy(reduced_density(profile, state, sites, include_internal=False))
-    return entropy(trace_to(outer[1], outer[0], _check_subset(profile, sites, state)))
+    return entropy(trace_to(outer[1], outer[0], sites))
 
 
 def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,

@@ -229,11 +229,7 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     """
     rows = _check_stack(profile, sites, state)
     env = _resolve_environment(profile, rows, environment)
-    # a stack of more subsets than one site row of the chunk budget holds
-    # is swept in groups that each fit
-    group = max(1, _CHUNK_BUDGET // ((3 ** rows.shape[1] + 1) // 2))
-    half = np.concatenate([_sweep(profile, state, rows[i:i + group], env)
-                           for i in range(0, len(rows), group)])
+    half = _sweep(profile, state, rows, env)
     table = np.concatenate([half, half[:, -2::-1].conj()], axis=1)
     return table if np.ndim(sites) == 2 else table[0]
 
@@ -244,8 +240,11 @@ def _sweep(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> n
     n_rows, m = rows.shape
     n_half = (3 ** m + 1) // 2
     # phases and factors are read once per distinct subset site
-    sites, which = np.unique(rows, return_inverse=True)
-    which = which.reshape(rows.shape)
+    if n_rows == 1:
+        sites, which = rows[0], np.arange(m)[None]
+    else:
+        sites, which = np.unique(rows, return_inverse=True)
+        which = which.reshape(rows.shape)
     # chunk: swept sites whose classes, for every row, fit the budget.  A
     # stack's chunk also holds its factors and a gathered column per stage;
     # at a quarter of the budget that stays in cache (64 pairs at m = 2 on
@@ -279,9 +278,11 @@ def _sweep_block(profile, state: ProductInput, rows: np.ndarray, sites: np.ndarr
     ``sites[which[b, j]]``."""
     n_rows, m = rows.shape
     n_half, n_lead = half.shape[0], 3 ** (m - 1)   # codes with d_0 = -1 come first
-    live, z = _pair_factors(profile, sites, ls)
+    # only a stack's environment holds sites of its own subsets
+    stack = n_rows > 1
+    live, z = _pair_factors(profile, sites, ls, own=stack)
     ls = ls[live]
-    own = (rows[:, :, None] == ls).any(axis=1)          # (rows, sites)
+    own = (rows[:, :, None] == ls).any(axis=1) if stack else None   # (rows, sites)
     p0, p1 = state.populations(ls)
     # The codes with d_0 = -1 and those with d_0 = 0 up to the center live
     # in two buffers: numpy copies an operand that shares memory with the
@@ -312,11 +313,11 @@ def _sweep_block(profile, state: ProductInput, rows: np.ndarray, sites: np.ndarr
         rest[:] = w[:, :n_half - n_lead]
         col = zc[which[:, 0]].T[:, None, :]
         w *= np.conjugate(col, out=col)
-        mine = own[:, lo:lo + chunk].T
         for f, codes in ((w, slice(None, n_lead)), (rest, slice(n_lead, None))):
             f += p0[lo:lo + chunk, None, None]
-            # a subset's own sites enter its column as the factor 1
-            f.transpose(0, 2, 1)[mine] = 1.0
+            if stack:
+                # a subset's own sites enter its column as the factor 1
+                f.transpose(0, 2, 1)[own[:, lo:lo + chunk].T] = 1.0
             half[codes] *= f.prod(axis=0)
     return live
 

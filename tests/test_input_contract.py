@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wgstate.geometry import Lattice, PhaseProfile, PowerLaw
+from wgstate.geometry import Cutoff, Lattice, PhaseProfile, PowerLaw
 from wgstate.graphstate import block_adjacency
 from wgstate.measures import (
     block_entropy,
@@ -106,3 +106,25 @@ def test_stacks_share_the_contract(entry, case):
     stack, environment, message = STACK_CASES[case]
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](_profile(), ProductInput.plus(N), stack, environment=environment)
+
+
+# every other entry point reads a 2-D site list as one block, row after row
+BLOCK_ENTRY_POINTS = {
+    **{e: ENTRY_POINTS[e] for e in ENTRY_POINTS
+       if e not in ("environment_product", "reduced_density", "block_entropy_outer")},
+    "block_entropy_outer": lambda p, s, sites: block_entropy(
+        p, s, sites, outer=([3, 4, 5, 6], reduced_density(p, s, [3, 4, 5, 6]))),
+}
+
+
+@pytest.mark.parametrize("entry", list(BLOCK_ENTRY_POINTS))
+def test_a_2d_site_list_is_one_block(entry):
+    profile, state = _profile(), ProductInput.random(N, np.random.default_rng(5))
+    if entry == "block_adjacency":
+        # a graph state: every phase 0 or pi
+        profile = PhaseProfile(Lattice(N), Cutoff(2.0), time=math.pi)
+    got = BLOCK_ENTRY_POINTS[entry](profile, state, [[3, 4], [5, 6]])
+    want = BLOCK_ENTRY_POINTS[entry](profile, state, [3, 4, 5, 6])
+    if entry == "block_adjacency":
+        got, want = got.words, want.words
+    assert np.array_equal(got, want)

@@ -319,21 +319,31 @@ def stack_instances(draw, max_sites=60, m_max=3, b_max=4):
 
 
 @NEAR
-@given(stack_instances())
-def test_a_stack_matches_its_subsets_one_by_one(case):
+@given(stack_instances(), st.one_of(st.none(), st.integers(1, 4)))
+def test_a_stack_matches_its_subsets_one_by_one(case, chunk):
     # one sweep of the union of the near boxes gives every subset its own
     # table and state; with inputs whose p0 + p1 = 1 + 9e-13 the swept and
-    # folded factors of far sites show at the 1e-12 level
+    # folded factors of far sites show at the 1e-12 level.  The stack is
+    # swept at the default budget or in chunks of ``chunk`` sites, so that
+    # it ends on a partial chunk and spans several blocks; the lone
+    # subsets are swept at the default budget.
     profile, state, stack, environment = case
-    tables = environment_product(profile, state, stack, environment)
-    rhos = reduced_density(profile, state, stack, environment=environment)
     m = len(stack[0])
+    lone = [(environment_product(profile, state, sites, environment),
+             reduced_density(profile, state, sites, environment=environment))
+            for sites in stack]
+    saved = rdm._CHUNK_BUDGET
+    try:
+        if chunk is not None:
+            rdm._CHUNK_BUDGET = 4 * len(stack) * (3 ** m + 1) // 2 * chunk
+        tables = environment_product(profile, state, stack, environment)
+        rhos = reduced_density(profile, state, stack, environment=environment)
+    finally:
+        rdm._CHUNK_BUDGET = saved
     assert tables.shape == (len(stack), 3 ** m)
     assert rhos.shape == (len(stack), 2 ** m, 2 ** m)
-    for sites, table, rho in zip(stack, tables, rhos):
-        lone = environment_product(profile, state, sites, environment)
-        assert np.abs(table - lone).max() < 1e-12 * abs(lone[lone.size // 2])
-        alone = reduced_density(profile, state, sites, environment=environment)
+    for (lone_table, alone), table, rho in zip(lone, tables, rhos):
+        assert np.abs(table - lone_table).max() < 1e-12 * abs(lone_table[lone_table.size // 2])
         assert trace_distance(rho, alone) < 1e-12
 
 
