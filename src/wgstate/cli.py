@@ -231,7 +231,7 @@ def _run_correlations(args, cp, items) -> _Table:
 
     One row per separation r: pair correlations between `site` and
     `site + r` along the linear index (interior pairs of a chain).  Every
-    pair's state comes from one sweep of the stacked pairs.
+    pair's state comes from one sweep, and each measure takes them all at once.
     """
     profile, state = _profile_and_state(args, cp)
     site = _parse_int(items.get("site", str(profile.n_sites // 2)), "site")
@@ -240,9 +240,10 @@ def _run_correlations(args, cp, items) -> _Table:
         if not 0 <= site + r < profile.n_sites:
             raise ConfigError(f"separation {r} puts the partner outside the lattice")
     rhos = reduced_density(profile, state, [[site, site + r] for r in seps])
+    columns = (max_correlation(correlation_matrix(rhos)), concurrence(rhos),
+               concurrence_of_assistance(rhos))
     return _Table(["separation", "q_max", "concurrence", "assistance_upper"],
-                  [(r, max_correlation(correlation_matrix(rho)), concurrence(rho),
-                    concurrence_of_assistance(rho)) for r, rho in zip(seps, rhos)])
+                  list(zip(seps, *(c.tolist() for c in columns))))
 
 
 def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:

@@ -458,12 +458,12 @@ def coupled_sites(profile, sites, ls) -> np.ndarray:
 
 
 def _table_index(lattice, sites, ls) -> np.ndarray:
-    """Flat index into a displacement table of every (site, l) pair."""
-    ends, at = lattice.coords(sites), lattice.coords(ls)
+    """Flat index into a displacement table of every (site, l) pair, per row of stacks."""
+    ends, at = lattice.coords(sites)[..., :, None, :], lattice.coords(ls)[..., None, :, :]
     strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
-    idx = np.zeros((ends.shape[0], at.shape[0]), dtype=np.intp)
+    idx = np.zeros(ends.shape[:-2] + at.shape[-2:-1], dtype=np.intp)
     for axis, stride in enumerate(strides):
-        step = np.subtract.outer(ends[:, axis], at[:, axis])
+        step = ends[..., axis] - at[..., axis]
         np.abs(step, out=step)
         step *= stride
         idx += step
@@ -472,13 +472,16 @@ def _table_index(lattice, sites, ls) -> np.ndarray:
 
 def pair_phases(profile, sites, ls) -> np.ndarray:
     """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s,
-    and 0.0 where l = k, as at the origin of a displacement table.
+    and 0.0 where l = k, as at the origin of a displacement table; (B, m)
+    and (B, k) stacks give each row's (B, m, k).
 
     With a :func:`displacement_phases` table they are read from it through
     a flat index summed one axis at a time; otherwise each row is one
     ``phase_row`` call.
     """
     table = displacement_phases(profile)
+    if table is None and np.ndim(sites) == 2:
+        return np.stack([pair_phases(profile, row, l) for row, l in zip(sites, ls)])
     if table is None:
         ls = np.asarray(ls, dtype=np.intp)
         phi = np.zeros((len(sites), ls.size))

@@ -1,14 +1,16 @@
 """Entanglement and correlation measures on reduced density matrices.
 
 Dense-matrix quantities (entropy, concurrence, trace distance) operate on
-explicit arrays from :func:`wgstate.rdm.reduced_density`.  Block entropies
-beyond the exact-diagonalization ceiling are bracketed instead of computed:
-an upper bound from subadditivity over a sliding chain of small sub-blocks,
-and a lower bound from truncating the environment to a finite interaction
-radius (dropping environment couplings can only make the reduced spectrum
-more ordered, never less).  Every function that takes sites checks them and
-the input state against the contract in :mod:`wgstate.rdm` first, with the
-lattice as the size limit for the bounds and :func:`meyer_wallach`.
+explicit arrays from :func:`wgstate.rdm.reduced_density`; the pair measures
+take a (..., 4, 4) stack in one batched diagonalization, row b bit for bit
+the call on row b alone.  Block entropies beyond the exact-diagonalization
+ceiling are bracketed instead of computed: an upper bound from
+subadditivity over a sliding chain of small sub-blocks, and a lower bound
+from truncating the environment to a finite interaction radius (dropping
+environment couplings can only make the reduced spectrum more ordered,
+never less).  Every function that takes sites checks them and the input
+state against the contract in :mod:`wgstate.rdm` first, with the lattice as
+the size limit for the bounds and :func:`meyer_wallach`.
 
 All entropies are in bits (log base 2), so a block of L spins maxes out at
 L and a maximally mixed pair of levels gives exactly 1.
@@ -167,57 +169,64 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is the 4 x 4 reduced state of a pair (k, l), k the most
     significant bit, as :func:`wgstate.rdm.reduced_density` returns it for
-    ``[k, l]``.  Rows index Pauli x, y, z on site k; columns the same on
-    site l.  The expectations of Hermitian observables in a Hermitian state
-    are real; an imaginary part beyond rounding noise means ``rho`` is not
-    a density matrix and raises ValueError.
+    ``[k, l]``, or a (..., 4, 4) stack of them, which gives (..., 3, 3).
+    Rows index Pauli x, y, z on site k; columns the same on site l.  The
+    expectations of Hermitian observables in a Hermitian state are real; an
+    imaginary part beyond rounding noise means ``rho`` is not a density
+    matrix and raises ValueError, naming the stack index of the worst one.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
-    # t[i, j, k, l] = <i j| rho |k l>, so tr(rho (A x B)) sums
+    # t[..., i, j, k, l] = <i j| rho |k l>, so tr(rho (A x B)) sums
     # t[i, j, k, l] A[k, i] B[l, j]; a repeated index traces a site out
-    t = rho.reshape(2, 2, 2, 2)
-    joint = np.einsum("ijkl,aki,blj->ab", t, _PAULIS, _PAULIS)
-    ev_k = np.einsum("ijkj,aki->a", t, _PAULIS)
-    ev_l = np.einsum("ijil,blj->b", t, _PAULIS)
-    q = joint - np.outer(ev_k, ev_l)
-    worst = float(np.abs(q.imag).max())
-    if worst >= 1e-9:
-        raise ValueError(f"correlation matrix has imaginary part {worst!r}; "
-                         "rho is not Hermitian")
+    t = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    joint = np.einsum("...ijkl,aki,blj->...ab", t, _PAULIS, _PAULIS)
+    ev_k = np.einsum("...ijkj,aki->...a", t, _PAULIS)
+    ev_l = np.einsum("...ijil,blj->...b", t, _PAULIS)
+    q = joint - ev_k[..., :, None] * ev_l[..., None, :]
+    if np.abs(q.imag).max() >= 1e-9:
+        worst = np.abs(q.imag).max(axis=(-2, -1))
+        at = "".join(f"[{i}]" for i in np.unravel_index(worst.argmax(), worst.shape))
+        raise ValueError(f"correlation matrix has imaginary part {float(worst.max())!r}; "
+                         f"rho{at} is not Hermitian")
     return q.real
 
 
-def max_correlation(q: np.ndarray) -> float:
-    """Largest singular value of a (real) correlation matrix."""
+def max_correlation(q: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a real 3 x 3 correlation matrix, or of each in a stack."""
     q = np.asarray(q, dtype=np.float64)
-    s2 = np.linalg.eigvalsh(q.T @ q)
-    return float(np.sqrt(max(float(s2[-1]), 0.0)))
+    if q.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3 x 3 correlation matrix, got {q.shape}")
+    s2 = np.linalg.eigvalsh(q.swapaxes(-1, -2) @ q)[..., -1]
+    # one matrix's value in Python floats, cheaper than numpy's 0-d arithmetic
+    return float(np.sqrt(max(float(s2), 0.0))) if s2.ndim == 0 else np.sqrt(np.maximum(s2, 0.0))
 
 
 def _spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
     # With rho = a a^H, the eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)),
     # rho~ = YY rho^* YY, are the singular values of a^T YY a.  Taking them
     # directly, not as square roots of eigenvalues, keeps the small ones at
     # rounding level instead of sqrt(eps) when rho is (nearly) pure.
     w, v = np.linalg.eigh(rho)
-    a = v * np.sqrt(np.clip(w, 0.0, None))
-    return np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
+    a = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return np.linalg.svd(a.swapaxes(-1, -2) @ _YY @ a, compute_uv=False)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence, max(0, l1 - l2 - l3 - l4)."""
-    lam = _spin_flip_spectrum(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Two-qubit concurrence, max(0, l1 - l2 - l3 - l4), of one state or a stack."""
+    lam = _spin_flip_spectrum(rho).T    # l1..l4 first: numpy scalars for one state
+    c = (lam[0] - lam[1] - lam[2] - lam[3]).T
+    return float(max(0.0, c)) if c.ndim == 0 else np.maximum(0.0, c)
 
 
-def concurrence_of_assistance(rho: np.ndarray) -> float:
+def concurrence_of_assistance(rho: np.ndarray) -> float | np.ndarray:
     """Best average pair concurrence over measurements on the rest, l1+l2+l3+l4."""
-    return float(_spin_flip_spectrum(rho).sum())
+    total = _spin_flip_spectrum(rho).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def assistance_and_localizable_bounds(profile, state: ProductInput, k: int,

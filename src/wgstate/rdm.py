@@ -349,12 +349,14 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
     return out
 
 
-def _internal_phases(profile, sites: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """theta(x) = sum_{j < j'} phi(site_j, site_j') x_j x_j' for every x."""
-    theta = np.zeros(bits.shape[0], dtype=np.float64)
-    for j in range(sites.size - 1):
-        phis = pair_phases(profile, sites[j:j + 1], sites[j + 1:])[0]
-        theta += bits[:, j] * (bits[:, j + 1:] @ phis)
+def _internal_phases(profile, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """theta[b, x] = sum_{j < j'} phi(rows[b, j], rows[b, j']) x_j x_j', every
+    row's phases from one gather.  One matrix-vector product per j for all rows
+    at once: one product over all j would sum in another order than a lone row."""
+    phi = pair_phases(profile, rows, rows)
+    theta = np.zeros((rows.shape[0], bits.shape[0]))
+    for j in range(rows.shape[1] - 1):
+        theta += bits[:, j] * (bits[:, j + 1:] @ phi[:, j, j + 1:, None])[..., 0]
     return theta
 
 
@@ -382,7 +384,7 @@ def reduced_density(profile, state: ProductInput, sites, include_internal=True,
     center = (3 ** m - 1) // 2
     rho = amp[:, :, None] * amp.conj()[:, None, :] * env[:, u[:, None] - u[None, :] + center]
     if include_internal and m > 1:
-        phase = np.exp(-1j * np.stack([_internal_phases(profile, row, bits) for row in rows]))
+        phase = np.exp(-1j * _internal_phases(profile, rows, bits))
         rho *= phase[:, :, None] * phase.conj()[:, None, :]
     trace = rho.trace(axis1=1, axis2=2).real
     if not (trace > 0).all():

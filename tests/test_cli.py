@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wgstate.measures as measures
 import wgstate.rdm as rdm
 from wgstate.cli import main
 from wgstate.geometry import Lattice, PhaseProfile, PowerLaw, centered_block
@@ -203,6 +204,26 @@ def test_correlations_sweep_once_per_row(capsys, tmp_path, monkeypatch):
     assert len(parse_csv(out)[1]) == 5
     # one sweep of the stacked pairs, not one per row
     assert [sites for sites, _ in calls] == [[[6, 6 + r] for r in range(1, 6)]]
+
+
+@pytest.mark.parametrize("last", [5, 13])
+def test_correlations_diagonalize_the_stack_once_per_measure(capsys, tmp_path, monkeypatch,
+                                                              last):
+    # concurrence and assistance each take every pair's state at once: two
+    # spin-flip spectra per scan, whatever the number of pairs
+    shapes = []
+    spectrum = measures._spin_flip_spectrum
+
+    def counted(rho):
+        shapes.append(np.shape(rho))
+        return spectrum(rho)
+
+    monkeypatch.setattr(measures, "_spin_flip_spectrum", counted)
+    cfg = write_config(tmp_path, CHAIN + f"[task]\nseparations = 1:{last}\nsite = 6\n")
+    code, out, _ = run(capsys, "correlations", "--config", cfg)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == last
+    assert shapes == [(last, 4, 4)] * 2
 
 
 def test_entropy_scan_sweeps_only_the_largest_exact_block(capsys, tmp_path, monkeypatch):

@@ -382,6 +382,9 @@ def test_a_stack_couples_the_union_of_its_subsets(data, profile):
     assert np.array_equal(coupled_sites(profile, stack, ls), union)
     # the near box holds its own subset, even where no phase is other than 0.0
     assert np.isin(stack, ls[union]).all()
+    # every row's own pairs in one read, bit for bit each row's alone
+    lone = np.stack([pair_phases(profile, row, row) for row in stack])
+    assert pair_phases(profile, stack, stack).tobytes() == lone.tobytes()
 
 
 def test_parse_lattice():

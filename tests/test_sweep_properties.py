@@ -8,8 +8,9 @@ displacement tables and looks only inside the subset's near box.  Each of
 those shortcuts is checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
 against the statevector oracle.  A stack of subsets swept at once is
-checked against each subset's own sweep, and a nested block's state
-traced out of a larger block's ρ as well.  Entropies are checked for
+checked against each subset's own sweep, a nested block's state traced
+out of a larger block's ρ as well, and on periodic lattices a subset's
+state against that of its translate.  Entropies are checked for
 strong subadditivity and against a growing environment.  Examples are
 derandomized so the suite runs the same cases every time.
 """
@@ -369,25 +370,30 @@ def test_pairs_read_one_phase_row(monkeypatch):
 # -- subset order --------------------------------------------------------
 
 @st.composite
+def distance_laws(draw, lattice):
+    """A law of each family of distance alone; a table covers every
+    distance of ``lattice``."""
+    kind = draw(st.sampled_from(["power", "exponential", "cutoff", "table"]))
+    if kind == "power":
+        return PowerLaw(draw(st.floats(0.3, 4.0)))
+    if kind == "exponential":
+        return Exponential(draw(st.floats(0.2, 40.0)))
+    if kind == "cutoff":
+        return Cutoff(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
+    n = lattice.n_sites
+    r = np.unique(np.concatenate([lattice.distances(k, np.arange(n)) for k in range(n)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return Table(dict(zip(r.tolist(), np.random.default_rng(seed).uniform(0, 3, r.size))))
+
+
+@st.composite
 def large_instances(draw, m_max=5):
     """(profile, state, sites, perm): a distance law of each family on a
     lattice of 50..600 sites, beyond the oracle, a random input, an
     unsorted subset and a permutation of it."""
     lattice = draw(lattices(600).filter(lambda lat: lat.n_sites >= 50))
     n = lattice.n_sites
-    kind = draw(st.sampled_from(["power", "exponential", "cutoff", "table"]))
-    if kind == "power":
-        law = PowerLaw(draw(st.floats(0.3, 4.0)))
-    elif kind == "exponential":
-        law = Exponential(draw(st.floats(0.2, 40.0)))
-    elif kind == "cutoff":
-        law = Cutoff(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
-    else:
-        r = np.unique(np.concatenate([lattice.distances(k, np.arange(n))
-                                      for k in range(n)]))
-        seed = draw(st.integers(0, 2 ** 32 - 1))
-        law = Table(dict(zip(r.tolist(), np.random.default_rng(seed).uniform(0, 3, r.size))))
-    profile = PhaseProfile(lattice, law, draw(st.floats(0.1, 6.0)))
+    profile = PhaseProfile(lattice, draw(distance_laws(lattice)), draw(st.floats(0.1, 6.0)))
     state = ProductInput.random(n, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
     m = draw(st.integers(2, m_max))
     sites = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))
@@ -405,6 +411,38 @@ def test_permuting_the_subset_permutes_rho(case):
     tensor = rho.reshape((2,) * (2 * m))
     expected = tensor.transpose(list(perm) + [m + j for j in perm]).reshape(rho.shape)
     assert np.abs(permuted - expected).max() < 1e-12
+
+
+# -- translation invariance ---------------------------------------------
+
+@st.composite
+def periodic_instances(draw):
+    """(profile, state, sites, moved): a distance law on a 1-3-D lattice of
+    up to 300 sites, periodic along every axis, the same single-site input
+    at every site, a subset of up to 4 sites and its image under a random
+    lattice translation."""
+    lattice = Lattice(draw(lattices(300)).extents, "periodic")
+    n = lattice.n_sites
+    profile = PhaseProfile(lattice, draw(distance_laws(lattice)), draw(st.floats(0.1, 6.0)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    one = ProductInput.random(1, np.random.default_rng(seed)).amplitudes
+    state = ProductInput.plus(n) if seed % 4 == 0 else ProductInput(np.repeat(one, n, axis=0))
+    m = draw(st.integers(1, min(4, n)))
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))
+    shift = [draw(st.integers(0, e - 1)) for e in lattice.extents]
+    moved = np.ravel_multi_index(((lattice.coords(sites) + shift) % lattice.extents).T,
+                                 lattice.extents)
+    return profile, state, sites, moved
+
+
+@FEW
+@given(periodic_instances())
+def test_a_periodic_lattice_is_translation_invariant(case):
+    # a translation maps the lattice, the couplings and a uniform input onto
+    # themselves, so the image of a subset has the same state, row for row
+    profile, state, sites, moved = case
+    rho = reduced_density(profile, state, sites)
+    assert np.abs(reduced_density(profile, state, moved) - rho).max() < 1e-12
 
 
 # -- nested blocks -------------------------------------------------------
