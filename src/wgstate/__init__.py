@@ -23,7 +23,6 @@ from .geometry import (
     centered_block,
 )
 from .graphstate import (
-    BinaryMatrix,
     NotAGraphStateError,
     analytic_block_entropy,
     block_adjacency,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "A_MAX",
-    "BinaryMatrix",
     "ConfigError",
     "CouplingLaw",
     "Cutoff",

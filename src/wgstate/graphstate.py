@@ -4,9 +4,8 @@ When every interaction phase is 0 or pi (mod 2*pi) the evolved state is a
 graph state, and the entanglement entropy of a block equals the GF(2) rank
 of the block-to-environment slice of the adjacency matrix -- an integer
 count of independent edge patterns, computed here without touching any
-amplitudes.  Rows are bit-packed into 64-bit words; the rank reduces each
-row as one Python integer, so an m x (N - m) slice costs O(m^2) XORs of
-N-bit integers.
+amplitudes.  Each row is one Python integer, environment column c at bit
+c, so an m x (N - m) slice costs O(m^2) XORs of N-bit integers.
 
 :func:`block_adjacency` asks the same reader as the environment sweep,
 :func:`~wgstate.geometry.coupled_sites` and
@@ -24,6 +23,7 @@ site, O(m * N).  The block goes through the input contract of
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,66 +42,30 @@ class NotAGraphStateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Bit-packed binary matrices
+# GF(2) matrices as integer rows
 # ---------------------------------------------------------------------------
 
-class BinaryMatrix:
-    """Matrix over GF(2), rows packed little-endian into uint64 words.
+class Adjacency(NamedTuple):
+    """Matrix over GF(2), one Python integer per row, column c at bit c."""
 
-    Column c lives in word c >> 6 at bit c & 63.
-    """
+    rows: tuple[int, ...]
+    n_cols: int
 
-    def __init__(self, words: np.ndarray, n_cols: int):
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.ndim != 2:
-            raise ValueError("words must be a 2-d array")
-        if words.shape[1] != (n_cols + 63) // 64:
-            raise ValueError(
-                f"{n_cols} columns need {(n_cols + 63) // 64} words per row, "
-                f"got {words.shape[1]}")
-        self.words = words
-        self.n_rows = words.shape[0]
-        self.n_cols = int(n_cols)
-
-    @classmethod
-    def from_dense(cls, dense) -> "BinaryMatrix":
-        dense = np.asarray(dense)
-        if dense.ndim != 2:
-            raise ValueError("dense matrix must be 2-d")
-        n_cols = dense.shape[1]
-        return cls(_pack_rows(dense != 0, (n_cols + 63) // 64), n_cols)
-
-    def to_dense(self) -> np.ndarray:
-        flat = np.unpackbits(self.words.view(np.uint8).reshape(self.n_rows, -1),
-                             axis=1, bitorder="little")
-        return flat[:, :self.n_cols]
-
-    def row_any(self) -> np.ndarray:
-        """Boolean mask of rows holding at least one set bit."""
-        return self.words.any(axis=1)
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
 
 
-def _pack_rows(bits: np.ndarray, n_words: int) -> np.ndarray:
-    """Boolean rows packed little-endian into ``n_words`` uint64 words each."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    padded = np.zeros((bits.shape[0], n_words * 8), dtype=np.uint8)
-    padded[:, :packed.shape[1]] = packed
-    return padded.view("<u8")
-
-
-def gf2_rank(matrix) -> int:
+def gf2_rank(matrix: Adjacency) -> int:
     """Rank over GF(2) by row reduction against stored pivots.
 
-    Each nonzero row becomes one Python integer, column c at bit c.  It is
-    XORed with the pivot that shares its lowest set bit until it has none
-    (the row was dependent) or its lowest bit is new (a pivot); each XOR
-    moves that bit strictly up, so a row needs at most n_cols of them.
+    Each nonzero row is XORed with the pivot that shares its lowest set bit
+    until it has none (the row was dependent) or its lowest bit is new (a
+    pivot); each XOR moves that bit strictly up, so a row needs at most
+    n_cols of them.
     """
-    if not isinstance(matrix, BinaryMatrix):
-        matrix = BinaryMatrix.from_dense(matrix)
     pivots: dict[int, int] = {}
-    for words in matrix.words[matrix.row_any()]:
-        row = int.from_bytes(words.tobytes(), "little")
+    for row in matrix.rows:
         while row:
             low = row & -row
             if low not in pivots:
@@ -126,11 +90,12 @@ def _classify(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edge, bad
 
 
-def block_adjacency(profile, block) -> BinaryMatrix:
-    """Block-to-environment edge matrix, one packed row per block site.
+def block_adjacency(profile, block) -> Adjacency:
+    """Block-to-environment edge matrix, one integer row per block site.
 
-    Columns run over the environment sites in ascending order.  Only the
-    block rows are inspected, so the cost never involves the full graph.
+    Columns run over the environment sites in ascending order, column c at
+    bit c of its row.  Only the block rows are inspected, so the cost never
+    involves the full graph.
     Phases come from :func:`~wgstate.geometry.pair_phases`, and only for
     the environment sites :func:`~wgstate.geometry.coupled_sites` names: for
     a distance law other than ``Disordered`` those inside the block's near
@@ -143,17 +108,20 @@ def block_adjacency(profile, block) -> BinaryMatrix:
     """
     block = _check_subset(profile, block, a_max=profile.n_sites)
     env = _resolve_environment(profile, block)
-    n_cols = max(env.size, 1)
-    words = np.zeros((block.size, (n_cols + 63) // 64), dtype=np.uint64)
     cols = coupled_sites(profile, block, env)
     if cols.size == 0:
-        return BinaryMatrix(words, n_cols)
-    # the candidates' columns span a run of whole words, packed in one go
+        return Adjacency((0,) * block.size, env.size)
+    # the candidates' columns span a run of whole bytes, packed in one go
+    # and shifted up to their first byte; the shift is a Python int, since
+    # shifting by a numpy integer overflows
     sites = env[cols]
-    first = cols[0] >> 6
-    n_words = (cols[-1] >> 6) - first + 1
-    cols = cols - first * 64
-    step = max(1, _CHUNK_BYTES // (26 * sites.size + 80 * n_words))
+    first = int(cols[0]) >> 3
+    n_bytes = (int(cols[-1]) >> 3) - first + 1
+    cols = cols - 8 * first
+    step = max(1, _CHUNK_BYTES // (26 * sites.size + 9 * n_bytes))
+    # one buffer for every chunk: only the candidates' columns are written
+    bits = np.zeros((min(step, block.size), 8 * n_bytes), dtype=bool)
+    rows = []
     for lo in range(0, block.size, step):
         ks = block[lo:lo + step]
         phi = pair_phases(profile, ks, sites)
@@ -163,19 +131,20 @@ def block_adjacency(profile, block) -> BinaryMatrix:
             raise NotAGraphStateError(
                 f"phase {phi[i, j]!r} between sites {int(ks[i])} and "
                 f"{int(sites[j])} is neither 0 nor pi (tolerance {_TOL})")
-        bits = np.zeros((ks.size, n_words * 64), dtype=bool)
-        bits[:, cols] = edge
-        words[lo:lo + step, first:first + n_words] = _pack_rows(bits, n_words)
-    return BinaryMatrix(words, n_cols)
+        bits[:ks.size, cols] = edge
+        packed = np.packbits(bits[:ks.size], axis=1, bitorder="little")
+        rows += [int.from_bytes(row, "little") << 8 * first for row in packed]
+    return Adjacency(tuple(rows), env.size)
 
 
-def connected_vertex_count(gamma: BinaryMatrix) -> int:
+def connected_vertex_count(gamma: Adjacency) -> int:
     """Number of block sites with at least one edge into the environment.
 
-    Takes the block-vs-rest slice from :func:`block_adjacency`.  Always an upper bound on the GF(2) rank;
-    the gap counts linear dependencies among the rows' edge patterns.
+    Takes the block-vs-rest slice from :func:`block_adjacency`.  Always an
+    upper bound on the GF(2) rank; the gap counts linear dependencies among
+    the rows' edge patterns.
     """
-    return int(gamma.row_any().sum())
+    return sum(1 for row in gamma.rows if row)
 
 
 def analytic_block_entropy(dimension: int, side: int, reach: float) -> int:

@@ -209,8 +209,12 @@ def _spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a two-site 4 x 4 matrix, got {rho.shape}")
     # With rho = a a^H, the eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)),
     # rho~ = YY rho^* YY, are the singular values of a^T YY a.  Taking them
-    # directly, not as square roots of eigenvalues, keeps the small ones at
-    # rounding level instead of sqrt(eps) when rho is (nearly) pure.
+    # directly takes no square root of that product's eigenvalues, but a
+    # holds the square roots of rho's: an eigenvalue of rho at rounding
+    # level eps puts a column of a at sqrt(eps).  So the lambdas of a pure
+    # product pair, all 0, come out at up to sqrt(eps), not eps: a |+>|+>
+    # pair at t = 0 has an assistance of 8.9e-9 from the statevector's rho
+    # (eigenvalues up to 6e-17) and 0.0 from the sweep's.
     w, v = np.linalg.eigh(rho)
     a = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return np.linalg.svd(a.swapaxes(-1, -2) @ _YY @ a, compute_uv=False)

@@ -260,10 +260,18 @@ def _sweep(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> n
     block = chunk * max(1, share // (sites.size * chunk))
     half = np.ones((n_half, n_rows), dtype=np.complex128)
     near = coupled_sites(profile, rows, env)
+    # The codes with d_0 = -1 and those with d_0 = 0 up to the center live
+    # in two chunk buffers: numpy copies an operand that shares memory with
+    # the output, and every step reads other codes than it writes.  They are
+    # allocated once a sweep, so they page-fault in once, not once a block.
+    c, n_lead = min(chunk, near.size), 3 ** (m - 1)   # codes with d_0 = -1 come first
+    lead = np.empty((c, n_lead, n_rows), dtype=np.complex128)
+    tail = np.empty((c, n_half - n_lead, n_rows), dtype=np.complex128)
     swept = np.zeros(env.size, dtype=bool)
     for start in range(0, near.size, block):
         at = near[start:start + block]
-        swept[at] = _sweep_block(profile, state, rows, sites, which, env[at], chunk, half)
+        swept[at] = _sweep_block(profile, state, rows, sites, which, env[at], chunk,
+                                 half, lead, tail)
     # every site left unswept is an environment site of every row, with the
     # same factor p0 + p1 in every class
     half *= float(np.prod(state._norms[env[~swept]]))
@@ -271,25 +279,20 @@ def _sweep(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> n
 
 
 def _sweep_block(profile, state: ProductInput, rows: np.ndarray, sites: np.ndarray,
-                 which: np.ndarray, ls: np.ndarray, chunk: int,
-                 half: np.ndarray) -> np.ndarray:
+                 which: np.ndarray, ls: np.ndarray, chunk: int, half: np.ndarray,
+                 lead: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Multiply the factors of the sites ``ls`` into ``half``, ``chunk``
-    sites at a time; return which of them were swept.  ``rows[b, j]`` is
-    ``sites[which[b, j]]``."""
+    sites at a time, in the buffers ``lead`` and ``tail`` (codes with
+    d_0 = -1, then d_0 = 0 up to the center); return which of them were
+    swept.  ``rows[b, j]`` is ``sites[which[b, j]]``."""
     n_rows, m = rows.shape
-    n_half, n_lead = half.shape[0], 3 ** (m - 1)   # codes with d_0 = -1 come first
+    n_half, n_lead = half.shape[0], lead.shape[1]
     # only a stack's environment holds sites of its own subsets
     stack = n_rows > 1
     live, z = _pair_factors(profile, sites, ls, own=stack)
     ls = ls[live]
     own = (rows[:, :, None] == ls).any(axis=1) if stack else None   # (rows, sites)
     p0, p1 = state.populations(ls)
-    # The codes with d_0 = -1 and those with d_0 = 0 up to the center live
-    # in two buffers: numpy copies an operand that shares memory with the
-    # output, and every step below reads other codes than it writes.
-    c = min(chunk, ls.size)
-    lead = np.empty((c, n_lead, n_rows), dtype=np.complex128)
-    tail = np.empty((c, n_half - n_lead, n_rows), dtype=np.complex128)
     for lo in range(0, ls.size, chunk):
         zc = z[:, lo:lo + chunk]
         c = zc.shape[1]
