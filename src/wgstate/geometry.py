@@ -15,7 +15,8 @@ gives every pair's phase from one table over the lattice's displacements,
 with what phase, is decided here alone: :func:`coupled_sites` names the
 candidates (for a table, those in the subset's near box, dilated by every
 displacement whose phase is not 0.0) and :func:`pair_phases` reads their
-phases, from the table or one ``phase_row`` per subset site;
+phases, from the table or one ``phase_row`` per subset site
+(:func:`pair_phase_rows`: a few subset sites at a time);
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
 gives the factors exp(-i phi) the sweep multiplies.
 """
@@ -38,16 +39,15 @@ class ConfigError(ValueError):
     """Malformed configuration input (bad key, value, or combination)."""
 
 
-def _reduce_phase(x) -> np.ndarray:
-    """x mod 2*pi, in [0, 2*pi).
+def _reduce_phase(phi: np.ndarray) -> np.ndarray:
+    """The float64 array phi mod 2*pi, in [0, 2*pi), reduced in place.
 
     ``np.mod`` of a negative value smaller in magnitude than half an ulp of
     2*pi rounds up to 2*pi itself; that full turn is returned as 0.0.  Only
-    entries outside [0, 2*pi) go through ``np.mod``, the rest are copied:
+    entries outside [0, 2*pi) go through ``np.mod``, the rest are kept:
     ``np.mod`` returns those unchanged, except -0.0, which it turns into
     0.0 and which therefore counts as outside.
     """
-    phi = np.array(x, dtype=np.float64)
     out = np.signbit(phi) | ~(phi < TWO_PI)
     if out.any():
         wrapped = np.mod(phi[out], TWO_PI)
@@ -100,7 +100,7 @@ class Lattice:
         idx = np.arange(self.n_sites)
         out = np.empty((self.n_sites, self.dimension), dtype=np.int64)
         for axis in range(self.dimension - 1, -1, -1):
-            idx, out[:, axis] = np.divmod(idx, self.extents[axis])
+            np.divmod(idx, self.extents[axis], out=(idx, out[:, axis]))
         return out
 
     def coords(self, sites) -> np.ndarray:
@@ -127,13 +127,24 @@ class Lattice:
         """Euclidean distances from site k to each site in ls."""
         (k,) = self._check_sites([k])
         ls = self._check_sites(ls)
-        delta = np.abs(self._coords[ls] - self._coords[k])
+        # one axis at a time, in place: the integer sum of squares is exact,
+        # and no (len(ls), d) temporaries are made
+        square = None
         for axis, (extent, bound) in enumerate(zip(self.extents, self.boundary)):
+            step = self._coords[ls, axis]
+            step -= self._coords[k, axis]
+            np.abs(step, out=step)
             if bound == "periodic":
-                np.minimum(delta[:, axis], extent - delta[:, axis], out=delta[:, axis])
-        if self.dimension == 1:
-            return delta[:, 0].astype(np.float64)
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta).astype(np.float64))
+                np.minimum(step, extent - step, out=step)
+            if self.dimension == 1:
+                return step.astype(np.float64)
+            step *= step
+            if square is None:
+                square = step
+            else:
+                square += step
+        r = square.astype(np.float64)
+        return np.sqrt(r, out=r)
 
     def distance(self, k: int, l: int) -> float:
         return float(self.distances(k, [l])[0])
@@ -323,7 +334,7 @@ class PhaseProfile:
         if r.size and r.min() == 0.0:
             raise ValueError(f"phase(k, k) is undefined (site {k} paired with itself)")
         f = self.law.strengths(r, k, ls)
-        return _reduce_phase(f * self.time)
+        return _reduce_phase(np.multiply(f, self.time, dtype=np.float64))
 
     def phase(self, k: int, l: int) -> float:
         if k == l:
@@ -341,7 +352,8 @@ class PhaseProfile:
     @cached_property
     def _displacement_factors(self) -> np.ndarray:
         """Read-only exp(-1j * phi) of every entry of ``_displacement_table``."""
-        z = np.exp(-1j * self._displacement_table)
+        z = -1j * self._displacement_table
+        np.exp(z, out=z)
         z.setflags(write=False)
         return z
 
@@ -434,6 +446,17 @@ def displacement_phases(profile) -> np.ndarray | None:
     return profile._displacement_table
 
 
+def _warm(profile) -> None:
+    """Build the tables a profile caches on first use that
+    :func:`coupled_sites` has not built, so that threads sweeping parts of
+    one environment only read them: ``cached_property`` holds no lock from
+    Python 3.12 on."""
+    if isinstance(profile, PhaseProfile):
+        profile.lattice._coords
+        if displacement_phases(profile) is not None:
+            profile._displacement_factors
+
+
 def coupled_sites(profile, sites, ls) -> np.ndarray:
     """Ascending positions in ``ls`` of the sites that may couple to ``sites``.
 
@@ -457,9 +480,12 @@ def coupled_sites(profile, sites, ls) -> np.ndarray:
     return np.flatnonzero(box.ravel()[ls])
 
 
-def _table_index(lattice, sites, ls) -> np.ndarray:
-    """Flat index into a displacement table of every (site, l) pair, per row of stacks."""
-    ends, at = lattice.coords(sites)[..., :, None, :], lattice.coords(ls)[..., None, :, :]
+def _table_read(profile, ends, at) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index into the displacement table of every pair of a site at
+    coordinates ``ends`` (..., m, D) and one at ``at`` (..., k, D), per row
+    of stacks, and the phases there."""
+    lattice = profile.lattice
+    ends, at = ends[..., :, None, :], at[..., None, :, :]
     strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
     idx = np.zeros(ends.shape[:-2] + at.shape[-2:-1], dtype=np.intp)
     for axis, stride in enumerate(strides):
@@ -467,7 +493,7 @@ def _table_index(lattice, sites, ls) -> np.ndarray:
         np.abs(step, out=step)
         step *= stride
         idx += step
-    return idx
+    return idx, profile._displacement_table.ravel()[idx]
 
 
 def pair_phases(profile, sites, ls) -> np.ndarray:
@@ -489,7 +515,22 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
             other = ls != k
             row[other] = profile.phase_row(int(k), ls[other])
         return phi
-    return table.ravel()[_table_index(profile.lattice, sites, ls)]
+    lattice = profile.lattice
+    return _table_read(profile, lattice.coords(sites), lattice.coords(ls))[1]
+
+
+def pair_phase_rows(profile, sites, ls, step: int):
+    """``pair_phases(profile, sites[lo:lo + step], ls)`` for lo = 0, step, ..,
+    the same floats, with the coordinates of ``sites`` and ``ls`` read once."""
+    table = displacement_phases(profile)
+    if table is None:
+        for lo in range(0, len(sites), step):
+            yield pair_phases(profile, sites[lo:lo + step], ls)
+        return
+    lattice = profile.lattice
+    ends, at = lattice.coords(sites), lattice.coords(ls)
+    for lo in range(0, len(sites), step):
+        yield _table_read(profile, ends[lo:lo + step], at)[1]
 
 
 def _pair_factors(profile, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:
@@ -507,8 +548,8 @@ def _pair_factors(profile, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray
     if table is None:
         phi = pair_phases(profile, sites, ls)
     else:
-        idx = _table_index(profile.lattice, sites, ls)
-        phi = table.ravel()[idx]
+        lattice = profile.lattice
+        idx, phi = _table_read(profile, lattice.coords(sites), lattice.coords(ls))
     live = (phi != 0.0).any(axis=0)
     if own:
         live |= np.isin(ls, sites)

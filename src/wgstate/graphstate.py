@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TWO_PI, coupled_sites, pair_phases
+from .geometry import TWO_PI, coupled_sites, pair_phase_rows
 from .rdm import _check_subset, _resolve_environment
 
 # Byte budget for the transients of one group of rows in block_adjacency.
@@ -96,10 +96,12 @@ def block_adjacency(profile, block) -> Adjacency:
     Columns run over the environment sites in ascending order, column c at
     bit c of its row.  Only the block rows are inspected, so the cost never
     involves the full graph.
-    Phases come from :func:`~wgstate.geometry.pair_phases`, and only for
-    the environment sites :func:`~wgstate.geometry.coupled_sites` names: for
-    a distance law other than ``Disordered`` those inside the block's near
-    box, O(N + |block| * |box|) table lookups; for any other profile every
+    Phases come from :func:`~wgstate.geometry.pair_phases`, a group of rows
+    at a time (:func:`~wgstate.geometry.pair_phase_rows` reads every site's
+    coordinates once a call), and only for the environment sites
+    :func:`~wgstate.geometry.coupled_sites` names: for a distance law
+    other than ``Disordered`` those inside the block's near box,
+    O(N + |block| * |box|) table lookups; for any other profile every
     environment site, one ``phase_row`` per block site, O(|block| * N).
 
     A pair whose phase is neither 0 nor pi within 1e-9 raises
@@ -122,9 +124,8 @@ def block_adjacency(profile, block) -> Adjacency:
     # one buffer for every chunk: only the candidates' columns are written
     bits = np.zeros((min(step, block.size), 8 * n_bytes), dtype=bool)
     rows = []
-    for lo in range(0, block.size, step):
+    for lo, phi in zip(range(0, block.size, step), pair_phase_rows(profile, block, sites, step)):
         ks = block[lo:lo + step]
-        phi = pair_phases(profile, ks, sites)
         edge, bad = _classify(phi)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)

@@ -25,7 +25,10 @@ finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
 rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.  A stack of B
 subsets of m sites each is swept once, over the union of their near
-boxes, at B times the classes per swept site.
+boxes, at B times the classes per swept site.  A sweep of at least
+2 * ``_SPLIT_WORK`` site classes is split into contiguous parts of its
+near sites, one per usable core up to two, swept on their own threads and
+joined in order.
 
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
 left index and the conjugate on the right; they never change the spectrum,
@@ -49,11 +52,13 @@ brute-force cross-check in :mod:`wgstate.oracle`.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _pair_factors, coupled_sites, displacement_phases, pair_phases
+from .geometry import _pair_factors, _warm, coupled_sites, displacement_phases, pair_phases
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -63,6 +68,17 @@ A_MAX = 10
 # Complex entries per sweep chunk (chunk sites x (3^m + 1) / 2 classes x
 # stacked subsets): 2 MiB, so the working set of a chunk stays in cache.
 _CHUNK_BUDGET = 131_072
+
+# Least work (near sites x (3^m + 1) / 2 classes x stacked subsets) per part
+# of a sweep split over the usable cores, four chunks: a sweep of less than
+# twice this runs in the calling thread.  Two parts on a 2-vCPU Xeon VM took
+# 0.97-1.12 of one part's time at 0.49e6 of work, 0.67-0.87 from 0.7e6 up.
+_SPLIT_WORK = 4 * _CHUNK_BUDGET
+
+# Most parts a sweep is split into, whatever the usable cores: the split was
+# measured only at two (each extra part adds a chunk-buffer set and block
+# temporaries, about 2.9 MB of peak RSS).
+_MAX_PARTS = 2
 
 # Environment sites per slab of phase rows in the loops over the whole
 # environment outside the sweep, so that memory for the phases is bounded
@@ -226,6 +242,19 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     ``np.clongdouble`` reference is 1.2e-14 at N = 10^3, 6.8e-14 at 10^4,
     6.3e-13 at 10^5 and 6.1e-12 at 10^6.  The order of the product does not
     matter at that level; forming the factors does.
+
+    Threads: a sweep of W = (near sites) x (3^m + 1) / 2 x B site classes
+    is split into min(usable cores, ``_MAX_PARTS`` = 2, W // ``_SPLIT_WORK``)
+    contiguous parts of its near sites (``_SPLIT_WORK`` = 524,288, four
+    chunks), the usable cores read from ``os.sched_getaffinity``; a cgroup
+    CPU quota is not detected.  The calling thread sweeps
+    part 0, one thread each the others, every part into its own table and
+    chunk buffers; the tables are multiplied in part order.  The partition
+    depends only on the input and the core count, so a run repeats bit for
+    bit on one machine.  A split result differs from the one-part sweep
+    only by the rounding of the regrouped product, far below the floor
+    above; below 2 * ``_SPLIT_WORK`` or on one usable core no thread
+    starts and the sweep is the one-part sweep.
     """
     rows = _check_stack(profile, sites, state)
     env = _resolve_environment(profile, rows, environment)
@@ -236,7 +265,60 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
 
 def _sweep(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
     """(B, (3^m + 1) / 2) tables, codes up to the center, of the B subsets
-    ``rows`` over ``env``: one sweep of the union of their near boxes."""
+    ``rows`` over ``env``: one sweep of the union of their near boxes, in
+    contiguous parts on their own threads once it is large enough."""
+    n_rows, m = rows.shape
+    near = coupled_sites(profile, rows, env)
+    swept = np.zeros(env.size, dtype=bool)
+    parts = _part_count(near.size * ((3 ** m + 1) // 2) * n_rows)
+    # every lazily built table a part reads exists before any thread
+    # starts; parts share only ``swept``, at disjoint positions
+    _warm(profile)
+    halves = [None] * parts
+
+    def run(p, piece):
+        try:
+            halves[p] = _sweep_part(profile, state, rows, env, piece, swept)
+        except Exception as exc:     # raised in the calling thread below
+            halves[p] = exc
+
+    pieces = np.array_split(near, parts)
+    threads = [threading.Thread(target=run, args=(p, pieces[p])) for p in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0, pieces[0])
+    for thread in threads:
+        thread.join()
+    for part in halves:
+        if isinstance(part, Exception):
+            raise part
+    half = halves[0]
+    for part in halves[1:]:
+        half *= part
+    # every site left unswept is an environment site of every row, with the
+    # same factor p0 + p1 in every class
+    half *= float(np.prod(state._norms[env[~swept]]))
+    return half.T
+
+
+def _part_count(work: int) -> int:
+    """Parts to split a sweep of ``work`` site classes into: one per usable
+    core, at most ``_MAX_PARTS``, each at least ``_SPLIT_WORK``."""
+    parts = min(work // _SPLIT_WORK, _MAX_PARTS)
+    if parts < 2:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:      # a platform without CPU affinity
+        return 1
+    return min(cores, parts)
+
+
+def _sweep_part(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray,
+                near: np.ndarray, swept: np.ndarray) -> np.ndarray:
+    """((3^m + 1) / 2, B) product of the factors of the sites ``env[near]``
+    for the B subsets ``rows``, in its own accumulator and chunk buffers;
+    mark in ``swept`` which of them were swept."""
     n_rows, m = rows.shape
     n_half = (3 ** m + 1) // 2
     # phases and factors are read once per distinct subset site
@@ -259,23 +341,18 @@ def _sweep(profile, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> n
     share = _CHUNK_BUDGET if displacement_phases(profile) is None else budget // 8
     block = chunk * max(1, share // (sites.size * chunk))
     half = np.ones((n_half, n_rows), dtype=np.complex128)
-    near = coupled_sites(profile, rows, env)
     # The codes with d_0 = -1 and those with d_0 = 0 up to the center live
     # in two chunk buffers: numpy copies an operand that shares memory with
     # the output, and every step reads other codes than it writes.  They are
-    # allocated once a sweep, so they page-fault in once, not once a block.
+    # allocated once a part, so they page-fault in once, not once a block.
     c, n_lead = min(chunk, near.size), 3 ** (m - 1)   # codes with d_0 = -1 come first
     lead = np.empty((c, n_lead, n_rows), dtype=np.complex128)
     tail = np.empty((c, n_half - n_lead, n_rows), dtype=np.complex128)
-    swept = np.zeros(env.size, dtype=bool)
     for start in range(0, near.size, block):
         at = near[start:start + block]
         swept[at] = _sweep_block(profile, state, rows, sites, which, env[at], chunk,
                                  half, lead, tail)
-    # every site left unswept is an environment site of every row, with the
-    # same factor p0 + p1 in every class
-    half *= float(np.prod(state._norms[env[~swept]]))
-    return half.T
+    return half
 
 
 def _sweep_block(profile, state: ProductInput, rows: np.ndarray, sites: np.ndarray,

@@ -8,15 +8,20 @@ displacement tables and looks only inside the subset's near box.  Each of
 those shortcuts is checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
 against the statevector oracle.  A stack of subsets swept at once is
-checked against each subset's own sweep, a nested block's state traced
+checked against each subset's own sweep, a sweep split over threads
+against its parts swept one after another, a nested block's state traced
 out of a larger block's ρ as well, and on periodic lattices a subset's
 state against that of its translate.  Entropies are checked for
 strong subadditivity and against a growing environment.  Examples are
 derandomized so the suite runs the same cases every time.
 """
 
+import contextlib
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from wgstate.geometry import (
     PhaseProfile,
     PowerLaw,
     Table,
+    coupled_sites,
 )
 from wgstate.measures import block_entropy, entropy, trace_distance
 from wgstate.oracle import evolve, partial_trace
@@ -365,6 +371,157 @@ def test_pairs_read_one_phase_row(monkeypatch):
     for r in range(1, 65):
         reduced_density(profile, state, [n // 2, n // 2 + r])
     assert sizes == [n - 1]
+
+
+# -- split sweep ---------------------------------------------------------
+
+@contextlib.contextmanager
+def _split(work, cores, chunk_budget=None):
+    """Sweeps split into parts of at least ``work`` site classes, over
+    ``cores`` usable cores and as many parts at most, at ``chunk_budget``
+    (default: unchanged)."""
+    saved = rdm._SPLIT_WORK, rdm._MAX_PARTS, rdm._CHUNK_BUDGET, os.sched_getaffinity
+    rdm._SPLIT_WORK, rdm._MAX_PARTS = work, cores
+    rdm._CHUNK_BUDGET = chunk_budget or saved[2]
+    os.sched_getaffinity = lambda pid: set(range(cores))
+    try:
+        yield
+    finally:
+        rdm._SPLIT_WORK, rdm._MAX_PARTS, rdm._CHUNK_BUDGET, os.sched_getaffinity = saved
+
+
+@contextlib.contextmanager
+def _switching_often():
+    """Threads hand over the interpreter every microsecond, so that parts
+    sweeping at once interleave between any two numpy calls."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+def _parts_in_order(profile, state, rows, env, parts):
+    """``rdm._sweep`` from ``parts`` contiguous parts of the near sites,
+    swept one after another and multiplied in part order."""
+    near = coupled_sites(profile, rows, env)
+    swept = np.zeros(env.size, dtype=bool)
+    halves = [rdm._sweep_part(profile, state, rows, env, piece, swept)
+              for piece in np.array_split(near, parts)]
+    half = halves[0]
+    for part in halves[1:]:
+        half = half * part
+    return (half * float(np.prod(state._norms[env[~swept]]))).T
+
+
+def _rounding_floor(n_sites):
+    """Relative rounding of one sweep, from ``environment_product``'s
+    docstring: 1.2e-14 at 10^3 sites, about linear in N beyond."""
+    return 1.2e-14 * max(1.0, n_sites / 1e3)
+
+
+@NEAR
+@given(stack_instances(), st.integers(1, 4), st.integers(2, 8), st.data())
+def test_a_split_sweep_joins_its_parts_in_order(case, chunk, cores, data):
+    # parts of a few chunks of ``chunk`` sites, so that parts end mid-chunk,
+    # up to 8 parts on as many patched cores: with more parts than near
+    # sites some parts are empty.  Threads switch every microsecond, so a
+    # buffer or an accumulator shared by two parts shows.
+    profile, state, stack, environment = case
+    rows = np.asarray(stack)
+    n_half = (3 ** rows.shape[1] + 1) // 2
+    env = rdm._resolve_environment(profile, rows, environment)
+    whole = rdm._sweep(profile, state, rows, env)
+    work = coupled_sites(profile, rows, env).size * n_half * len(rows)
+    per_part = data.draw(st.integers(1, max(1, work)), label="work per part")
+    parts = min(cores, work // per_part) if work // per_part >= 2 else 1
+    budget = 4 * len(rows) * n_half * chunk
+    with _split(per_part, cores, budget):
+        with _switching_often():
+            split = rdm._sweep(profile, state, rows, env)
+        expected = _parts_in_order(profile, state, rows, env, parts)
+    assert split.tobytes() == expected.tobytes()
+    scale = np.abs(whole[:, -1:])       # d = 0: prod of p0 + p1, ~1
+    assert (np.abs(split - whole) <= _rounding_floor(profile.n_sites) * scale).all()
+
+
+def test_split_sweep_stress():
+    # eight parts on two threads' worth of cores, each many chunks long, with
+    # the interpreter switching every microsecond: bit for bit the parts in
+    # order, and the one-part sweep to rounding
+    n, sites = 3000, [[1400, 1403, 1409, 1410], [700, 2100, 2101, 2900]]
+    profile = PhaseProfile(Lattice(n), PowerLaw(1.0), 0.3 * math.pi)
+    state = ProductInput(ProductInput.random(n, np.random.default_rng(3)).amplitudes
+                         * math.sqrt(1.0 + 9e-13))
+    rows = np.asarray(sites)
+    env = rdm._resolve_environment(profile, rows)
+    whole = rdm._sweep(profile, state, rows, env)
+    with _split(1, 8, 4 * 41 * 50):
+        with _switching_often():
+            split = rdm._sweep(profile, state, rows, env)
+        expected = _parts_in_order(profile, state, rows, env, 8)
+    assert split.tobytes() == expected.tobytes()
+    assert (np.abs(split - whole) <= _rounding_floor(n) * np.abs(whole[:, -1:])).all()
+
+
+def test_a_cold_profile_splits_like_a_warm_one():
+    # the first split sweep builds every cached table before its threads
+    # start, and gives the very bits of a sweep on the built tables
+    def profiles():
+        yield PhaseProfile(Lattice(2000), PowerLaw(2.0), 0.3 * math.pi)
+        yield PhaseProfile(Lattice((40, 50), "periodic"), Exponential(0.5), 1.1)
+        yield PhaseProfile(Lattice(2000), Disordered(PowerLaw(1.0), 4), 0.7)
+
+    for cold, warm in zip(profiles(), profiles()):
+        n = cold.n_sites
+        state = ProductInput.random(n, np.random.default_rng(8))
+        sites = [n // 2, n // 2 + 1, n // 2 + 7, 3]
+        environment_product(warm, state, sites)
+        with _split(1, 2), _switching_often():
+            first = environment_product(cold, state, sites)
+            assert first.tobytes() == environment_product(warm, state, sites).tobytes()
+
+
+def test_one_usable_core_starts_no_thread(monkeypatch):
+    # one usable core, or a sweep below the threshold, sweeps in the calling
+    # thread: bit for bit the one-part sweep
+    started = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    n = 4000
+    profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
+    state = ProductInput.random(n, np.random.default_rng(2))
+    sites = list(range(n // 2, n // 2 + 5))
+    whole = environment_product(profile, state, sites)
+    with _split(1, 1):
+        assert environment_product(profile, state, sites).tobytes() == whole.tobytes()
+    assert started == []
+    # a pair-correlations scan, 64 pairs at m = 2 in a chain of 2 * 10^4
+    # with a near box of about 1,560 sites, stays on one core of two
+    chain = PhaseProfile(Lattice(20_000), Exponential(1.0), 0.3 * math.pi)
+    pairs = [[10_000, 10_000 + r] for r in range(1, 65)]
+    with _split(rdm._SPLIT_WORK, 2):
+        environment_product(chain, ProductInput.plus(20_000), pairs)
+    assert started == []
+    with _split(1, 2):
+        environment_product(profile, state, sites)
+    assert started == [1]
+
+
+def test_parts_stop_at_the_cap(monkeypatch):
+    # however many cores are usable, a sweep is split into at most
+    # _MAX_PARTS parts; below two parts' work it is not split
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    assert rdm._part_count(10 ** 6 * rdm._SPLIT_WORK) == rdm._MAX_PARTS == 2
+    assert rdm._part_count(2 * rdm._SPLIT_WORK - 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert rdm._part_count(10 ** 6 * rdm._SPLIT_WORK) == 1
 
 
 # -- subset order --------------------------------------------------------
