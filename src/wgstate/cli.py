@@ -64,6 +64,7 @@ from .geometry import (
     centered_block,
     parse_lattice,
     parse_law,
+    time_profiles,
 )
 from .graphstate import (
     analytic_block_entropy,
@@ -237,6 +238,8 @@ def _run_correlations(args, cp, items) -> _Table:
     site = _parse_int(items.get("site", str(profile.n_sites // 2)), "site")
     seps = _parse_int_list(_require(items, "separations", "task"), "separations")
     for r in seps:
+        if r == 0:
+            raise ConfigError("key 'separations': a pair needs two sites, not 0")
         if not 0 <= site + r < profile.n_sites:
             raise ConfigError(f"separation {r} puts the partner outside the lattice")
     rhos = reduced_density(profile, state, [[site, site + r] for r in seps])
@@ -309,13 +312,15 @@ def _run_bounds_scan(args, cp, items) -> _Table:
 
 def _run_dynamics(args, cp, items) -> _Table:
     """[task] grid = lo:hi:steps in units of pi (default 0:1:21);
-    l_max = <int> largest block size (default 4); separation = <int>
-    pair separation for q_max (default 1).
+    l_max = <int> largest block size (default 4); separation = <int>, not 0
+    (default 1): the q_max pair is `site` and `site + separation` along
+    the linear index, `site` the center one.
 
     One row per time: block entropies S_1..S_l_max for centered blocks,
     the pair correlation strength at the given separation, and the global
-    (average single-site) entanglement.  Only the largest block is swept;
-    the nested smaller ones are traced out of its ρ.
+    (average single-site) entanglement.  The grid takes two sweeps, each
+    over every time at once: one of the largest block, out of whose states
+    the nested smaller ones are traced, and one of the pair.
     """
     base, state = _profile_and_state(args, cp)
     grid_text = items.get("grid", "0:1:21")
@@ -333,6 +338,8 @@ def _run_dynamics(args, cp, items) -> _Table:
         raise ConfigError(f"key 'l_max': must be in 1..{min(A_MAX, base.n_sites)}")
     separation = _parse_int(items.get("separation", "1"), "separation")
     site = base.n_sites // 2
+    if separation == 0:
+        raise ConfigError("key 'separation': a pair needs two sites, not 0")
     if not 0 <= site + separation < base.n_sites:
         raise ConfigError(f"separation {separation} puts the pair outside the lattice")
     blocks = [_contiguous_block(base, items, l) for l in range(1, l_max + 1)]
@@ -340,15 +347,14 @@ def _run_dynamics(args, cp, items) -> _Table:
         raise ConfigError(f"key 'l_max': block {l_max} has {blocks[-1].size} sites, "
                           f"more than the exact limit of {A_MAX}")
 
-    def one(t_over_pi: float):
-        profile = PhaseProfile(base.lattice, base.law, t_over_pi * math.pi)
-        outer = (blocks[-1], reduced_density(profile, state, blocks[-1]))
-        entropies = [block_entropy(profile, state, block, outer) for block in blocks]
-        pair = reduced_density(profile, state, [site, site + separation])
-        q = max_correlation(correlation_matrix(pair))
-        return (t_over_pi, *entropies, q, meyer_wallach(profile, state))
-
-    rows = [one(float(t)) for t in np.linspace(lo, hi, steps)]
+    grid = np.linspace(lo, hi, steps).tolist()
+    times = [t_over_pi * math.pi for t_over_pi in grid]
+    outer = (blocks[-1], reduced_density(base, state, blocks[-1], times=times))
+    entropies = [block_entropy(base, state, block, outer).tolist() for block in blocks]
+    pair = reduced_density(base, state, [site, site + separation], times=times)
+    q = max_correlation(correlation_matrix(pair)).tolist()
+    e_mw = [meyer_wallach(profile, state) for profile in time_profiles(base, times)]
+    rows = list(zip(grid, *entropies, q, e_mw))
     columns = (["t_over_pi"] + [f"s_{l}" for l in range(1, l_max + 1)]
                + ["q_max", "e_mw"])
     return _Table(columns, rows)

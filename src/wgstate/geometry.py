@@ -18,7 +18,8 @@ displacement whose phase is not 0.0) and :func:`pair_phases` reads their
 phases, from the table or one ``phase_row`` per subset site
 (:func:`pair_phase_rows`: a few subset sites at a time);
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
-gives the factors exp(-i phi) the sweep multiplies.
+gives the factors exp(-i phi) the sweep multiplies, for one profile or for
+the profiles of a time grid (:func:`time_profiles`) at once.
 """
 
 from __future__ import annotations
@@ -358,6 +359,11 @@ class PhaseProfile:
         return z
 
     @cached_property
+    def _last_grid(self) -> dict:
+        """The last grid's profiles :func:`time_profiles` made of this one, by their times."""
+        return {}
+
+    @cached_property
     def _near_reach(self) -> np.ndarray:
         """Per-axis largest |d| with a table entry not 0.0, or 0."""
         live = self._displacement_table != 0.0
@@ -426,6 +432,35 @@ class EdgeProfile:
         cols = self._cols[start:stop]
         pos = np.minimum(np.searchsorted(cols, ls), cols.size - 1)
         return np.where(cols[pos] == ls, self._phases[start:stop][pos], 0.0)
+
+
+def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
+    """``PhaseProfile(profile.lattice, profile.law, t)`` for every t in
+    ``times``, a non-empty 1-D sequence of finite times >= 0.
+
+    ``profile`` keeps the profiles of the last grid asked of it, with every
+    table they build, until another grid is asked of it or it is freed: the
+    sweep of a grid, its assembly and a caller that walks the same grid
+    share one table per time.  Any profile but a :class:`PhaseProfile`
+    raises ValueError: its phases have no time to vary.
+    """
+    if not isinstance(profile, PhaseProfile):
+        raise ValueError(f"times need a PhaseProfile (lattice, law, time), "
+                         f"got {type(profile).__name__}")
+    try:
+        ts = np.asarray(times, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("times must be a 1-D sequence of numbers") from None
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError(f"times must be a non-empty 1-D sequence, got shape {ts.shape}")
+    if not np.isfinite(ts).all() or (ts < 0).any():
+        bad = ts[~np.isfinite(ts) | (ts < 0)][0]
+        raise ValueError(f"times must be finite and non-negative, got {float(bad)!r}")
+    key, last = tuple(ts.tolist()), profile._last_grid
+    if key not in last:
+        last.clear()
+        last[key] = tuple(PhaseProfile(profile.lattice, profile.law, t) for t in key)
+    return last[key]
 
 
 def displacement_phases(profile) -> np.ndarray | None:
@@ -533,29 +568,40 @@ def pair_phase_rows(profile, sites, ls, step: int):
         yield _table_read(profile, ends[lo:lo + step], at)[1]
 
 
-def _pair_factors(profile, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:
+def _pair_factors(profiles, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:
     """Which sites of ``ls`` have a phase other than 0.0 to some of
-    ``sites``, or with ``own`` are one of them, and the factors
-    exp(-1j * phi) of ``pair_phases(profile, sites, ls)`` at those,
-    (len(sites), count).
+    ``sites`` under some of ``profiles`` (one profile, or one per time from
+    :func:`time_profiles`), or with ``own`` are one of them, and the factors
+    exp(-1j * phi) of ``pair_phases(profile, sites, ls)`` at those, profile
+    after profile: (len(profiles) * len(sites), count).
 
     With a :func:`displacement_phases` table phases and factors are read
-    through one index, the factors from ``exp(-1j * table)``, computed once
-    per profile and kept read-only beside the table: bit for bit ``np.exp``
-    of the same phases, without one complex ``exp`` per pair.
+    through one index, shared by the profiles of one lattice, the factors
+    from each profile's ``exp(-1j * table)``, computed once per profile and
+    kept read-only beside the table: bit for bit ``np.exp`` of the same
+    phases, without one complex ``exp`` per pair.
     """
-    table = displacement_phases(profile)
+    first = profiles[0]
+    table = displacement_phases(first)
     if table is None:
-        phi = pair_phases(profile, sites, ls)
+        phis = [pair_phases(profile, sites, ls) for profile in profiles]
+        total = sum(phis[1:], phis[0])
     else:
-        lattice = profile.lattice
-        idx, phi = _table_read(profile, lattice.coords(sites), lattice.coords(ls))
-    live = (phi != 0.0).any(axis=0)
+        lattice = first.lattice
+        idx, total = _table_read(first, lattice.coords(sites), lattice.coords(ls))
+        for profile in profiles[1:]:
+            total = total + profile._displacement_table.ravel()[idx]
+    # phases lie in [0, 2 pi): their sum over the profiles is 0.0 only
+    # where every one of them is
+    live = (total != 0.0).any(axis=0)
     if own:
         live |= np.isin(ls, sites)
     if table is None:
-        return live, np.exp(-1j * phi[:, live])
-    return live, profile._displacement_factors.ravel()[idx[:, live]]
+        z = [np.exp(-1j * phi[:, live]) for phi in phis]
+    else:
+        at = idx[:, live]
+        z = [profile._displacement_factors.ravel()[at] for profile in profiles]
+    return live, z[0] if len(z) == 1 else np.concatenate(z)
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,23 @@ class NotPositiveSemidefiniteError(ValueError):
     """Matrix has a negative eigenvalue beyond numerical tolerance."""
 
 
-def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits, -sum p log2 p over the spectrum."""
+def entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in bits, -sum p log2 p over the spectrum, of one
+    matrix (a float) or of each of a (..., n, n) stack (an array, from one
+    batched diagonalization, row t bit for bit the call on ``rho[t]`` alone).
+    A pure spectrum gives +0.0."""
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -_PSD_TOL:
+    rows = evals.reshape(-1, evals.shape[-1])
+    low = rows.min(axis=1)
+    if (low < -_PSD_TOL).any():
+        bad = np.unravel_index(low.argmin(), evals.shape[:-1])
+        at = "".join(f"[{i}]" for i in bad)
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {evals.min()!r} below -{_PSD_TOL}; not a density matrix")
-    p = evals[evals > 0.0]
-    return float(-(p * np.log2(p)).sum())
+            f"eigenvalue {float(low.min())!r} of rho{at} below -{_PSD_TOL}; "
+            "not a density matrix")
+    # + 0.0: the sum of a pure spectrum's one term p log2 p is -0.0
+    values = [float(-(p * np.log2(p)).sum()) + 0.0 for p in (row[row > 0.0] for row in rows)]
+    return values[0] if evals.ndim == 1 else np.reshape(values, evals.shape[:-1])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -61,7 +70,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # Block entropies
 # ---------------------------------------------------------------------------
 
-def block_entropy(profile, state: ProductInput, sites, outer=None) -> float:
+def block_entropy(profile, state: ProductInput, sites, outer=None) -> float | np.ndarray:
     """Exact entanglement entropy of the block, in bits.
 
     Phases internal to the block are a diagonal unitary and drop out of the
@@ -72,6 +81,8 @@ def block_entropy(profile, state: ProductInput, sites, outer=None) -> float:
     ``reduced_density`` with internal phases included, skips the sweep: the
     state is traced out of ``outer_rho``.  A ρ built with ``include_internal=False``
     is another state of any proper subset: its dropped phases couple kept and traced sites.
+    A (T, 2^m, 2^m) ``outer_rho``, such as the states of a time grid
+    (``reduced_density(..., times=)``), gives the T entropies as an array.
     """
     sites = _check_subset(profile, sites, state)
     if outer is None:

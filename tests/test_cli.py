@@ -8,8 +8,8 @@ import wgstate.measures as measures
 import wgstate.rdm as rdm
 from wgstate.cli import main
 from wgstate.geometry import Lattice, PhaseProfile, PowerLaw, centered_block
-from wgstate.measures import block_entropy
-from wgstate.rdm import ProductInput
+from wgstate.measures import block_entropy, correlation_matrix, max_correlation, meyer_wallach
+from wgstate.rdm import ProductInput, reduced_density
 
 
 def run(capsys, *argv):
@@ -116,6 +116,20 @@ def test_correlations_rejects_pair_outside_lattice(capsys, tmp_path):
     assert code == 1 and "outside the lattice" in err
 
 
+@pytest.mark.parametrize("command, task, key", [
+    ("correlations", "separations = 2, 0, 3", "'separations'"),
+    ("dynamics", "separation = 0", "'separation'"),
+])
+def test_a_zero_separation_is_rejected_before_any_sweep(capsys, tmp_path, monkeypatch,
+                                                        command, task, key):
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, CHAIN + f"[task]\n{task}\n")
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 1 and out == ""
+    assert key in err and "not 0" in err
+    assert calls == []
+
+
 def test_entropy_scan_blank_exact_above_ceiling(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN.replace("extents = 20", "extents = 60")
                        + "[task]\nsizes = 2, 12\nm = 4\nradius = 3\n")
@@ -182,15 +196,18 @@ def test_entropy_scan_start_key(capsys, tmp_path):
     assert code == 0
 
 
-def count_sweeps(monkeypatch):
-    """Record (subset, explicit environment or None) of every environment sweep."""
+def count_sweeps(monkeypatch, grids=None):
+    """Record (subset, explicit environment or None) of every environment
+    sweep, and its times (or None) into ``grids`` when given."""
     calls = []
     sweep = rdm.environment_product
 
-    def counted(profile, state, sites, environment=None):
+    def counted(profile, state, sites, environment=None, times=None):
         calls.append((np.asarray(sites).tolist(),
                       None if environment is None else list(environment)))
-        return sweep(profile, state, sites, environment)
+        if grids is not None:
+            grids.append(times)
+        return sweep(profile, state, sites, environment, times=times)
 
     monkeypatch.setattr(rdm, "environment_product", counted)
     return calls
@@ -292,21 +309,54 @@ def test_dynamics_grid(capsys, tmp_path):
 
 
 def test_dynamics_sweeps_the_largest_block_and_the_pair(capsys, tmp_path, monkeypatch):
-    # per time step one sweep of the largest centered block, whose state
-    # holds the smaller nested ones, and one of the q_max pair
-    calls = count_sweeps(monkeypatch)
+    # per grid one sweep of the largest centered block at every time, whose
+    # states hold the smaller nested ones, and one of the q_max pair
+    grids = []
+    calls = count_sweeps(monkeypatch, grids)
     cfg = write_config(tmp_path, CHAIN + "[task]\ngrid = 0.2:0.8:3\nl_max = 4\n"
                        "separation = 3\n")
     code, out, err = run(capsys, "dynamics", "--config", cfg, "--format", "json")
     assert code == 0, err
     rows = json.loads(out)["rows"]
-    assert [sites for sites, env in calls if env is None] == [[8, 9, 10, 11], [10, 13]] * 3
+    assert calls == [([8, 9, 10, 11], None), ([10, 13], None)]
+    assert grids == [[row[0] * math.pi for row in rows]] * 2
     state = ProductInput.plus(20)
     for row in rows:
         profile = PhaseProfile(Lattice(20), PowerLaw(3.0), row[0] * math.pi)
         for l in range(1, 5):
             direct = block_entropy(profile, state, centered_block(profile.lattice, l))
             assert abs(row[l] - direct) < 1e-12
+
+
+def test_dynamics_starts_at_plus_zero(capsys, tmp_path):
+    # a pure single-site state at t = 0 has entropy +0.0, never -0.0
+    cfg = write_config(tmp_path, CHAIN.replace("extents = 20", "extents = 12")
+                       + "[task]\ngrid = 0:0.5:3\nl_max = 2\n")
+    code, out, _ = run(capsys, "dynamics", "--config", cfg)
+    assert code == 0
+    assert parse_csv(out)[1][0][:2] == ["0", "0"]
+    code, out, _ = run(capsys, "dynamics", "--config", cfg, "--format", "json")
+    assert code == 0
+    s_1 = json.loads(out)["rows"][0][1]
+    assert s_1 == 0.0 and math.copysign(1.0, s_1) == 1.0
+
+
+def test_a_one_step_grid_is_each_measure_alone(capsys, tmp_path):
+    # one time takes the lone sweeps: every cell bit for bit the measures
+    # of that time's profile, called one by one
+    cfg = write_config(tmp_path, CHAIN + "[task]\ngrid = 0.35:0.9:1\nl_max = 3\n"
+                       "separation = -2\n")
+    code, out, err = run(capsys, "dynamics", "--config", cfg, "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    profile = PhaseProfile(Lattice(20), PowerLaw(3.0), 0.35 * math.pi)
+    state = ProductInput.plus(20)
+    blocks = [centered_block(profile.lattice, l) for l in range(1, 4)]
+    outer = (blocks[-1], reduced_density(profile, state, blocks[-1]))
+    pair = reduced_density(profile, state, [10, 8])
+    alone = [0.35, *(block_entropy(profile, state, b, outer) for b in blocks),
+             max_correlation(correlation_matrix(pair)), meyer_wallach(profile, state)]
+    assert [float(v).hex() for v in row] == [v.hex() for v in alone]
 
 
 def test_dynamics_l_max_counts_block_sites(capsys, tmp_path, monkeypatch):

@@ -359,11 +359,11 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
     # the sites the sweep multiplies and their factors, from the cached
     # table or np.exp
-    live, z = _pair_factors(profile, sites, ls)
+    live, z = _pair_factors((profile,), sites, ls)
     assert np.array_equal(live, rows.any(axis=0))
     assert z.tobytes() == np.exp(-1j * rows[:, live]).tobytes()
     # with own, a stack's, the subset's sites are kept too
-    live, _ = _pair_factors(profile, sites, np.concatenate([ls, sites]), own=True)
+    live, _ = _pair_factors((profile,), sites, np.concatenate([ls, sites]), own=True)
     assert np.array_equal(live, np.concatenate([rows.any(axis=0), np.ones(m, dtype=bool)]))
     # a site paired with itself, as in a stack's own sites, has phase 0.0
     assert not np.diagonal(pair_phases(profile, sites, sites)).any()

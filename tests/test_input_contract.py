@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wgstate.geometry import Cutoff, Lattice, PhaseProfile, PowerLaw
+from wgstate.geometry import Cutoff, EdgeProfile, Lattice, PhaseProfile, PowerLaw
 from wgstate.graphstate import block_adjacency
 from wgstate.measures import (
     block_entropy,
@@ -129,3 +129,25 @@ def test_a_2d_site_list_is_one_block(entry):
         assert got.rows == want.rows
     else:
         assert np.array_equal(got, want)
+
+
+# times: one subset under a PhaseProfile's lattice and law at every time
+TIME_CASES = {
+    "empty_times": (_profile, [3, 4], [], "non-empty 1-D sequence"),
+    "times_2d": (_profile, [3, 4], [[0.1, 0.2]], "non-empty 1-D sequence"),
+    "negative_time": (_profile, [3, 4], [0.1, -0.5], "finite and non-negative, got -0.5"),
+    "infinite_time": (_profile, [3, 4], [math.inf], "finite and non-negative, got inf"),
+    "nan_time": (_profile, [3, 4], [0.2, math.nan], "finite and non-negative, got nan"),
+    "text_time": (_profile, [3, 4], ["soon"], "1-D sequence of numbers"),
+    "stack_with_times": (_profile, [[3, 4], [5, 6]], [0.1], "one subset, not a stack"),
+    "edge_profile": (lambda: EdgeProfile(N, {(3, 7): 1.0}), [3, 4], [0.1],
+                     "times need a PhaseProfile"),
+}
+
+
+@pytest.mark.parametrize("entry", ["environment_product", "reduced_density"])
+@pytest.mark.parametrize("case", list(TIME_CASES))
+def test_time_grids_share_the_contract(entry, case):
+    profile, sites, times, message = TIME_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](profile(), ProductInput.plus(N), sites, times=times)

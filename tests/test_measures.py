@@ -21,7 +21,7 @@ from wgstate.measures import (
     trace_distance,
 )
 from wgstate.oracle import evolve, partial_trace, random_instance
-from wgstate.rdm import A_MAX, ProductInput, SubsetTooLargeError, reduced_density
+from wgstate.rdm import A_MAX, ProductInput, SubsetTooLargeError, reduced_density, trace_to
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -47,6 +47,41 @@ def test_entropy_rejects_indefinite_matrices():
         entropy(np.diag([1.0 + 1e-6, -1e-6]))
     # rounding-level negatives are treated as zero
     assert entropy(np.diag([1.0, -1e-12])) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_entropy_of_a_pure_state_is_plus_zero():
+    # the one term of a pure spectrum, 1 * log2(1), sums to -0.0 when negated
+    for rho in (np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.diag([0.0, 1.0, 0.0, 0.0])):
+        assert math.copysign(1.0, entropy(rho)) == 1.0
+    assert math.copysign(1.0, entropy(np.diag([1.0, 0.0])[None])[0]) == 1.0
+
+
+def test_entropy_of_a_stack_is_each_matrix_alone():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 8, 3)) + 1j * rng.standard_normal((5, 8, 3))
+    rhos = a @ a.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    values = entropy(rhos)
+    assert isinstance(values, np.ndarray) and values.shape == (5,)
+    assert values.tobytes() == np.array([entropy(rho) for rho in rhos]).tobytes()
+    assert isinstance(entropy(rhos[0]), float)
+    rhos[3] = np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NotPositiveSemidefiniteError, match=r"of rho\[3\]"):
+        entropy(rhos)
+
+
+def test_trace_to_a_stack_is_each_matrix_alone():
+    profile = PhaseProfile(Lattice(40), PowerLaw(1.0), 0.0)
+    state = ProductInput.random(40, np.random.default_rng(6))
+    sites, keep = [20, 21, 23], [23, 20]
+    rhos = reduced_density(profile, state, sites, times=[0.0, 0.4, math.pi])
+    traced = trace_to(rhos, sites, keep)
+    assert traced.shape == (3, 4, 4)
+    assert traced.tobytes() == np.stack([trace_to(rho, sites, keep) for rho in rhos]).tobytes()
+    outer = block_entropy(profile, state, keep, outer=(sites, rhos))
+    assert outer.tobytes() == entropy(traced).tobytes()
+    with pytest.raises(ValueError, match="must be 8 x 8"):
+        trace_to(rhos[None], sites, keep)
 
 
 def test_trace_distance_values():

@@ -8,7 +8,8 @@ displacement tables and looks only inside the subset's near box.  Each of
 those shortcuts is checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
 against the statevector oracle.  A stack of subsets swept at once is
-checked against each subset's own sweep, a sweep split over threads
+checked against each subset's own sweep, a time grid swept at once
+against each time's own sweep and the oracle, a sweep split over threads
 against its parts swept one after another, a nested block's state traced
 out of a larger block's ρ as well, and on periodic lattices a subset's
 state against that of its translate.  Entropies are checked for
@@ -24,7 +25,7 @@ import sys
 import threading
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgstate.rdm as rdm
@@ -407,7 +408,7 @@ def _parts_in_order(profile, state, rows, env, parts):
     swept one after another and multiplied in part order."""
     near = coupled_sites(profile, rows, env)
     swept = np.zeros(env.size, dtype=bool)
-    halves = [rdm._sweep_part(profile, state, rows, env, piece, swept)
+    halves = [rdm._sweep_part((profile,), state, rows, env, piece, swept)
               for piece in np.array_split(near, parts)]
     half = halves[0]
     for part in halves[1:]:
@@ -432,14 +433,14 @@ def test_a_split_sweep_joins_its_parts_in_order(case, chunk, cores, data):
     rows = np.asarray(stack)
     n_half = (3 ** rows.shape[1] + 1) // 2
     env = rdm._resolve_environment(profile, rows, environment)
-    whole = rdm._sweep(profile, state, rows, env)
+    whole = rdm._sweep((profile,), state, rows, env)
     work = coupled_sites(profile, rows, env).size * n_half * len(rows)
     per_part = data.draw(st.integers(1, max(1, work)), label="work per part")
     parts = min(cores, work // per_part) if work // per_part >= 2 else 1
     budget = 4 * len(rows) * n_half * chunk
     with _split(per_part, cores, budget):
         with _switching_often():
-            split = rdm._sweep(profile, state, rows, env)
+            split = rdm._sweep((profile,), state, rows, env)
         expected = _parts_in_order(profile, state, rows, env, parts)
     assert split.tobytes() == expected.tobytes()
     scale = np.abs(whole[:, -1:])       # d = 0: prod of p0 + p1, ~1
@@ -456,10 +457,10 @@ def test_split_sweep_stress():
                          * math.sqrt(1.0 + 9e-13))
     rows = np.asarray(sites)
     env = rdm._resolve_environment(profile, rows)
-    whole = rdm._sweep(profile, state, rows, env)
+    whole = rdm._sweep((profile,), state, rows, env)
     with _split(1, 8, 4 * 41 * 50):
         with _switching_often():
-            split = rdm._sweep(profile, state, rows, env)
+            split = rdm._sweep((profile,), state, rows, env)
         expected = _parts_in_order(profile, state, rows, env, 8)
     assert split.tobytes() == expected.tobytes()
     assert (np.abs(split - whole) <= _rounding_floor(n) * np.abs(whole[:, -1:])).all()
@@ -661,3 +662,98 @@ def test_entropy_grows_with_the_environment(case, data):
     s1, s2 = (entropy(reduced_density(profile, state, sites, environment=rest[:n]))
               for n in (n1, n2))
     assert s1 <= s2 + 1e-10
+
+
+# -- time grids -----------------------------------------------------------
+
+_GRID_TIMES = st.one_of(st.sampled_from([0.0, math.pi, TWO_PI]), st.floats(0.0, 6.0))
+
+
+@st.composite
+def grid_instances(draw):
+    """(profile, state, sites, environment, times): one subset of a stack
+    instance under a PhaseProfile (a near law, a Disordered one, or a power
+    law that reaches every site) and 1..5 times."""
+    profile, state, stack, environment = draw(
+        stack_instances(b_max=1).filter(lambda case: isinstance(case[0], PhaseProfile)))
+    if draw(st.booleans()):
+        profile = PhaseProfile(profile.lattice, PowerLaw(draw(st.floats(0.3, 4.0))), 1.0)
+    times = draw(st.lists(_GRID_TIMES, min_size=1, max_size=5))
+    return profile, state, stack[0], environment, times
+
+
+@NEAR
+@given(grid_instances(), st.one_of(st.none(), st.integers(1, 4)))
+def test_a_grid_matches_its_times_one_by_one(case, chunk):
+    # row t of one sweep of every time is the lone sweep at times[t], to
+    # the rounding floor: the grid sweeps the union of the times' near
+    # sites, some with phase 0.0 at time t that the lone sweep folds.  The
+    # grid is swept at the default budget or in chunks of ``chunk`` sites.
+    profile, state, sites, environment, times = case
+    m = len(sites)
+    lone = [PhaseProfile(profile.lattice, profile.law, t) for t in times]
+    lone_tables = [environment_product(p, state, sites, environment) for p in lone]
+    lone_rhos = [reduced_density(p, state, sites, environment=environment) for p in lone]
+    # one time takes the lone path, bit for bit
+    one = (environment_product(profile, state, sites, environment, times=times[:1]),
+           reduced_density(profile, state, sites, environment=environment, times=times[:1]))
+    assert one[0].tobytes() == lone_tables[0][None].tobytes()
+    assert one[1].tobytes() == lone_rhos[0][None].tobytes()
+    saved = rdm._CHUNK_BUDGET
+    try:
+        if chunk is not None:
+            rdm._CHUNK_BUDGET = 4 * len(times) * (3 ** m + 1) // 2 * chunk
+        tables = environment_product(profile, state, sites, environment, times=times)
+        rhos = reduced_density(profile, state, sites, environment=environment, times=times)
+    finally:
+        rdm._CHUNK_BUDGET = saved
+    assert tables.shape == (len(times), 3 ** m)
+    assert rhos.shape == (len(times), 2 ** m, 2 ** m)
+    floor = _rounding_floor(profile.n_sites)
+    for lone_table, alone, table, rho in zip(lone_tables, lone_rhos, tables, rhos):
+        assert (np.abs(table - lone_table) <= floor * abs(lone_table[lone_table.size // 2])).all()
+        assert np.abs(rho - alone).max() <= floor
+
+
+def _oracle_at(profile, state, sites, environment):
+    """The statevector's state of ``sites``; with an explicit environment,
+    of the evolution without the couplings of ``sites`` to the other sites."""
+    n = profile.n_sites
+    if environment is not None:
+        kept = set(sites) | set(environment)
+        phases = {(k, l): profile.phase(k, l) for k, l in itertools.combinations(range(n), 2)
+                  if (k not in sites and l not in sites) or (k in kept and l in kept)}
+        profile = EdgeProfile(n, phases)
+    return partial_trace(evolve(profile, state), sites)
+
+
+@st.composite
+def small_grid_instances(draw):
+    """(profile, state, sites, environment, times) of at most 12 sites: a
+    1-3-D lattice, a distance law or a Disordered one, 0 and pi among 2..5
+    times in any order, the default or an explicit environment."""
+    lattice = draw(lattices(12))
+    law = draw(st.sampled_from([PowerLaw(1.0), Cutoff(1.5), Exponential(0.7),
+                                Disordered(PowerLaw(2.0), 3), Disordered(Cutoff(1.0), 5)]))
+    n = lattice.n_sites
+    order = draw(st.permutations(range(n)))
+    m = draw(st.integers(1, min(4, n)))
+    sites, rest = order[:m], order[m:]
+    environment = rest[:draw(st.integers(0, len(rest)))] if draw(st.booleans()) else None
+    extra = draw(st.lists(_GRID_TIMES, max_size=3))
+    times = draw(st.permutations([0.0, math.pi, *extra]))
+    return PhaseProfile(lattice, law, 0.0), draw(states(n)), sites, environment, times
+
+
+@FEW
+@given(small_grid_instances())
+@example(case=(PhaseProfile(Lattice((3, 4), "periodic"), Disordered(PowerLaw(1.0), 7), 0.0),
+               ProductInput.random(12, np.random.default_rng(2)), [5, 0, 11],
+               [1, 6, 10, 4], [math.pi, 0.0, 1.3]))
+def test_a_grid_matches_the_oracle(case):
+    profile, state, sites, environment, times = case
+    rhos = reduced_density(profile, state, sites, environment=environment, times=times)
+    for t, rho in zip(times, rhos):
+        slow = _oracle_at(PhaseProfile(profile.lattice, profile.law, t), state, sites,
+                          environment)
+        assert 0.5 * np.abs(np.linalg.eigvalsh(rho - slow)).sum() < 1e-10
