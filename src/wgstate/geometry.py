@@ -214,7 +214,7 @@ class Cutoff:
     reach: float
 
     def __post_init__(self):
-        if self.reach < 0:
+        if not self.reach >= 0:
             raise ValueError("reach must be non-negative")
 
     def strengths(self, r: np.ndarray, k=None, ls=None) -> np.ndarray:
@@ -224,18 +224,20 @@ class Cutoff:
 class Table:
     """Explicit distance -> strength lookup.
 
-    Every queried distance must match a table entry within ``tolerance``;
+    Every queried distance must match a table entry within 1e-9;
     anything else is an error rather than an implicit zero.  The exact paths
     read every lattice distance at once (:func:`displacement_phases`).
+    Distances and strengths must be finite.
     """
 
-    def __init__(self, entries: Mapping[float, float], tolerance: float = 1e-9):
+    def __init__(self, entries: Mapping[float, float]):
         if not entries:
             raise ValueError("table law needs at least one entry")
         items = sorted((float(r), float(f)) for r, f in entries.items())
         self._r = np.array([r for r, _ in items])
         self._f = np.array([f for _, f in items])
-        self.tolerance = float(tolerance)
+        if not np.isfinite((self._r, self._f)).all():
+            raise ValueError(f"table entries must be finite numbers, got {self!r}")
 
     def strengths(self, r: np.ndarray, k=None, ls=None) -> np.ndarray:
         pos = np.searchsorted(self._r, r)
@@ -243,9 +245,9 @@ class Table:
         hi = np.clip(pos, 0, len(self._r) - 1)
         use_hi = np.abs(self._r[hi] - r) <= np.abs(self._r[lo] - r)
         best = np.where(use_hi, hi, lo)
-        if np.any(np.abs(self._r[best] - r) > self.tolerance):
-            missing = np.asarray(r)[np.abs(self._r[best] - r) > self.tolerance]
-            raise ValueError(f"distance {missing[0]} not in coupling table")
+        missing = np.abs(self._r[best] - r) > 1e-9
+        if np.any(missing):
+            raise ValueError(f"distance {np.asarray(r)[missing][0]} not in coupling table")
         return self._f[best]
 
     def __repr__(self):
@@ -292,6 +294,11 @@ class Disordered:
     seed: int
     amplitude: tuple[float, float] = (0.0, 1.0)
 
+    def __post_init__(self):
+        low, high = self.amplitude
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError(f"amplitude bounds must be finite, got {self.amplitude!r}")
+
     def strengths(self, r: np.ndarray, k=None, ls=None) -> np.ndarray:
         if k is None or ls is None:
             raise ValueError("disordered law needs site identities, not just distances")
@@ -321,8 +328,8 @@ class PhaseProfile:
     time: float
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("time must be non-negative")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"time must be finite and non-negative, got {float(self.time)!r}")
 
     @property
     def n_sites(self) -> int:
@@ -338,8 +345,6 @@ class PhaseProfile:
         return _reduce_phase(np.multiply(f, self.time, dtype=np.float64))
 
     def phase(self, k: int, l: int) -> float:
-        if k == l:
-            raise ValueError(f"phase(k, k) is undefined (got k = l = {k})")
         return float(self.phase_row(k, np.array([l]))[0])
 
     @cached_property
@@ -404,19 +409,15 @@ class EdgeProfile:
         self._phases = np.concatenate([phi, phi])[order]
 
     @classmethod
-    def from_edges(cls, n_sites: int, edges, phase: float = math.pi) -> "EdgeProfile":
-        """Uniform phase on the given edges (pi by default: a graph state)."""
-        return cls(n_sites, {(k, l): phase for k, l in edges})
+    def from_edges(cls, n_sites: int, edges) -> "EdgeProfile":
+        """Phase pi on the given edges: a graph state."""
+        return cls(n_sites, {(k, l): math.pi for k, l in edges})
 
     @property
     def n_sites(self) -> int:
         return self._n
 
     def phase(self, k: int, l: int) -> float:
-        if k == l:
-            raise ValueError(f"phase(k, k) is undefined (got k = l = {k})")
-        if not (0 <= k < self._n and 0 <= l < self._n):
-            raise ValueError(f"site pair ({k}, {l}) out of range")
         return float(self.phase_row(k, np.array([l]))[0])
 
     def phase_row(self, k: int, ls) -> np.ndarray:
@@ -436,7 +437,8 @@ class EdgeProfile:
 
 def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
     """``PhaseProfile(profile.lattice, profile.law, t)`` for every t in
-    ``times``, a non-empty 1-D sequence of finite times >= 0.
+    ``times``, a non-empty 1-D sequence of numbers; each profile checks its
+    own time (finite and >= 0), the first bad one in order raising.
 
     ``profile`` keeps the profiles of the last grid asked of it, with every
     table they build, until another grid is asked of it or it is freed: the
@@ -453,9 +455,6 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
         raise ValueError("times must be a 1-D sequence of numbers") from None
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError(f"times must be a non-empty 1-D sequence, got shape {ts.shape}")
-    if not np.isfinite(ts).all() or (ts < 0).any():
-        bad = ts[~np.isfinite(ts) | (ts < 0)][0]
-        raise ValueError(f"times must be finite and non-negative, got {float(bad)!r}")
     key, last = tuple(ts.tolist()), profile._last_grid
     if key not in last:
         last.clear()

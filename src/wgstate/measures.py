@@ -73,20 +73,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def block_entropy(profile, state: ProductInput, sites, outer=None) -> float | np.ndarray:
     """Exact entanglement entropy of the block, in bits.
 
-    Phases internal to the block are a diagonal unitary and drop out of the
-    spectrum, so they are skipped.  Blocks above ``A_MAX`` sites raise; use
-    :func:`block_entropy_upper` / :func:`block_entropy_lower` there.
+    Blocks above ``A_MAX`` sites raise; use :func:`block_entropy_upper` /
+    :func:`block_entropy_lower` there.
 
     ``outer = (outer_sites, outer_rho)``, a block holding ``sites`` and its
-    ``reduced_density`` with internal phases included, skips the sweep: the
-    state is traced out of ``outer_rho``.  A ρ built with ``include_internal=False``
-    is another state of any proper subset: its dropped phases couple kept and traced sites.
-    A (T, 2^m, 2^m) ``outer_rho``, such as the states of a time grid
-    (``reduced_density(..., times=)``), gives the T entropies as an array.
+    ``reduced_density``, skips the sweep: the state is traced out of
+    ``outer_rho``.  A (T, 2^m, 2^m) ``outer_rho``, such as the states of a
+    time grid (``reduced_density(..., times=)``), gives the T entropies as
+    an array.
     """
     sites = _check_subset(profile, sites, state)
     if outer is None:
-        return entropy(reduced_density(profile, state, sites, include_internal=False))
+        return entropy(reduced_density(profile, state, sites))
     return entropy(trace_to(outer[1], outer[0], sites))
 
 
@@ -159,11 +157,9 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> f
     if near.size == 0:
         return 0.0
     if sites.size <= A_MAX:
-        rho = reduced_density(profile, state, sites, include_internal=False,
-                              environment=near)
+        rho = reduced_density(profile, state, sites, environment=near)
     elif near.size <= A_MAX:
-        rho = reduced_density(profile, state, near, include_internal=False,
-                              environment=sites)
+        rho = reduced_density(profile, state, near, environment=sites)
     else:
         raise SubsetTooLargeError(
             f"both the block ({sites.size} sites) and the kept environment "

@@ -52,14 +52,14 @@ def evolve(profile, state) -> np.ndarray:
     return psi
 
 
-def partial_trace(psi: np.ndarray, sites, n_sites: int | None = None) -> np.ndarray:
+def partial_trace(psi: np.ndarray, sites) -> np.ndarray:
     """Reduced density matrix of ``sites`` from a full statevector.
 
     Subset rows/columns use the same convention as the fast path: the
     first site in ``sites`` is the most significant bit.
     """
     psi = np.asarray(psi, dtype=np.complex128).ravel()
-    n = int(round(np.log2(psi.size))) if n_sites is None else int(n_sites)
+    n = int(round(np.log2(psi.size)))
     if 2 ** n != psi.size:
         raise ValueError(f"statevector length {psi.size} is not a power of 2")
     sites = np.asarray(sites, dtype=np.intp).ravel()
@@ -73,8 +73,9 @@ def partial_trace(psi: np.ndarray, sites, n_sites: int | None = None) -> np.ndar
     return mat @ mat.conj().T
 
 
-def random_instance(rng: np.random.Generator, n_max: int = 14, a_max: int = 6):
-    """Random (profile, state, sites) triple for fast-vs-brute-force checks.
+def random_instance(rng: np.random.Generator, n_max: int, a_max: int):
+    """Random (profile, state, sites) triple for fast-vs-brute-force checks,
+    on at most ``n_max`` sites with at most ``a_max`` of them in the subset.
 
     Draws varied geometry (chains and small grids, both boundary kinds),
     every coupling law family, generic and special evolution times, plus

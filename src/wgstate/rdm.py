@@ -35,18 +35,21 @@ one per usable core up to two, swept on their own threads and joined in
 order.
 
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
-left index and the conjugate on the right; they never change the spectrum,
-so spectral quantities (entropies, eigenvalues) may skip them via
-``include_internal=False``.
+left index and the conjugate on the right.  They never change the spectrum
+of A's state, but they couple the sites of A, so every reduced state
+carries them: a state without them would be the wrong state of every
+proper part of A.
 
 Input contract: every public function that takes a site list passes it,
-with the input state and any explicit environment, through
-:func:`_check_subset` and :func:`_resolve_environment` before other work,
-and so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`.  The
-sites must be non-empty, in range and distinct, and at most ``A_MAX`` of
-them (:class:`SubsetTooLargeError`) for an exact reduced state; the state
-must hold one amplitude pair per profile site; an environment must be in
-range, distinct and disjoint from the sites.  A breach raises ValueError.
+with the input state, through :func:`_check_stack` (a stack) or
+:func:`_check_subset` (one subset, flattened, or every site) before other
+work, and any explicit environment through :func:`_resolve_environment`;
+so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`.
+:func:`_check_stack` is the one home of the site rules: the state must
+hold one amplitude pair per profile site; the sites must be non-empty, at
+most ``A_MAX`` of them (:class:`SubsetTooLargeError`) for an exact reduced
+state, in range and distinct.  An environment must be in range, distinct
+and disjoint from the sites.  A breach raises ValueError.
 
 Bit convention: the first site listed in ``sites`` is the most significant
 bit of the row/column index, matching the statevector layout used by the
@@ -107,7 +110,7 @@ class ProductInput:
             raise ValueError(f"amplitudes must have shape (n, 2), got {amps.shape}")
         pops = np.abs(amps[:, 0]) ** 2, np.abs(amps[:, 1]) ** 2
         norms = pops[0] + pops[1]
-        bad = np.abs(norms - 1.0) > 1e-12
+        bad = ~(np.abs(norms - 1.0) <= 1e-12)    # a NaN is not within either
         if np.any(bad):
             site = int(np.argmax(bad))
             raise ValueError(
@@ -142,40 +145,40 @@ class ProductInput:
 
 def _check_subset(profile, sites, state: ProductInput | None = None,
                   a_max: int = A_MAX) -> np.ndarray:
-    """Checked index array of ``sites`` (None: every site) for ``state``."""
+    """Checked index array of ``sites``, flattened (None: every site), for
+    ``state``: :func:`_check_stack` of one subset."""
+    if sites is not None:
+        sites = np.asarray(sites, dtype=np.intp).ravel()
+    return _check_stack(profile, sites, state, a_max)[0]
+
+
+def _check_stack(profile, sites, state: ProductInput | None = None,
+                 a_max: int = A_MAX) -> np.ndarray:
+    """Checked (B, m) stack of equal-size subsets of at most ``a_max`` sites,
+    for ``state``; anything but a 2-D ``sites`` is one subset, a stack of
+    one, and None is every site.  The one home of the site rules, checked
+    in this order: state size, stack shape, empty, size, range, repeats."""
     n_sites = profile.n_sites
     if state is not None and state.n_sites != n_sites:
         raise ValueError(f"input state has {state.n_sites} sites, the profile {n_sites}")
     if sites is None:
-        return np.arange(n_sites)
-    sites = np.asarray(sites, dtype=np.intp).ravel()
-    if sites.size == 0:
-        raise ValueError("subset must contain at least one site")
-    if sites.size > a_max:
-        raise SubsetTooLargeError(
-            f"subset of {sites.size} sites exceeds the limit of {a_max}; "
-            "cost grows as 3^m, use the entropy bounds for larger blocks")
-    if sites.min() < 0 or sites.max() >= n_sites:
-        raise ValueError(f"site index out of range 0..{n_sites - 1}")
-    if len(set(sites.tolist())) != sites.size:
-        raise ValueError(f"subset contains repeated sites: {sites.tolist()}")
-    return sites
-
-
-def _check_stack(profile, sites, state: ProductInput) -> np.ndarray:
-    """Checked (B, m) stack of equal-size subsets; anything but a 2-D
-    ``sites`` is one subset, a stack of one."""
+        return np.arange(n_sites)[None]
     try:
         rows = np.asarray(sites, dtype=np.intp)
     except ValueError:
         raise ValueError("sites must be a subset or a stack of equal-size subsets") from None
     if rows.ndim != 2:
-        return _check_subset(profile, rows, state)[None]
+        rows = rows.reshape(1, -1)
     if rows.shape[0] == 0:
         raise ValueError("a stack must hold at least one subset")
-    _check_subset(profile, rows[0], state)
-    if rows.min() < 0 or rows.max() >= profile.n_sites:
-        raise ValueError(f"site index out of range 0..{profile.n_sites - 1}")
+    if rows.shape[1] == 0:
+        raise ValueError("subset must contain at least one site")
+    if rows.shape[1] > a_max:
+        raise SubsetTooLargeError(
+            f"subset of {rows.shape[1]} sites exceeds the limit of {a_max}; "
+            "cost grows as 3^m, use the entropy bounds for larger blocks")
+    if rows.min() < 0 or rows.max() >= n_sites:
+        raise ValueError(f"site index out of range 0..{n_sites - 1}")
     ordered = np.sort(rows, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeats.any():
@@ -359,14 +362,12 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     m = rows.shape[1]
     n_rows = len(rows) * len(profiles)
     n_half = (3 ** m + 1) // 2
-    # phases and factors are read once per distinct subset site and time;
-    # row t of a grid reads time t's factors, rows t * m .. t * m + m - 1 of
-    # those _pair_factors gives
-    if len(rows) == 1:
-        sites, which = rows[0], np.arange(n_rows * m).reshape(n_rows, m)
-    else:
-        sites, which = np.unique(rows, return_inverse=True)
-        which = which.reshape(rows.shape)
+    # phases and factors are read once per distinct subset site and time:
+    # row t of a grid reads time t's factors, offset by t * len(sites) in
+    # what _pair_factors gives
+    sites, which = np.unique(rows, return_inverse=True)
+    offsets = sites.size * np.arange(len(profiles))
+    which = (which.reshape(rows.shape) + offsets[:, None, None]).reshape(n_rows, m)
     # chunk: swept sites whose classes, for every row, fit the budget.  A
     # stack's chunk also holds its factors and a gathered column per stage;
     # at a quarter of the budget that stays in cache (64 pairs at m = 2 on
@@ -483,15 +484,14 @@ def _internal_phases(profiles, rows: np.ndarray, bits: np.ndarray) -> np.ndarray
     return theta
 
 
-def reduced_density(profile, state: ProductInput, sites, include_internal=True,
-                    environment=None, times=None) -> np.ndarray:
+def reduced_density(profile, state: ProductInput, sites, environment=None,
+                    times=None) -> np.ndarray:
     """Exact reduced density matrix of the subset ``sites``.
 
     Rows/columns are indexed by the subset bitstring with the first listed
-    site as the most significant bit.  With ``include_internal=False`` the
-    phases from couplings inside the subset are dropped; that is a unitary
-    diagonal conjugation, so the returned matrix is different but has the
-    same spectrum (cheaper when only eigenvalues are needed).
+    site as the most significant bit.  The phases of couplings inside the
+    subset are always applied, so every matrix is the state itself and
+    :func:`trace_to` gives any part of it.
 
     A (B, m) stack of subsets returns the (B, 2^m, 2^m) matrices from one
     :func:`environment_product` sweep of the stack.  ``times``, a 1-D
@@ -512,7 +512,7 @@ def reduced_density(profile, state: ProductInput, sites, include_internal=True,
     u = bits @ pow3
     center = (3 ** m - 1) // 2
     rho = amp[:, :, None] * amp.conj()[:, None, :] * env[:, u[:, None] - u[None, :] + center]
-    if include_internal and m > 1:
+    if m > 1:
         profiles = (profile,) if times is None else time_profiles(profile, times)
         phase = np.exp(-1j * _internal_phases(profiles, rows, bits))
         rho *= phase[:, :, None] * phase.conj()[:, None, :]

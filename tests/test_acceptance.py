@@ -207,8 +207,7 @@ def test_09_entropy_monotone_under_environment_growth():
         rng.shuffle(env)
         prev = -1.0
         for j in range(env.size + 1):
-            rho = reduced_density(profile, state, sites,
-                                  include_internal=False, environment=env[:j])
+            rho = reduced_density(profile, state, sites, environment=env[:j])
             s = entropy(rho)
             assert s >= prev - 1e-12, (j, s, prev)
             prev = s
@@ -257,6 +256,6 @@ def test_11_random_phases_scramble_pair_completely():
                      amplitude=(0.0, 2.0 * math.pi))
     profile = PhaseProfile(lat, law, time=1.0)
     state = ProductInput.plus(n)
-    rho = reduced_density(profile, state, [4_000, 6_000], include_internal=False)
+    rho = reduced_density(profile, state, [4_000, 6_000])
     assert entropy(rho) > 1.99
     assert time.perf_counter() - started < 60.0

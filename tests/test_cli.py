@@ -442,6 +442,47 @@ def test_mw_full_and_sampled(capsys, tmp_path):
     assert "# estimator: sampled 10 of 30 sites" in out
 
 
+@pytest.mark.parametrize("command, task", [("mw", ""), ("entropy-scan", "sizes = 2:4")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_time_exits_one(capsys, tmp_path, command, task, value):
+    # NaN and Infinity are not JSON; the profile refuses the time before
+    # any table is made
+    dest = tmp_path / "table.json"
+    cfg = write_config(tmp_path, CHAIN.replace("t_over_pi = 0.3", f"t_over_pi = {value}")
+                       + f"[task]\n{task}\n")
+    code, out, err = run(capsys, command, "--config", cfg, "--format", "json",
+                         "--out", str(dest))
+    assert code == 1 and out == "" and not dest.exists()
+    assert f"time must be finite and non-negative, got {value}" in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command, task", [
+    ("correlations", "separations = 1:3"),
+    ("entropy-scan", "sizes = 2, 12\nm = 4\nradius = 2"),
+    ("bounds-scan", "size = 12\nms = 1:3\nradii = 0:4"),
+    ("dynamics", "grid = 0:1:3\nl_max = 2"),
+    ("graph-rank", "sides = 2, 4"),
+    ("mw", "sample = 5"),
+    ("verify", None),
+])
+def test_every_table_is_strict_json(capsys, tmp_path, command, task):
+    # blank cells are null; no cell may be NaN or Infinity
+    body = GRAPH_2D if command == "graph-rank" else CHAIN
+    argv = [command, "--format", "json"]
+    if task is None:
+        argv += ["--instances", "2", "--n-max", "6", "--a-max", "2"]
+    else:
+        argv += ["--config", write_config(tmp_path, body + f"[task]\n{task}\n")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert payload["command"] == command and payload["rows"]
+
+
 def test_random_state_is_seeded(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN + "[state]\nkind = random\n"
                        "[task]\nseparations = 1, 2\n")

@@ -166,6 +166,34 @@ def test_phase_self_pair_rejected():
         prof.phase_row(3, np.array([1, 3, 5]))
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -1.0])
+def test_a_profile_time_must_be_finite_and_non_negative(time):
+    # the one time rule: a grid's times and the CLI's t_over_pi meet it here
+    with pytest.raises(ValueError, match=f"time must be finite and non-negative, got {time!r}"):
+        PhaseProfile(Lattice(4), PowerLaw(alpha=1.0), time)
+
+
+def test_a_cutoff_reach_must_be_a_number():
+    # a NaN reach would compare false against every distance and uncouple
+    # every pair; an infinite one couples every pair
+    with pytest.raises(ValueError, match="reach must be non-negative"):
+        Cutoff(math.nan)
+    assert Cutoff(math.inf).strengths(np.array([1.0, 1e300])).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("entries", [{1.0: math.nan, 2.0: 0.5}, {1.0: 0.5, 2.0: math.inf},
+                                     {math.nan: 0.5}])
+def test_a_table_holds_finite_entries(entries):
+    with pytest.raises(ValueError, match="table entries must be finite numbers"):
+        Table(entries)
+
+
+@pytest.mark.parametrize("amplitude", [(math.nan, 1.0), (0.0, math.inf)])
+def test_a_disordered_amplitude_is_finite(amplitude):
+    with pytest.raises(ValueError, match="amplitude bounds must be finite"):
+        Disordered(base=PowerLaw(alpha=1.0), seed=1, amplitude=amplitude)
+
+
 def test_monotone_decay():
     lat = Lattice(50)
     for law in [PowerLaw(alpha=0.5), PowerLaw(alpha=3.0), Exponential(kappa=1.0)]:

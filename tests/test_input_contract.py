@@ -97,15 +97,25 @@ STACK_CASES = {
     "row_repeats": ([[3, 4], [5, 5]], None, r"subset contains repeated sites: \[5, 5\]"),
     "row_past_end": ([[3, 4], [5, N]], None, r"site index out of range 0\.\.29"),
     "env_meets_a_row": ([[3, 4], [5, 6]], [0, 1, 6], "environment overlaps the subset"),
+    # the width is checked before the rows' range and repeats
+    "rows_too_wide": ([list(range(11)), [N] * 11], None,
+                      "subset of 11 sites exceeds the limit of 10"),
+    # the state before anything in the rows
+    "state_before_rows": ([[3, 4], [5, N]], None,
+                          f"input state has {N - 1} sites, the profile {N}"),
 }
+
+# input state size per case, the profile's where not listed
+STACK_STATES = {"state_before_rows": N - 1}
 
 
 @pytest.mark.parametrize("entry", ["environment_product", "reduced_density"])
 @pytest.mark.parametrize("case", list(STACK_CASES))
 def test_stacks_share_the_contract(entry, case):
     stack, environment, message = STACK_CASES[case]
+    state = ProductInput.plus(STACK_STATES.get(case, N))
     with pytest.raises(ValueError, match=message):
-        ENTRY_POINTS[entry](_profile(), ProductInput.plus(N), stack, environment=environment)
+        ENTRY_POINTS[entry](_profile(), state, stack, environment=environment)
 
 
 # every other entry point reads a 2-D site list as one block, row after row

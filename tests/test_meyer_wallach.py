@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wgstate.measures as measures
+import wgstate.rdm as rdm
 from wgstate.geometry import (
     TWO_PI,
     Cutoff,
@@ -193,3 +195,26 @@ def test_rejects_empty_sites():
     profile = PhaseProfile(Lattice(8), PowerLaw(alpha=1.0), time=0.4)
     with pytest.raises(ValueError, match="at least one site"):
         meyer_wallach(profile, ProductInput.plus(8), [])
+
+
+@pytest.mark.parametrize("slab", [1, 3, 16])
+def test_slabs_of_the_environment_give_the_one_slab_values(monkeypatch, slab):
+    # the per-site fallback and single_site_coherence read the environment
+    # in slabs of ENV_SLAB sites; measures binds the name at import, so
+    # both bindings are patched
+    n = 40
+    law = Disordered(PowerLaw(alpha=1.0), seed=3, amplitude=(0.5, 1.5))
+    disordered = PhaseProfile(Lattice(n), law, 0.3 * math.pi)
+    uniform = PhaseProfile(Lattice((5, 8), "periodic"), PowerLaw(alpha=1.0), 0.7)
+    random_input = ProductInput.random(n, np.random.default_rng(4))
+    sites = [0, 17, 39]
+    cases = {
+        "mw_disordered": lambda: meyer_wallach(disordered, ProductInput.plus(n)),
+        "mw_random_input": lambda: meyer_wallach(uniform, random_input, sites),
+        "coherence": lambda: [single_site_coherence(disordered, k) for k in sites],
+    }
+    whole = {name: np.asarray(value()) for name, value in cases.items()}
+    monkeypatch.setattr(rdm, "ENV_SLAB", slab)
+    monkeypatch.setattr(measures, "ENV_SLAB", slab)
+    for name, value in cases.items():
+        assert np.abs(np.asarray(value()) - whole[name]).max() < 1e-13, name

@@ -41,6 +41,14 @@ def test_product_input_validation():
         state.amplitudes[0, 0] = 0.0
 
 
+def test_a_nan_amplitude_is_not_normalized():
+    # |a0|^2 + |a1|^2 = nan is not within 1e-12 of 1
+    amps = np.full((3, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
+    amps[1, 0] = math.nan
+    with pytest.raises(ValueError, match="site 1 amplitudes not normalized"):
+        ProductInput(amps)
+
+
 def test_environment_factor_diagonal_is_one():
     rng = np.random.default_rng(0)
     prof, state, sites = random_instance(rng, n_max=10, a_max=4)
@@ -166,17 +174,6 @@ def test_reduced_density_output_invariants():
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
-def test_internal_phases_leave_spectrum_alone():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        prof, state, sites = random_instance(rng, n_max=12, a_max=5)
-        with_internal = reduced_density(prof, state, sites)
-        without = reduced_density(prof, state, sites, include_internal=False)
-        ev1 = np.linalg.eigvalsh(with_internal)
-        ev2 = np.linalg.eigvalsh(without)
-        assert np.abs(ev1 - ev2).max() < 1e-12
-
-
 def test_subset_bit_order_convention():
     # reversing the listed sites permutes rows/columns by bit reversal
     rng = np.random.default_rng(12)
@@ -198,8 +195,7 @@ def test_growing_environment_never_lowers_entropy():
         rng.shuffle(env)
         prev = -1.0
         for j in range(env.size + 1):
-            rho = reduced_density(prof, state, sites, include_internal=False,
-                                  environment=env[:j])
+            rho = reduced_density(prof, state, sites, environment=env[:j])
             p = np.clip(np.linalg.eigvalsh(rho), 0, None)
             p = p[p > 0]
             s = float(-(p * np.log2(p)).sum())
