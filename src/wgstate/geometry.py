@@ -13,10 +13,10 @@ table is ever materialized, so memory stays O(N).  A law of distance alone
 gives every pair's phase from one table over the lattice's displacements,
 :func:`displacement_phases`.  Which environment sites a subset can feel, and
 with what phase, is decided here alone: :func:`coupled_sites` names the
-candidates (for a table, those in the subset's near box, dilated by every
-displacement whose phase is not 0.0) and :func:`pair_phases` reads their
-phases, from the table or one ``phase_row`` per subset site
-(:func:`pair_phase_rows`: a few subset sites at a time);
+candidates of a whole sweep in one call (for a table, those in the near box
+of every subset and time: its bounding box, dilated by every displacement
+whose phase is not 0.0) and :func:`pair_phases`, the one phase reader,
+reads their phases, from the table or one ``phase_row`` per subset site;
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
 gives the factors exp(-i phi) the sweep multiplies, for one profile or for
 the profiles of a time grid (:func:`time_profiles`) at once.
@@ -480,37 +480,42 @@ def displacement_phases(profile) -> np.ndarray | None:
     return profile._displacement_table
 
 
-def _warm(profile) -> None:
-    """Build the tables a profile caches on first use that
+def _warm(profiles) -> None:
+    """Build the tables each of ``profiles`` caches on first use that
     :func:`coupled_sites` has not built, so that threads sweeping parts of
     one environment only read them: ``cached_property`` holds no lock from
     Python 3.12 on."""
-    if isinstance(profile, PhaseProfile):
-        profile.lattice._coords
-        if displacement_phases(profile) is not None:
-            profile._displacement_factors
+    for profile in profiles:
+        if isinstance(profile, PhaseProfile):
+            profile.lattice._coords
+            if displacement_phases(profile) is not None:
+                profile._displacement_factors
 
 
-def coupled_sites(profile, sites, ls) -> np.ndarray:
-    """Ascending positions in ``ls`` of the sites that may couple to ``sites``.
+def coupled_sites(profiles, sites, ls) -> np.ndarray:
+    """Ascending positions in ``ls`` of the sites that may couple to ``sites``
+    under some of ``profiles``: one profile, or the profiles of a time grid
+    from :func:`time_profiles`, all a sweep feels in one call.
 
     ``sites`` is one subset or a (B, m) stack of them.  With a
     :func:`displacement_phases` table these are the sites inside the near
-    box of a subset, or of any subset of a stack: its bounding box dilated,
-    along each axis, by the largest |d| along it whose table entry is not
-    0.0 (on a periodic axis the table is indexed by |d| before the minimum
-    image, so this holds there).  Every site outside it has phase exactly
-    0.0 to every site of the subset.  For any other profile they are all
-    positions.
+    box of a subset, or of any subset of a stack, under any of the
+    profiles: its bounding box dilated, along each axis, by the largest |d|
+    along it whose table entry is not 0.0 (on a periodic axis the table is
+    indexed by |d| before the minimum image, so this holds there).  The
+    bounding boxes are read once and one box is filled per distinct reach.
+    Every site outside it has phase exactly 0.0 to every site of the
+    subset.  For any other profile they are all positions.
     """
-    if displacement_phases(profile) is None:
+    if displacement_phases(profiles[0]) is None:
         return np.arange(len(ls))
-    reach = profile._near_reach
-    lattice = profile.lattice
+    lattice = profiles[0].lattice
     ends = lattice.coords(np.atleast_2d(sites))
+    lo, hi = ends.min(axis=1), ends.max(axis=1) + 1
     box = np.zeros(lattice.extents, dtype=bool)
-    for lo, hi in zip(np.maximum(ends.min(axis=1) - reach, 0), ends.max(axis=1) + reach + 1):
-        box[tuple(map(slice, lo, hi))] = True
+    for reach in {tuple(profile._near_reach) for profile in profiles}:
+        for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
+            box[tuple(map(slice, start, stop))] = True
     return np.flatnonzero(box.ravel()[ls])
 
 
@@ -551,20 +556,6 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
         return phi
     lattice = profile.lattice
     return _table_read(profile, lattice.coords(sites), lattice.coords(ls))[1]
-
-
-def pair_phase_rows(profile, sites, ls, step: int):
-    """``pair_phases(profile, sites[lo:lo + step], ls)`` for lo = 0, step, ..,
-    the same floats, with the coordinates of ``sites`` and ``ls`` read once."""
-    table = displacement_phases(profile)
-    if table is None:
-        for lo in range(0, len(sites), step):
-            yield pair_phases(profile, sites[lo:lo + step], ls)
-        return
-    lattice = profile.lattice
-    ends, at = lattice.coords(sites), lattice.coords(ls)
-    for lo in range(0, len(sites), step):
-        yield _table_read(profile, ends[lo:lo + step], at)[1]
 
 
 def _pair_factors(profiles, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,10 @@ count of independent edge patterns, computed here without touching any
 amplitudes.  Each row is one Python integer, environment column c at bit
 c, so an m x (N - m) slice costs O(m^2) XORs of N-bit integers.
 
-:func:`block_adjacency` asks the same reader as the environment sweep,
-:func:`~wgstate.geometry.coupled_sites` and
-:func:`~wgstate.geometry.pair_phases`.  For a law of distance alone that
+:func:`block_adjacency` asks the same readers as the environment sweep:
+:func:`~wgstate.geometry.coupled_sites` names the candidate sites in one
+call and :func:`~wgstate.geometry.pair_phases` reads their phases, a group
+of block sites at a time.  For a law of distance alone that
 reads every phase from one table over the lattice's displacements, and only
 inside the block's bounding box dilated by every displacement whose phase
 is not 0.0: O(N + m * |box|) table lookups in place of O(m * N) distance
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TWO_PI, coupled_sites, pair_phase_rows
+from .geometry import TWO_PI, coupled_sites, pair_phases
 from .rdm import _check_subset, _resolve_environment
 
 # Byte budget for the transients of one group of rows in block_adjacency.
@@ -96,9 +97,8 @@ def block_adjacency(profile, block) -> Adjacency:
     Columns run over the environment sites in ascending order, column c at
     bit c of its row.  Only the block rows are inspected, so the cost never
     involves the full graph.
-    Phases come from :func:`~wgstate.geometry.pair_phases`, a group of rows
-    at a time (:func:`~wgstate.geometry.pair_phase_rows` reads every site's
-    coordinates once a call), and only for the environment sites
+    Phases come from :func:`~wgstate.geometry.pair_phases`, one call per
+    group of rows, and only for the environment sites
     :func:`~wgstate.geometry.coupled_sites` names: for a distance law
     other than ``Disordered`` those inside the block's near box,
     O(N + |block| * |box|) table lookups; for any other profile every
@@ -110,7 +110,7 @@ def block_adjacency(profile, block) -> Adjacency:
     """
     block = _check_subset(profile, block, a_max=profile.n_sites)
     env = _resolve_environment(profile, block)
-    cols = coupled_sites(profile, block, env)
+    cols = coupled_sites((profile,), block, env)
     if cols.size == 0:
         return Adjacency((0,) * block.size, env.size)
     # the candidates' columns span a run of whole bytes, packed in one go
@@ -124,8 +124,9 @@ def block_adjacency(profile, block) -> Adjacency:
     # one buffer for every chunk: only the candidates' columns are written
     bits = np.zeros((min(step, block.size), 8 * n_bytes), dtype=bool)
     rows = []
-    for lo, phi in zip(range(0, block.size, step), pair_phase_rows(profile, block, sites, step)):
+    for lo in range(0, block.size, step):
         ks = block[lo:lo + step]
+        phi = pair_phases(profile, ks, sites)
         edge, bad = _classify(phi)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -178,15 +179,17 @@ def analytic_block_entropy(dimension: int, side: int, reach: float) -> int:
 # ---------------------------------------------------------------------------
 
 def read_edge_list(path) -> list[tuple[int, int]]:
-    """One 'k l' pair per line; text after a '#' is a comment."""
+    """One 'k l' pair per line; text after a '#' is a comment.  Any other
+    line raises ValueError naming its path and line number."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'site site', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                k, l = map(int, text.split())
+            except ValueError:      # a token that is no integer, or not two
+                raise ValueError(f"{path}:{lineno}: expected 'site site', got {line!r}") from None
+            edges.append((k, l))
     return edges

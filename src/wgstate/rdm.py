@@ -16,11 +16,12 @@ sweep over the environment fills a table of 3^m numbers and the full
 E(-d) = conj E(d) and the sweep computes only (3^m + 1) / 2 classes; sites
 with no coupling to the subset contribute the constant p0_l + p1_l and are
 folded in as one scalar.  Which sites those are, and the phases of the
-rest, come from :func:`wgstate.geometry.coupled_sites` and
-:func:`wgstate.geometry.pair_phases`; for a law of distance alone every
-site outside the subset's near box is folded unread: the box is its
-bounding box dilated by the largest displacement whose phase (from a table
-built once per profile) is not exactly 0.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
+rest, come from :func:`wgstate.geometry.coupled_sites`, asked once per
+sweep for all its rows, and :func:`wgstate.geometry.pair_phases`; for a
+law of distance alone every site outside the subset's near box is folded
+unread: the box is its bounding box dilated by the largest displacement
+whose phase (from a table built once per profile) is not exactly 0, one
+box per distinct dilation.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
 finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
 rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.  A stack of B
@@ -304,16 +305,12 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     it is large enough."""
     m = rows.shape[1]
     n_rows = len(rows) * len(profiles)
-    coupled = np.zeros(env.size, dtype=bool)
-    for profile in profiles:
-        coupled[coupled_sites(profile, rows, env)] = True
-    near = np.flatnonzero(coupled)
+    near = coupled_sites(profiles, rows, env)
     swept = np.zeros(env.size, dtype=bool)
     parts = _part_count(near.size * ((3 ** m + 1) // 2) * n_rows)
     # every lazily built table a part reads exists before any thread
     # starts; parts share only ``swept``, at disjoint positions
-    for profile in profiles:
-        _warm(profile)
+    _warm(profiles)
     halves = [None] * parts
 
     def run(p, piece):

@@ -419,6 +419,13 @@ def test_graph_rank_edge_list(capsys, tmp_path):
     code, _, err = run(capsys, "graph-rank", "--config", cfg)
     assert code == 1 and "key 'sides' needs a [lattice] section" in err
 
+    # a token that is not an integer is named by file and line
+    edges.write_text("0 2\n1 x\n")
+    cfg = write_config(tmp_path, f"[task]\nedges = {edges}\nn_sites = 4\n"
+                       "block = 0, 1\n", name="bad.ini")
+    code, _, err = run(capsys, "graph-rank", "--config", cfg)
+    assert code == 1 and f"{edges}:2: expected 'site site'" in err
+
 
 def test_graph_rank_needs_block_or_sides(capsys, tmp_path):
     cfg = write_config(tmp_path, GRAPH_2D + "[task]\n")

@@ -25,6 +25,7 @@ from wgstate.geometry import (
     pair_uniform,
     parse_lattice,
     parse_law,
+    time_profiles,
 )
 
 
@@ -382,7 +383,7 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     rows = np.stack([profile.phase_row(int(k), ls) for k in sites])
     phi = pair_phases(profile, sites, ls)
     assert phi.shape == rows.shape and phi.tobytes() == rows.tobytes()
-    near = coupled_sites(profile, sites, ls)
+    near = coupled_sites((profile,), sites, ls)
     assert np.all(np.diff(near) > 0) and np.all((0 <= near) & (near < ls.size))
     assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
     # the sites the sweep multiplies and their factors, from the cached
@@ -406,8 +407,15 @@ def test_a_stack_couples_the_union_of_its_subsets(data, profile):
         st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True),
         min_size=1, max_size=4)))
     ls = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
-    union = np.unique(np.concatenate([coupled_sites(profile, row, ls) for row in stack]))
-    assert np.array_equal(coupled_sites(profile, stack, ls), union)
+    union = np.unique(np.concatenate([coupled_sites((profile,), row, ls) for row in stack]))
+    assert np.array_equal(coupled_sites((profile,), stack, ls), union)
+    # a grid couples the union of its times; at 0.0, and at 2 pi for a
+    # cutoff, every phase is 0.0 and the box is the bounding box alone
+    if isinstance(profile, PhaseProfile):
+        more = data.draw(st.lists(st.sampled_from([0.3, 1.0, math.pi, 7.5]), max_size=3))
+        grid = time_profiles(profile, data.draw(st.permutations([0.0, TWO_PI, *more])))
+        each = np.unique(np.concatenate([coupled_sites((p,), stack, ls) for p in grid]))
+        assert np.array_equal(coupled_sites(grid, stack, ls), each)
     # the near box holds its own subset, even where no phase is other than 0.0
     assert np.isin(stack, ls[union]).all()
     # every row's own pairs in one read, bit for bit each row's alone

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,10 @@ def test_edge_list_comments_and_errors(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# a comment\n\n0 1  # trailing note\n2 3\n")
     assert read_edge_list(path) == [(0, 1), (2, 3)]
-    path.write_text("0 1 2\n")
-    with pytest.raises(ValueError, match="expected 'site site'"):
-        read_edge_list(path)
+    # a line of three tokens, or with a token that is not an integer, is
+    # named by file and line
+    for bad in ("0 1 2", "1 x", "0 1.5"):
+        path.write_text(f"0 1\n{bad}\n")
+        message = f"{path}:2: expected 'site site', got '{bad}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            read_edge_list(path)

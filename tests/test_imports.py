@@ -1,0 +1,34 @@
+"""Every module of the package uses every name it imports.
+
+A stdlib stand-in for a linter's unused-import rule: a reader that is
+deleted must not leave its import behind.  ``__init__.py`` imports to
+re-export and is left out.
+"""
+
+import ast
+from pathlib import Path
+
+import wgstate
+
+PACKAGE = Path(wgstate.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` binds by an import and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

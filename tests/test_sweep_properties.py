@@ -406,7 +406,7 @@ def _switching_often():
 def _parts_in_order(profile, state, rows, env, parts):
     """``rdm._sweep`` from ``parts`` contiguous parts of the near sites,
     swept one after another and multiplied in part order."""
-    near = coupled_sites(profile, rows, env)
+    near = coupled_sites((profile,), rows, env)
     swept = np.zeros(env.size, dtype=bool)
     halves = [rdm._sweep_part((profile,), state, rows, env, piece, swept)
               for piece in np.array_split(near, parts)]
@@ -434,7 +434,7 @@ def test_a_split_sweep_joins_its_parts_in_order(case, chunk, cores, data):
     n_half = (3 ** rows.shape[1] + 1) // 2
     env = rdm._resolve_environment(profile, rows, environment)
     whole = rdm._sweep((profile,), state, rows, env)
-    work = coupled_sites(profile, rows, env).size * n_half * len(rows)
+    work = coupled_sites((profile,), rows, env).size * n_half * len(rows)
     per_part = data.draw(st.integers(1, max(1, work)), label="work per part")
     parts = min(cores, work // per_part) if work // per_part >= 2 else 1
     budget = 4 * len(rows) * n_half * chunk
