@@ -371,7 +371,7 @@ def _run_graph_rank(args, cp, items) -> _Table:
     """
     if "edges" in items:
         n_sites = _parse_int(_require(items, "n_sites", "task"), "n_sites")
-        profile = EdgeProfile.from_edges(n_sites, read_edge_list(items["edges"]))
+        profile = EdgeProfile.from_edges(n_sites, read_edge_list(items["edges"], n_sites))
         lattice = None
     else:
         profile = _build_profile(cp)

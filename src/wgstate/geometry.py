@@ -19,7 +19,10 @@ whose phase is not 0.0) and :func:`pair_phases`, the one phase reader,
 reads their phases, from the table or one ``phase_row`` per subset site;
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
 gives the factors exp(-i phi) the sweep multiplies, for one profile or for
-the profiles of a time grid (:func:`time_profiles`) at once.
+the profiles of a time grid (:func:`time_profiles`) at once.  A graph-state
+adjacency reads the table's *stencil* instead, its entries that are not
+0.0 (``PhaseProfile._stencil``), each standing for the signed
+displacements :func:`_stencil_images` gives it.
 """
 
 from __future__ import annotations
@@ -351,7 +354,7 @@ class PhaseProfile:
     def _displacement_table(self) -> np.ndarray:
         """Read-only table of :func:`displacement_phases`, built on first use."""
         phi = np.zeros(self.lattice.extents)
-        phi.flat[1:] = self.phase_row(0, np.arange(1, self.n_sites))
+        phi.reshape(-1)[1:] = self.phase_row(0, np.arange(1, self.n_sites))
         phi.setflags(write=False)
         return phi
 
@@ -369,11 +372,32 @@ class PhaseProfile:
         return {}
 
     @cached_property
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only flat indices, ascending, of the ``_displacement_table``
+        entries that are not 0.0, and those entries: the displacements with
+        a phase, each entry standing for the images :func:`_stencil_images`
+        gives it."""
+        phi = self._displacement_table.reshape(-1)
+        at = np.flatnonzero(phi)
+        entries = phi[at]
+        at.setflags(write=False)
+        entries.setflags(write=False)
+        return at, entries
+
+    @cached_property
     def _near_reach(self) -> np.ndarray:
         """Per-axis largest |d| with a table entry not 0.0, or 0."""
         live = self._displacement_table != 0.0
         live.flat[0] = True     # the origin: a box always holds its own subset
         return np.max(np.nonzero(live), axis=1)
+
+
+def _check_pair(n_sites: int, k: int, l: int) -> None:
+    """Raise ValueError unless k and l are two different sites of 0..n_sites-1."""
+    if k == l:
+        raise ValueError(f"self-pair ({k}, {k}) has no phase")
+    if not (0 <= k < n_sites and 0 <= l < n_sites):
+        raise ValueError(f"site pair ({k}, {l}) out of range")
 
 
 class EdgeProfile:
@@ -394,10 +418,7 @@ class EdgeProfile:
         pairs: dict[tuple[int, int], float] = {}
         for (k, l), phi in phases.items():
             k, l = int(k), int(l)
-            if k == l:
-                raise ValueError(f"self-pair ({k}, {k}) has no phase")
-            if not (0 <= k < self._n and 0 <= l < self._n):
-                raise ValueError(f"site pair ({k}, {l}) out of range")
+            _check_pair(self._n, k, l)
             pairs[min(k, l), max(k, l)] = float(phi)
         ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
         phi = _reduce_phase(np.array(list(pairs.values()), dtype=np.float64))
@@ -517,6 +538,30 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
         for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
             box[tuple(map(slice, start, stop))] = True
     return np.flatnonzero(box.ravel()[ls])
+
+
+def _stencil_images(profile, part, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The signed displacements (S, D) that the entries ``part`` (positions
+    in ``profile._stencil``) stand for, and the position of each one's entry.
+
+    An entry at (|d_0|, .., |d_D-1|) gives, on an open axis, d and -d when
+    |d| > 0; on a periodic axis it gives d itself, in 0..E-1, which reaches
+    coordinate (c + d) mod E: |d| or E - |d| away, and the table holds the
+    same phase at both.  So a site l is at most one displacement from a
+    site k.  Only those that land in the lattice from some site of the box
+    with corners ``lo`` and ``hi`` (inclusive) are kept.
+    """
+    lattice = profile.lattice
+    disp = np.stack(np.unravel_index(profile._stencil[0][part], lattice.extents), axis=-1)
+    for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
+        if bound == "open":
+            flip = np.flatnonzero(disp[:, axis])
+            mirror = disp[flip]
+            mirror[:, axis] *= -1
+            disp, part = np.concatenate([disp, mirror]), np.concatenate([part, part[flip]])
+            keep = (disp[:, axis] >= -hi[axis]) & (disp[:, axis] < extent - lo[axis])
+            disp, part = disp[keep], part[keep]
+    return disp, part
 
 
 def _table_read(profile, ends, at) -> tuple[np.ndarray, np.ndarray]:

@@ -115,7 +115,7 @@ class ProductInput:
         if np.any(bad):
             site = int(np.argmax(bad))
             raise ValueError(
-                f"site {site} amplitudes not normalized (|a0|^2 + |a1|^2 = {norms[site]!r})")
+                f"site {site} amplitudes not normalized (|a0|^2 + |a1|^2 = {float(norms[site])!r})")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_populations", pops)
         object.__setattr__(self, "_norms", norms)
@@ -515,7 +515,7 @@ def reduced_density(profile, state: ProductInput, sites, environment=None,
         rho *= phase[:, :, None] * phase.conj()[:, None, :]
     trace = rho.trace(axis1=1, axis2=2).real
     if not (trace > 0).all():
-        raise ValueError(f"reduced matrix has non-positive trace {trace.min()!r}")
+        raise ValueError(f"reduced matrix has non-positive trace {float(trace.min())!r}")
     rho /= trace[:, None, None]
     return rho if np.ndim(sites) == 2 or times is not None else rho[0]
 

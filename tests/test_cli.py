@@ -419,18 +419,29 @@ def test_graph_rank_edge_list(capsys, tmp_path):
     code, _, err = run(capsys, "graph-rank", "--config", cfg)
     assert code == 1 and "key 'sides' needs a [lattice] section" in err
 
-    # a token that is not an integer is named by file and line
-    edges.write_text("0 2\n1 x\n")
-    cfg = write_config(tmp_path, f"[task]\nedges = {edges}\nn_sites = 4\n"
+    # a token that is not an integer, a site out of range and a self-pair
+    # are named by file and line
+    cfg = write_config(tmp_path, f"[task]\nedges = {edges}\nn_sites = 5\n"
                        "block = 0, 1\n", name="bad.ini")
-    code, _, err = run(capsys, "graph-rank", "--config", cfg)
-    assert code == 1 and f"{edges}:2: expected 'site site'" in err
+    for bad, why in (("1 x", "expected 'site site'"), ("1 7", "site pair (1, 7) out of range"),
+                     ("1 1", "self-pair (1, 1) has no phase")):
+        edges.write_text(f"0 2\n{bad}\n")
+        code, _, err = run(capsys, "graph-rank", "--config", cfg)
+        assert code == 1 and f"{edges}:2: {why}" in err
 
 
 def test_graph_rank_needs_block_or_sides(capsys, tmp_path):
     cfg = write_config(tmp_path, GRAPH_2D + "[task]\n")
     code, _, err = run(capsys, "graph-rank", "--config", cfg)
     assert code == 1 and "sides" in err
+    # a power-law chain at t = pi is no graph state; the phase prints as a
+    # plain float, not as np.float64(...)
+    cfg = write_config(tmp_path, CHAIN.replace("0.3", "1") + "[task]\nblock = 4, 5\n",
+                       name="power.ini")
+    code, _, err = run(capsys, "graph-rank", "--config", cfg)
+    assert code == 1     # the phase 4^-3 * pi between sites 4 and 0
+    assert err.strip() == (f"error: phase {math.pi / 64!r} between sites 4 and 0 "
+                           "is neither 0 nor pi (tolerance 1e-09)")
 
 
 def test_mw_full_and_sampled(capsys, tmp_path):

@@ -227,6 +227,18 @@ def test_rank_matches_analytic_across_dimensions():
             block = centered_block(lat, side)
             rank = gf2_rank(block_adjacency(prof, block))
             assert rank == analytic_block_entropy(dim, side, reach)
+        # a complete graph: every block site meets every other site, so the
+        # rows are equal and the rank is 1
+        lat = Lattice((int(rng.integers(4, 9)),) * dim)
+        law = Table({float(r): 1.0 for r in lat.distances(0, np.arange(1, lat.n_sites))})
+        block = centered_block(lat, 2)
+        assert gf2_rank(block_adjacency(PhaseProfile(lat, law, time=math.pi), block)) == 1
+    # the paper's d-dimensional regime: a side-20 box in an open lattice of
+    # 10^6 sites
+    lat = Lattice((100, 100, 100))
+    prof = PhaseProfile(lat, Cutoff(reach=2.0), time=math.pi)
+    rank = gf2_rank(block_adjacency(prof, centered_block(lat, 20)))
+    assert rank == analytic_block_entropy(3, 20, 2) == 3904
 
 
 def test_rank_matches_analytic_on_periodic_lattice():
@@ -326,8 +338,9 @@ def test_block_adjacency_matches_pairwise_reference(data):
     n = profile.n_sites
     extents = profile.lattice.extents if hasattr(profile, "lattice") else (n,)
     block = data.draw(blocks(n, extents), label="block")
-    # a budget of one byte packs one row per group
-    budget = data.draw(st.sampled_from([1 << 21, 1, 3000]), label="budget")
+    # the default budget; one byte, which packs one row per group and splits
+    # a table's stencil into parts of one entry; and one in between
+    budget = data.draw(st.sampled_from([graphstate._CHUNK_BYTES, 1, 3000]), label="budget")
     rows, bad = reference_adjacency(profile, block)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphstate, "_CHUNK_BYTES", budget)
@@ -398,17 +411,22 @@ def test_block_covering_the_lattice_has_rank_zero():
 def test_edge_list_roundtrip(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n3 7\n2 5\n")
-    assert read_edge_list(path) == [(0, 1), (3, 7), (2, 5)]
+    assert read_edge_list(path, 8) == [(0, 1), (3, 7), (2, 5)]
 
 
 def test_edge_list_comments_and_errors(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# a comment\n\n0 1  # trailing note\n2 3\n")
-    assert read_edge_list(path) == [(0, 1), (2, 3)]
-    # a line of three tokens, or with a token that is not an integer, is
-    # named by file and line
-    for bad in ("0 1 2", "1 x", "0 1.5"):
+    assert read_edge_list(path, 4) == [(0, 1), (2, 3)]
+    # a line of three tokens, with a token that is not an integer, with a
+    # site out of range or with a site paired with itself is named by file
+    # and line
+    for bad, why in (("0 1 2", "expected 'site site', got '0 1 2"),
+                     ("1 x", "expected 'site site', got '1 x"),
+                     ("0 1.5", "expected 'site site', got '0 1.5"),
+                     ("1 7", "site pair (1, 7) out of range"),
+                     ("-1 2", "site pair (-1, 2) out of range"),
+                     ("1 1", "self-pair (1, 1) has no phase")):
         path.write_text(f"0 1\n{bad}\n")
-        message = f"{path}:2: expected 'site site', got '{bad}"
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
-            read_edge_list(path)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {why}")):
+            read_edge_list(path, 5)

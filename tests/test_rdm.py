@@ -29,8 +29,10 @@ def trace_dist(a, b):
 
 
 def test_product_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ProductInput(np.array([[1.0, 1.0]]))  # not normalized
+    # the norm prints as a plain float, not as np.float64(2.0)
+    assert str(info.value) == "site 0 amplitudes not normalized (|a0|^2 + |a1|^2 = 2.0)"
     with pytest.raises(ValueError):
         ProductInput(np.ones((3, 3)))
     state = ProductInput.plus(4)
@@ -164,7 +166,7 @@ def test_reduced_density_matches_oracle_randomized():
         assert trace_dist(fast, slow) < 1e-10
 
 
-def test_reduced_density_output_invariants():
+def test_reduced_density_output_invariants(monkeypatch):
     rng = np.random.default_rng(9)
     for _ in range(10):
         prof, state, sites = random_instance(rng, n_max=12, a_max=5)
@@ -172,6 +174,11 @@ def test_reduced_density_output_invariants():
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-10
+    # a sweep that returned zeros leaves no trace, named as a plain float
+    monkeypatch.setattr(rdm, "environment_product", lambda *args, **kw: np.zeros(3 ** len(sites)))
+    with pytest.raises(ValueError) as info:
+        reduced_density(prof, state, sites)
+    assert str(info.value) == "reduced matrix has non-positive trace 0.0"
 
 
 def test_subset_bit_order_convention():
