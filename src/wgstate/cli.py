@@ -227,6 +227,20 @@ def _write_table(args, cp, table: _Table, wall: float) -> None:
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
+def _pair(profile, site: int, separation: int, key: str) -> list[int]:
+    """[site, site + separation], two different sites of the lattice, or a
+    ConfigError naming the key at fault: 'site', or ``key`` for the
+    separation."""
+    if not 0 <= site < profile.n_sites:
+        raise ConfigError(f"key 'site': {site} is outside the lattice 0..{profile.n_sites - 1}")
+    if separation == 0:
+        raise ConfigError(f"key '{key}': a pair needs two sites, not 0")
+    if not 0 <= site + separation < profile.n_sites:
+        raise ConfigError(f"key '{key}': separation {separation} puts the partner "
+                          "outside the lattice")
+    return [site, site + separation]
+
+
 def _run_correlations(args, cp, items) -> _Table:
     """[task] separations = <int list>; site = <int> (default center).
 
@@ -237,12 +251,7 @@ def _run_correlations(args, cp, items) -> _Table:
     profile, state = _profile_and_state(args, cp)
     site = _parse_int(items.get("site", str(profile.n_sites // 2)), "site")
     seps = _parse_int_list(_require(items, "separations", "task"), "separations")
-    for r in seps:
-        if r == 0:
-            raise ConfigError("key 'separations': a pair needs two sites, not 0")
-        if not 0 <= site + r < profile.n_sites:
-            raise ConfigError(f"separation {r} puts the partner outside the lattice")
-    rhos = reduced_density(profile, state, [[site, site + r] for r in seps])
+    rhos = reduced_density(profile, state, [_pair(profile, site, r, "separations") for r in seps])
     columns = (max_correlation(correlation_matrix(rhos)), concurrence(rhos),
                concurrence_of_assistance(rhos))
     return _Table(["separation", "q_max", "concurrence", "assistance_upper"],
@@ -337,11 +346,7 @@ def _run_dynamics(args, cp, items) -> _Table:
     if l_max < 1 or l_max > min(A_MAX, base.n_sites):
         raise ConfigError(f"key 'l_max': must be in 1..{min(A_MAX, base.n_sites)}")
     separation = _parse_int(items.get("separation", "1"), "separation")
-    site = base.n_sites // 2
-    if separation == 0:
-        raise ConfigError("key 'separation': a pair needs two sites, not 0")
-    if not 0 <= site + separation < base.n_sites:
-        raise ConfigError(f"separation {separation} puts the pair outside the lattice")
+    pair_sites = _pair(base, base.n_sites // 2, separation, "separation")
     blocks = [_contiguous_block(base, items, l) for l in range(1, l_max + 1)]
     if blocks[-1].size > A_MAX:
         raise ConfigError(f"key 'l_max': block {l_max} has {blocks[-1].size} sites, "
@@ -351,7 +356,7 @@ def _run_dynamics(args, cp, items) -> _Table:
     times = [t_over_pi * math.pi for t_over_pi in grid]
     outer = (blocks[-1], reduced_density(base, state, blocks[-1], times=times))
     entropies = [block_entropy(base, state, block, outer).tolist() for block in blocks]
-    pair = reduced_density(base, state, [site, site + separation], times=times)
+    pair = reduced_density(base, state, pair_sites, times=times)
     q = max_correlation(correlation_matrix(pair)).tolist()
     e_mw = [meyer_wallach(profile, state) for profile in time_profiles(base, times)]
     rows = list(zip(grid, *entropies, q, e_mw))

@@ -20,9 +20,12 @@ reads their phases, from the table or one ``phase_row`` per subset site;
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
 gives the factors exp(-i phi) the sweep multiplies, for one profile or for
 the profiles of a time grid (:func:`time_profiles`) at once.  A graph-state
-adjacency reads the table's *stencil* instead, its entries that are not
-0.0 (``PhaseProfile._stencil``), each standing for the signed
-displacements :func:`_stencil_images` gives it.
+adjacency asks :func:`coupled_pairs` for every pair of a block site and a
+site outside the block whose phase is not 0.0, whole rows at a time within
+a byte budget; for a table it reads the table's *stencil*, its entries
+that are not 0.0 (``PhaseProfile._stencil``), each standing for the signed
+displacements that reach across an open or a periodic axis.  Only this
+module reads a lattice's boundaries.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _BOUNDARIES = ("open", "periodic")
+
+# Bytes of transients one candidate pair takes in coupled_pairs.
+_PAIR_BYTES = 80
 
 
 class ConfigError(ValueError):
@@ -375,7 +381,7 @@ class PhaseProfile:
     def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat indices, ascending, of the ``_displacement_table``
         entries that are not 0.0, and those entries: the displacements with
-        a phase, each entry standing for the images :func:`_stencil_images`
+        a phase, each entry standing for the images :func:`coupled_pairs`
         gives it."""
         phi = self._displacement_table.reshape(-1)
         at = np.flatnonzero(phi)
@@ -389,7 +395,9 @@ class PhaseProfile:
         """Per-axis largest |d| with a table entry not 0.0, or 0."""
         live = self._displacement_table != 0.0
         live.flat[0] = True     # the origin: a box always holds its own subset
-        return np.max(np.nonzero(live), axis=1)
+        axes = range(live.ndim)
+        return np.array([np.flatnonzero(live.any(axis=tuple(b for b in axes if b != a)))[-1]
+                         for a in axes])
 
 
 def _check_pair(n_sites: int, k: int, l: int) -> None:
@@ -540,30 +548,6 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
     return np.flatnonzero(box.ravel()[ls])
 
 
-def _stencil_images(profile, part, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The signed displacements (S, D) that the entries ``part`` (positions
-    in ``profile._stencil``) stand for, and the position of each one's entry.
-
-    An entry at (|d_0|, .., |d_D-1|) gives, on an open axis, d and -d when
-    |d| > 0; on a periodic axis it gives d itself, in 0..E-1, which reaches
-    coordinate (c + d) mod E: |d| or E - |d| away, and the table holds the
-    same phase at both.  So a site l is at most one displacement from a
-    site k.  Only those that land in the lattice from some site of the box
-    with corners ``lo`` and ``hi`` (inclusive) are kept.
-    """
-    lattice = profile.lattice
-    disp = np.stack(np.unravel_index(profile._stencil[0][part], lattice.extents), axis=-1)
-    for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
-        if bound == "open":
-            flip = np.flatnonzero(disp[:, axis])
-            mirror = disp[flip]
-            mirror[:, axis] *= -1
-            disp, part = np.concatenate([disp, mirror]), np.concatenate([part, part[flip]])
-            keep = (disp[:, axis] >= -hi[axis]) & (disp[:, axis] < extent - lo[axis])
-            disp, part = disp[keep], part[keep]
-    return disp, part
-
-
 def _table_read(profile, ends, at) -> tuple[np.ndarray, np.ndarray]:
     """Flat index into the displacement table of every pair of a site at
     coordinates ``ends`` (..., m, D) and one at ``at`` (..., k, D), per row
@@ -601,6 +585,75 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
         return phi
     lattice = profile.lattice
     return _table_read(profile, lattice.coords(sites), lattice.coords(ls))[1]
+
+
+def _per_budget(budget: int, pairs: int) -> int:
+    """How many rows of ``pairs`` candidate pairs each fit in ``budget``
+    bytes, at least one: the group rule of :func:`coupled_pairs`."""
+    return max(1, budget // (_PAIR_BYTES * pairs + 1))
+
+
+def coupled_pairs(profile, block, budget: int):
+    """Every pair of a site of ``block`` and a site outside it whose phase
+    is not 0.0, a group of block sites at a time: (r, l, phi) arrays of
+    the block position r, ascending, the other site l and the phase, bit
+    for bit :func:`pair_phases`'s.  A group holds whole rows, as many as
+    ``budget`` bytes allow for their candidate pairs (:func:`_per_budget`),
+    at least one.
+
+    With a :func:`displacement_phases` table a row's candidates are its
+    site's coordinates plus each image of a stencil entry, an entry of the
+    table that is not 0.0 (``PhaseProfile._stencil``): O(|block| *
+    |stencil|) in place of O(|block| * N).  An entry at (|d_0|, ..,
+    |d_D-1|) stands, on an open axis, for d and -d when |d| > 0, each kept
+    where it lands in the lattice from some block site; on a periodic axis
+    for d itself, in 0..E-1, which reaches coordinate (c + d) mod E: |d| or
+    E - |d| away, and the table holds the same phase at both.  So a site is
+    at most one image from another.  For any other profile a row's
+    candidates are every site outside the block, read through
+    :func:`pair_phases`, one ``phase_row`` per block site.
+    """
+    inside = np.zeros(profile.n_sites, dtype=bool)
+    inside[block] = True
+    if displacement_phases(profile) is None:
+        env = np.flatnonzero(~inside)
+        step = _per_budget(budget, env.size)
+        for start in range(0, block.size, step):
+            phi = pair_phases(profile, block[start:start + step], env)
+            r, j = np.nonzero(phi)
+            yield r + start, env[j], phi[r, j]
+        return
+    lattice = profile.lattice
+    axes = list(enumerate(zip(lattice.extents, lattice.boundary)))
+    at = lattice.coords(block)
+    lo, hi = at.min(axis=0), at.max(axis=0)
+    flat, phases = profile._stencil
+    disp = np.stack(np.unravel_index(flat, lattice.extents), axis=-1)
+    for axis, (extent, bound) in axes:
+        if bound == "open":
+            d = disp[:, axis]
+            keep, flip = d < extent - lo[axis], (d > 0) & (d <= hi[axis])
+            mirror = disp[flip]
+            mirror[:, axis] *= -1
+            disp = np.concatenate([disp[keep], mirror])
+            phases = np.concatenate([phases[keep], phases[flip]])
+    step = _per_budget(budget, len(disp))
+    for start in range(0, block.size, step):
+        here = at[start:start + step]
+        site = np.zeros((len(here), len(disp)), dtype=np.intp)
+        ok = np.ones(site.shape, dtype=bool)
+        for axis, (extent, bound) in axes:
+            c = here[:, axis, None] + disp[:, axis]
+            if bound == "periodic":
+                c[c >= extent] -= extent
+            else:
+                ok &= c.view(np.uintp) < extent     # a negative c wraps past every extent
+            site *= extent
+            site += c
+        ok &= ~np.take(inside, site, mode="clip")      # clipped where ok is already False
+        hit = np.flatnonzero(ok)
+        r = hit // len(disp)
+        yield r + start, site.ravel()[hit], phases[hit - r * len(disp)]
 
 
 def _pair_factors(profiles, sites, ls, own=False) -> tuple[np.ndarray, np.ndarray]:

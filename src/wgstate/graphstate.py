@@ -8,15 +8,17 @@ amplitudes.  Each row is one Python integer, environment column c at bit
 c, so an m x (N - m) slice costs O(m^2) XORs of integers as wide as the
 columns the rows couple to.
 
-For a law of distance alone :func:`block_adjacency` reads the profile's
-stencil, the displacements whose entry in the displacement table is not
-0.0: a block site's candidate edges are its coordinates plus each of them,
-O(N + m * |stencil|) in place of O(m * N) distance and law evaluations.
-Other profiles (a :class:`~wgstate.geometry.Disordered` law, an
-:class:`~wgstate.geometry.EdgeProfile`) read
-:func:`~wgstate.geometry.pair_phases` of every environment site, one
-``phase_row`` per block site, O(m * N).  The block goes through the input
-contract of :mod:`wgstate.rdm` first, with the lattice as its size limit.
+:func:`block_adjacency` reads its pairs from one reader,
+:func:`~wgstate.geometry.coupled_pairs`: every pair of a block site and an
+environment site whose phase is not 0.0, a group of whole rows at a time
+within ``_CHUNK_BYTES``.  For a law of distance alone it reads the
+profile's stencil, O(N + m * |stencil|) in place of O(m * N) distance and
+law evaluations; other profiles (a :class:`~wgstate.geometry.Disordered`
+law, an :class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per
+block site, O(m * N).  Which sites couple, and how a lattice is laid out,
+is known in :mod:`wgstate.geometry` alone; this module only classifies
+phases and packs edges.  The block goes through the input contract of
+:mod:`wgstate.rdm` first, with the lattice as its size limit.
 """
 
 from __future__ import annotations
@@ -24,18 +26,15 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TWO_PI, _check_pair, _stencil_images, displacement_phases, pair_phases
-from .rdm import _check_subset, _resolve_environment
+from .geometry import TWO_PI, _check_pair, coupled_pairs
+from .rdm import _check_subset
 
-# Byte budget for the transients of one group of rows in block_adjacency,
-# and the bytes one candidate pair of a block site and a stencil image takes.
+# Byte budget for the transients of one group of rows in block_adjacency.
 _CHUNK_BYTES = 1 << 21
-_PAIR_BYTES = 80
 
 # A phase this close to 0, pi or 2*pi counts as that value.
 _TOL = 1e-9
@@ -107,9 +106,10 @@ def _not_a_graph_state(phi, k, l) -> NotAGraphStateError:
 
 
 def _pack(rows: list, r: np.ndarray, c: np.ndarray) -> None:
-    """OR into ``rows`` the edges (r[i], c[i]): rows r ascending, no edge
-    twice.  Each row's columns are packed in a window that starts at its
-    lowest one, then shifted up to it."""
+    """Set ``rows[r[i]]`` to the row of the edges (r[i], c[i]): rows r
+    ascending, each row's edges all given at once and none twice.  Each
+    row's columns are packed into a run of bytes of its own that starts at
+    its lowest one, then shifted up to it."""
     if r.size == 0:
         return
     first = np.empty(r.size, dtype=bool)
@@ -118,104 +118,13 @@ def _pack(rows: list, r: np.ndarray, c: np.ndarray) -> None:
     start = np.flatnonzero(first)
     nth = np.cumsum(first) - 1
     low = np.minimum.reduceat(c, start)
-    c = c - low[nth]
-    width = int(c.max()) + 1
-    c += nth * width
-    bits = np.zeros((start.size, width), dtype=bool)
-    bits.reshape(-1)[c] = True
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    for i, word, shift in zip(r[start].tolist(), packed, low.tolist()):
-        rows[i] |= int.from_bytes(word, "little") << shift
-
-
-def _row_groups(profile, block):
-    """Rows of a profile without a displacement table, a group at a time:
-    ``pair_phases`` of the group's sites and every environment site."""
-    env = _resolve_environment(profile, block)
-    step = max(1, _CHUNK_BYTES // (27 * env.size + 1))
-    for lo in range(0, block.size, step):
-        ks = block[lo:lo + step]
-        phi = pair_phases(profile, ks, env)
-        edge, bad = _classify(phi)
-        if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise _not_a_graph_state(phi[i, j], ks[i], env[j])
-        rows = [0] * ks.size
-        _pack(rows, *np.nonzero(edge))
-        yield rows
-
-
-def _candidates(lattice, here, disp, inside):
-    """(row, site, image) of every pair of a site at coordinates ``here``
-    (g, D) and one of the displacements ``disp`` (S, D) that lands in the
-    lattice on a site ``inside`` does not mark, rows ascending."""
-    site = np.zeros((len(here), len(disp)), dtype=np.intp)
-    ok = np.ones(site.shape, dtype=bool)
-    for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
-        c = here[:, axis, None] + disp[:, axis]
-        if bound == "periodic":
-            c[c >= extent] -= extent
-        else:
-            ok &= c.view(np.uintp) < extent     # a negative c wraps past every extent
-        site *= extent
-        site += c
-    ok &= ~np.take(inside, site, mode="clip")      # clipped where ok is already False
-    at = np.flatnonzero(ok)
-    r = at // len(disp)
-    return r, site.ravel()[at], at - r * len(disp)
-
-
-def _stencil_groups(profile, block):
-    """Rows of a profile with a displacement table, a group at a time, from
-    its stencil: a block site's candidates are its coordinates plus each
-    image of a stencil entry, O(|block| * |stencil|).
-
-    The stencil's phases are classified once per call.  A group holds as
-    many rows as the byte budget allows for their candidates and for the
-    window their columns are packed in.  A stencil too large for one row
-    within the budget is split into parts, expanded again for every row.
-    """
-    lattice = profile.lattice
-    at = lattice.coords(block)
-    lo, hi = at.min(axis=0), at.max(axis=0)
-    phases = profile._stencil[1]
-    edge, bad = _classify(phases)
-    live = np.flatnonzero(edge | bad)
-    part = max(1, _CHUNK_BYTES // (_PAIR_BYTES * 2 ** lattice.boundary.count("open")))
-    parts = [live[i:i + part] for i in range(0, live.size, part)]
-    if len(parts) == 1:
-        # one part's images are made once; a row's columns lie within the
-        # sites they reach from its block site
-        ready = [_stencil_images(profile, parts[0], lo, hi)]
-        disp = ready[0][0]
-        reach = disp.max(axis=0, initial=0) - disp.min(axis=0, initial=0)
-        periodic = np.array(lattice.boundary) == "periodic"
-        reach[periodic] = np.array(lattice.extents)[periodic] - 1
-        strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
-        step = max(1, _CHUNK_BYTES // (_PAIR_BYTES * len(disp) + 1 + int(reach @ strides)))
-    else:
-        ready, step = None, 1 if parts else block.size
-    order = np.sort(block)
-    inside = np.zeros(lattice.n_sites, dtype=bool)
-    inside[block] = True
-    for start in range(0, block.size, step):
-        ks = block[start:start + step]
-        rows, found = [0] * ks.size, []
-        for disp, entry in ready or (_stencil_images(profile, p, lo, hi) for p in parts):
-            r, l, j = _candidates(lattice, at[start:start + step], disp, inside)
-            j = entry[j]
-            b = np.flatnonzero(bad[j])
-            if b.size:
-                # the first block site in the given order, then the lowest environment site
-                i = b[np.argmin(r[b] * lattice.n_sites + l[b])]
-                found.append((r[i], l[i], phases[j[i]]))
-            e = edge[j]
-            l = l[e]
-            _pack(rows, r[e], l - np.searchsorted(order, l))
-        if found:
-            r, l, phi = min(found)
-            raise _not_a_graph_state(phi, ks[r], l)
-        yield rows
+    end = np.cumsum((np.maximum.reduceat(c, start) - low) // 8 + 1)
+    begin = np.concatenate([[0], end[:-1]])
+    bit = c - low[nth] + 8 * begin[nth]
+    packed = np.zeros(int(end[-1]), dtype=np.uint8)
+    np.add.at(packed, bit >> 3, (1 << (bit & 7)).astype(np.uint8))     # no bit twice: + is OR
+    for i, a, b, shift in zip(r[start].tolist(), begin.tolist(), end.tolist(), low.tolist()):
+        rows[i] = int.from_bytes(packed[a:b], "little") << shift
 
 
 def block_adjacency(profile, block) -> Adjacency:
@@ -223,21 +132,34 @@ def block_adjacency(profile, block) -> Adjacency:
 
     Columns run over the environment sites in ascending order, column c at
     bit c of its row.  Only the block rows are inspected, so the cost never
-    involves the full graph.  For a distance law other than ``Disordered``
-    the edges come from the profile's stencil, the displacements whose
-    phase is not 0.0: O(N) once per profile for the table, then
-    O(|block| * |stencil|) per call.  For any other profile they come from
-    :func:`~wgstate.geometry.pair_phases` of every environment site, a
-    group of rows at a time, one ``phase_row`` per block site,
-    O(|block| * N).  The transients of a group stay within a byte budget.
+    involves the full graph.  The pairs of a block site and an environment
+    site whose phase is not 0.0 come from the one reader
+    :func:`~wgstate.geometry.coupled_pairs`, a group of whole rows at a
+    time: as many rows as ``_CHUNK_BYTES`` holds of their candidate pairs,
+    at least one.  For a distance law other than ``Disordered`` a row's
+    candidates are the images of the profile's stencil, O(N) once per
+    profile for the table, then O(|block| * |stencil|) per call; for any
+    other profile they are every environment site, one ``phase_row`` per
+    block site, O(|block| * N).  Each group's phases are classified and
+    its edges packed, one run of bytes per row.
 
     A pair whose phase is neither 0 nor pi within 1e-9 raises
     :class:`NotAGraphStateError` naming the first such pair: the first
-    block site in the given order, then the lowest environment site.
+    block site in the given order, then the lowest environment site.  It
+    is raised as soon as the group that holds it is read.
     """
     block = _check_subset(profile, block, a_max=profile.n_sites)
-    groups = (_row_groups if displacement_phases(profile) is None else _stencil_groups)(profile, block)
-    return Adjacency(tuple(chain.from_iterable(groups)), profile.n_sites - block.size)
+    order = np.sort(block)
+    rows = [0] * block.size
+    for r, l, phi in coupled_pairs(profile, block, _CHUNK_BYTES):
+        edge, bad = _classify(phi)
+        if bad.any():
+            i = np.flatnonzero(bad & (r == r[np.argmax(bad)]))     # rows ascending
+            i = i[np.argmin(l[i])]
+            raise _not_a_graph_state(phi[i], block[r[i]], l[i])
+        l = l[edge]
+        _pack(rows, r[edge], l - np.searchsorted(order, l))
+    return Adjacency(tuple(rows), profile.n_sites - block.size)
 
 
 def connected_vertex_count(gamma: Adjacency) -> int:

@@ -130,6 +130,17 @@ def test_a_zero_separation_is_rejected_before_any_sweep(capsys, tmp_path, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("site", [-2, 20])
+def test_a_site_off_the_lattice_is_rejected_before_any_sweep(capsys, tmp_path, monkeypatch,
+                                                             site):
+    calls = count_sweeps(monkeypatch)
+    cfg = write_config(tmp_path, CHAIN + f"[task]\nsite = {site}\nseparations = 3:4\n")
+    code, out, err = run(capsys, "correlations", "--config", cfg)
+    assert code == 1 and out == ""
+    assert f"key 'site': {site} is outside the lattice 0..19" in err
+    assert calls == []
+
+
 def test_entropy_scan_blank_exact_above_ceiling(capsys, tmp_path):
     cfg = write_config(tmp_path, CHAIN.replace("extents = 20", "extents = 60")
                        + "[task]\nsizes = 2, 12\nm = 4\nradius = 3\n")

@@ -19,6 +19,7 @@ from wgstate.geometry import (
     _pair_factors,
     _reduce_phase,
     centered_block,
+    coupled_pairs,
     coupled_sites,
     displacement_phases,
     pair_phases,
@@ -27,6 +28,7 @@ from wgstate.geometry import (
     parse_law,
     time_profiles,
 )
+from wgstate.graphstate import _CHUNK_BYTES
 
 
 def test_chain_open_distance():
@@ -396,6 +398,49 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     assert np.array_equal(live, np.concatenate([rows.any(axis=0), np.ones(m, dtype=bool)]))
     # a site paired with itself, as in a stack's own sites, has phase 0.0
     assert not np.diagonal(pair_phases(profile, sites, sites)).any()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), profile=profiles())
+def test_coupled_pairs_read_every_phase_once(data, profile):
+    n = profile.n_sites
+    block = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                        unique=True)))
+    # the default budget; one byte, one row per group; and one in between
+    budget = data.draw(st.sampled_from([_CHUNK_BYTES, 1, 3000]), label="budget")
+    groups = list(coupled_pairs(profile, block, budget))
+    # each group holds whole rows, ascending
+    rows = [g[0] for g in groups if g[0].size]
+    assert all(np.all(np.diff(r) >= 0) for r in rows)
+    assert all(a[-1] < b[0] for a, b in zip(rows, rows[1:]))
+    r, l, phi = (np.concatenate(x) for x in zip(*groups))
+    env = np.setdiff1d(np.arange(n), block)
+    ref = pair_phases(profile, block, env)
+    i, j = np.nonzero(ref)
+    # every pair with a phase other than 0.0 exactly once, its phase bit
+    # for bit the reader's
+    got = np.lexsort((l, r))
+    assert np.array_equal(r[got], i) and np.array_equal(l[got], env[j])
+    assert phi[got].tobytes() == ref[i, j].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_near_reach_is_the_farthest_live_displacement_per_axis(data):
+    dim = data.draw(st.integers(1, 3))
+    extents = tuple(data.draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    lattice = Lattice(extents)
+    # at t = 0 every entry is 0.0; otherwise a table of any pattern
+    profile = PhaseProfile(lattice, PowerLaw(1.0), time=0.0)
+    if data.draw(st.booleans()):
+        live = data.draw(st.lists(st.booleans(), min_size=lattice.n_sites,
+                                  max_size=lattice.n_sites))
+        profile.__dict__["_displacement_table"] = np.where(np.reshape(live, extents), 0.5, 0.0)
+    live = profile._displacement_table != 0.0
+    live.flat[0] = True
+    assert np.array_equal(profile._near_reach, np.max(np.nonzero(live), axis=1))
 
 
 @settings(max_examples=100, deadline=None)

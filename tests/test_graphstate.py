@@ -338,8 +338,8 @@ def test_block_adjacency_matches_pairwise_reference(data):
     n = profile.n_sites
     extents = profile.lattice.extents if hasattr(profile, "lattice") else (n,)
     block = data.draw(blocks(n, extents), label="block")
-    # the default budget; one byte, which packs one row per group and splits
-    # a table's stencil into parts of one entry; and one in between
+    # the default budget; one byte, which reads one row per group; and one
+    # in between
     budget = data.draw(st.sampled_from([graphstate._CHUNK_BYTES, 1, 3000]), label="budget")
     rows, bad = reference_adjacency(profile, block)
     with pytest.MonkeyPatch.context() as patch:
@@ -375,6 +375,29 @@ def test_unrealized_bad_phase_does_not_raise():
         assert block_adjacency(prof, block).rows == rows
     with pytest.raises(NotAGraphStateError, match="between sites 0 and 5 "):
         block_adjacency(prof, [0])
+
+
+def test_a_law_that_is_no_graph_state_stops_at_its_first_bad_group(monkeypatch):
+    # phase pi / r^2: an edge at r = 1, neither 0 nor pi from r = 2 until it
+    # falls within the tolerance of 0; one row's stencil images fill more
+    # than the budget, so each group is one row
+    lattice = Lattice(200_000)
+    profile = PhaseProfile(lattice, PowerLaw(alpha=2.0), time=math.pi)
+    block = np.arange(99_000, 101_000)
+    others = np.setdiff1d(np.arange(lattice.n_sites), block)
+    _, bad = graphstate._classify(profile.phase_row(int(block[0]), others))
+    read, reader = [], graphstate.coupled_pairs
+
+    def counted(*args):
+        for group in reader(*args):
+            read.append(group[0].size)      # a count: a group may hold 10^5 pairs
+            yield group
+
+    monkeypatch.setattr(graphstate, "coupled_pairs", counted)
+    with pytest.raises(NotAGraphStateError,
+                       match=rf"between sites {block[0]} and {others[np.argmax(bad)]} "):
+        block_adjacency(profile, block)
+    assert len(read) == 1
 
 
 def _count_phase_rows(monkeypatch, cls):

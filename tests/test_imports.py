@@ -1,8 +1,10 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and only
+``geometry`` knows the lattice's boundaries.
 
 A stdlib stand-in for a linter's unused-import rule: a reader that is
 deleted must not leave its import behind.  ``__init__.py`` imports to
-re-export and is left out.
+re-export and is left out.  Which sites couple, across an open or a
+periodic axis, is decided in ``geometry`` alone.
 """
 
 import ast
@@ -32,3 +34,16 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def attribute_reads(source: str, attribute: str) -> list[int]:
+    """Lines on which ``source`` reads ``attribute`` of some object."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == attribute
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_geometry_reads_the_lattice_boundary():
+    reads = {path.name: attribute_reads(path.read_text(encoding="utf-8"), "boundary")
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "geometry.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
