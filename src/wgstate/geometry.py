@@ -19,11 +19,12 @@ whose phase is not 0.0) and :func:`pair_phases`, the one phase reader,
 reads their phases, from the table or one ``phase_row`` per subset site;
 :func:`_pair_factors` keeps the sites with a phase other than 0.0 and
 gives the factors exp(-i phi) the sweep multiplies, for one profile or for
-the profiles of a time grid (:func:`time_profiles`) at once.  A graph-state
-adjacency asks :func:`coupled_pairs` for every pair of a block site and a
-site outside the block whose phase is not 0.0, whole rows at a time within
-a byte budget; for a table it reads the table's *stencil*, its entries
-that are not 0.0 (``PhaseProfile._stencil``), each standing for the signed
+the profiles of a time grid (:func:`time_profiles`) at once, a grid's from
+one gather of its stacked tables.  A graph-state adjacency asks
+:func:`coupled_pairs` for every pair of a block site and a site outside
+the block whose phase is not 0.0, whole rows at a time within a byte
+budget; for a table it reads the table's *stencil*, its entries that are
+not 0.0 (``PhaseProfile._stencil``), each standing for the signed
 displacements that reach across an open or a periodic axis.  Only this
 module reads a lattice's boundaries.
 """
@@ -63,6 +64,14 @@ def _reduce_phase(phi: np.ndarray) -> np.ndarray:
         wrapped = np.mod(phi[out], TWO_PI)
         phi[out] = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return phi
+
+
+def _factors(phi: np.ndarray) -> np.ndarray:
+    """Read-only exp(-1j * phi), elementwise."""
+    z = -1j * phi
+    np.exp(z, out=z)
+    z.setflags(write=False)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +376,7 @@ class PhaseProfile:
     @cached_property
     def _displacement_factors(self) -> np.ndarray:
         """Read-only exp(-1j * phi) of every entry of ``_displacement_table``."""
-        z = -1j * self._displacement_table
-        np.exp(z, out=z)
-        z.setflags(write=False)
-        return z
+        return _factors(self._displacement_table)
 
     @cached_property
     def _last_grid(self) -> dict:
@@ -469,11 +475,19 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
     ``times``, a non-empty 1-D sequence of numbers; each profile checks its
     own time (finite and >= 0), the first bad one in order raising.
 
-    ``profile`` keeps the profiles of the last grid asked of it, with every
-    table they build, until another grid is asked of it or it is freed: the
-    sweep of a grid, its assembly and a caller that walks the same grid
-    share one table per time.  Any profile but a :class:`PhaseProfile`
-    raises ValueError: its phases have no time to vary.
+    Under a law of distance alone (any but :class:`Disordered`) the grid's
+    displacement tables are built at once, one ``phase_row`` per time, as
+    one read-only (T, *extents) stack of phases and one of their factors
+    exp(-1j * phi); each profile's ``_displacement_table`` and
+    ``_displacement_factors`` are views of its row of them, no second copy.
+    :func:`_pair_factors` and :func:`_grid_phases` read every time of the
+    grid with one gather.
+
+    ``profile`` keeps the profiles of the last grid asked of it, with their
+    tables, until another grid is asked of it or it is freed: the sweep of
+    a grid, its assembly and a caller that walks the same grid share one
+    table per time.  Any profile but a :class:`PhaseProfile` raises
+    ValueError: its phases have no time to vary.
     """
     if not isinstance(profile, PhaseProfile):
         raise ValueError(f"times need a PhaseProfile (lattice, law, time), "
@@ -487,8 +501,25 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
     key, last = tuple(ts.tolist()), profile._last_grid
     if key not in last:
         last.clear()
-        last[key] = tuple(PhaseProfile(profile.lattice, profile.law, t) for t in key)
+        grid = tuple if isinstance(profile.law, Disordered) else _Grid
+        last[key] = grid(PhaseProfile(profile.lattice, profile.law, t) for t in key)
     return last[key]
+
+
+class _Grid(tuple):
+    """The profiles of a time grid under a law of distance alone, with their
+    ``_displacement_table`` and ``_displacement_factors`` as read-only
+    stacks, (T, *extents) each, of which each profile's own are row views
+    (:func:`time_profiles`)."""
+
+    def __init__(self, profiles):
+        phi = np.zeros((len(self),) + self[0].lattice.extents)
+        for table, profile in zip(phi, self):
+            table.reshape(-1)[1:] = profile.phase_row(0, np.arange(1, table.size))
+        phi.setflags(write=False)
+        self._displacement_table, self._displacement_factors = phi, _factors(phi)
+        for profile, table, factors in zip(self, phi, self._displacement_factors):
+            profile.__dict__.update(_displacement_table=table, _displacement_factors=factors)
 
 
 def displacement_phases(profile) -> np.ndarray | None:
@@ -548,12 +579,36 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
     return np.flatnonzero(box.ravel()[ls])
 
 
-def _table_read(profile, ends, at) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index into the displacement table of every pair of a site at
-    coordinates ``ends`` (..., m, D) and one at ``at`` (..., k, D), per row
-    of stacks, and the phases there."""
-    lattice = profile.lattice
-    ends, at = ends[..., :, None, :], at[..., None, :, :]
+def pair_phases(profile, sites, ls) -> np.ndarray:
+    """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s,
+    and 0.0 where l = k, as at the origin of a displacement table; (B, m)
+    and (B, k) stacks give each row's (B, m, k).
+
+    With a :func:`displacement_phases` table they are read from it through
+    a flat index summed one axis at a time (:func:`_grid_phases`);
+    otherwise each row is one ``phase_row`` call.
+    """
+    if displacement_phases(profile) is not None:
+        return _grid_phases((profile,), sites, ls)[0]
+    if np.ndim(sites) == 2:
+        return np.stack([pair_phases(profile, row, l) for row, l in zip(sites, ls)])
+    ls = np.asarray(ls, dtype=np.intp)
+    phi = np.zeros((len(sites), ls.size))
+    for row, k in zip(phi, sites):
+        other = ls != k
+        row[other] = profile.phase_row(int(k), ls[other])
+    return phi
+
+
+def _grid_phases(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`pair_phases` of each of ``profiles`` (one profile, or a grid
+    from :func:`time_profiles`), profile after profile along the first
+    axis, and for a table the flat index of every pair into it, else None:
+    every profile's phases are read in one gather."""
+    if displacement_phases(profiles[0]) is None:
+        return np.concatenate([pair_phases(profile, sites, ls) for profile in profiles]), None
+    lattice = profiles[0].lattice
+    ends, at = lattice.coords(sites)[..., :, None, :], lattice.coords(ls)[..., None, :, :]
     strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
     idx = np.zeros(ends.shape[:-2] + at.shape[-2:-1], dtype=np.intp)
     for axis, stride in enumerate(strides):
@@ -561,30 +616,17 @@ def _table_read(profile, ends, at) -> tuple[np.ndarray, np.ndarray]:
         np.abs(step, out=step)
         step *= stride
         idx += step
-    return idx, profile._displacement_table.ravel()[idx]
+    return _gather(profiles, "_displacement_table", idx), idx
 
 
-def pair_phases(profile, sites, ls) -> np.ndarray:
-    """The (len(sites), len(ls)) phases phi(k, l), bit for bit ``phase_row``'s,
-    and 0.0 where l = k, as at the origin of a displacement table; (B, m)
-    and (B, k) stacks give each row's (B, m, k).
-
-    With a :func:`displacement_phases` table they are read from it through
-    a flat index summed one axis at a time; otherwise each row is one
-    ``phase_row`` call.
-    """
-    table = displacement_phases(profile)
-    if table is None and np.ndim(sites) == 2:
-        return np.stack([pair_phases(profile, row, l) for row, l in zip(sites, ls)])
-    if table is None:
-        ls = np.asarray(ls, dtype=np.intp)
-        phi = np.zeros((len(sites), ls.size))
-        for row, k in zip(phi, sites):
-            other = ls != k
-            row[other] = profile.phase_row(int(k), ls[other])
-        return phi
-    lattice = profile.lattice
-    return _table_read(profile, lattice.coords(sites), lattice.coords(ls))[1]
+def _gather(profiles, name: str, idx: np.ndarray) -> np.ndarray:
+    """The entries at the flat indices ``idx`` of the table ``name`` of each
+    of ``profiles``, profile after profile along the first axis: one gather
+    of one profile's table, or of a grid's stack."""
+    if len(profiles) == 1:      # a leading slice would read one row at half the speed
+        return getattr(profiles[0], name).ravel()[idx]
+    at = getattr(profiles, name).reshape(len(profiles), -1)[:, idx]
+    return at.reshape((len(profiles) * len(idx),) + idx.shape[1:])
 
 
 def _per_budget(budget: int, pairs: int) -> int:
@@ -664,32 +706,16 @@ def _pair_factors(profiles, sites, ls, own=False) -> tuple[np.ndarray, np.ndarra
     after profile: (len(profiles) * len(sites), count).
 
     With a :func:`displacement_phases` table phases and factors are read
-    through one index, shared by the profiles of one lattice, the factors
-    from each profile's ``exp(-1j * table)``, computed once per profile and
-    kept read-only beside the table: bit for bit ``np.exp`` of the same
-    phases, without one complex ``exp`` per pair.
+    through one index, each with one gather of every profile's table,
+    the factors from ``exp(-1j * table)``, computed once per profile (a
+    grid's as one stack) and kept read-only beside the table: bit for bit
+    ``np.exp`` of the same phases, without one complex ``exp`` per pair.
     """
-    first = profiles[0]
-    table = displacement_phases(first)
-    if table is None:
-        phis = [pair_phases(profile, sites, ls) for profile in profiles]
-        total = sum(phis[1:], phis[0])
-    else:
-        lattice = first.lattice
-        idx, total = _table_read(first, lattice.coords(sites), lattice.coords(ls))
-        for profile in profiles[1:]:
-            total = total + profile._displacement_table.ravel()[idx]
-    # phases lie in [0, 2 pi): their sum over the profiles is 0.0 only
-    # where every one of them is
-    live = (total != 0.0).any(axis=0)
-    if own:
-        live |= np.isin(ls, sites)
-    if table is None:
-        z = [np.exp(-1j * phi[:, live]) for phi in phis]
-    else:
-        at = idx[:, live]
-        z = [profile._displacement_factors.ravel()[at] for profile in profiles]
-    return live, z[0] if len(z) == 1 else np.concatenate(z)
+    phi, idx = _grid_phases(profiles, sites, ls)
+    live = (phi != 0.0).any(axis=0) | (np.isin(ls, sites) if own else False)
+    if idx is None:
+        return live, np.exp(-1j * phi[:, live])
+    return live, _gather(profiles, "_displacement_factors", idx[:, live])
 
 
 # ---------------------------------------------------------------------------

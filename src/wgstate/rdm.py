@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_pair_factors, _warm, coupled_sites, displacement_phases, pair_phases,
+from .geometry import (_grid_phases, _pair_factors, _warm, coupled_sites, displacement_phases,
                        time_profiles)
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
@@ -470,11 +470,11 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
 
 def _internal_phases(profiles, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """theta[r, x] = sum_{j < j'} phi(rows[b, j], rows[b, j']) x_j x_j' of
-    every subset b under every profile, profile after profile, each
+    every subset b under every profile, profile after profile, every
     profile's rows from one gather.  One matrix-vector product per j for all
     rows at once: one product over all j would sum in another order than a
     lone row."""
-    phi = np.concatenate([pair_phases(profile, rows, rows) for profile in profiles])
+    phi = _grid_phases(profiles, rows, rows)[0]
     theta = np.zeros((phi.shape[0], bits.shape[0]))
     for j in range(rows.shape[1] - 1):
         theta += bits[:, j] * (bits[:, j + 1:] @ phi[:, j, j + 1:, None])[..., 0]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wgstate.geometry import (
@@ -29,6 +29,7 @@ from wgstate.geometry import (
     time_profiles,
 )
 from wgstate.graphstate import _CHUNK_BYTES
+from wgstate.rdm import _bit_table, _internal_phases
 
 
 def test_chain_open_distance():
@@ -466,6 +467,43 @@ def test_a_stack_couples_the_union_of_its_subsets(data, profile):
     # every row's own pairs in one read, bit for bit each row's alone
     lone = np.stack([pair_phases(profile, row, row) for row in stack])
     assert pair_phases(profile, stack, stack).tobytes() == lone.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), profile=profiles())
+def test_a_grid_reads_its_stack_as_each_time_alone(data, profile):
+    # edge profiles have no time to vary
+    assume(isinstance(profile, PhaseProfile))
+    n = profile.n_sites
+    times = data.draw(st.lists(st.sampled_from([0.0, 0.3, math.pi, TWO_PI, 7.5]),
+                               min_size=1, max_size=4), label="times")
+    grid = time_profiles(profile, times)
+    lone = [PhaseProfile(profile.lattice, profile.law, t) for t in times]
+    order = data.draw(st.permutations(range(n)))
+    m = data.draw(st.integers(1, min(3, n - 1)))
+    sites, ls = np.array(order[:m]), np.array(order[m:], dtype=np.intp)
+    # every time's factors from one read of the grid, bit for bit each
+    # lone profile's phases and np.exp of them
+    phi = np.stack([pair_phases(p, sites, ls) for p in lone])
+    live, z = _pair_factors(grid, sites, ls)
+    assert np.array_equal(live, phi.any(axis=(0, 1)))
+    assert z.tobytes() == np.exp(-1j * phi[:, :, live]).reshape(len(times) * m, -1).tobytes()
+    # internal phases of a stack of subsets, time after time
+    stack = np.array(data.draw(st.lists(st.permutations(range(n)).map(lambda o: o[:m]),
+                                        min_size=1, max_size=3)))
+    bits = _bit_table(m)
+    alone = np.concatenate([_internal_phases((p,), stack, bits) for p in lone])
+    assert _internal_phases(grid, stack, bits).tobytes() == alone.tobytes()
+    # each time's tables are read-only views of the grid's stacks
+    if displacement_phases(profile) is None:
+        return
+    stacks = grid._displacement_table, grid._displacement_factors
+    for p, table, factors in zip(grid, *stacks):
+        assert np.shares_memory(p._displacement_table, stacks[0])
+        assert np.shares_memory(p._displacement_factors, stacks[1])
+        assert p._displacement_table.tobytes() == table.tobytes()
+        assert p._displacement_factors.tobytes() == factors.tobytes()
+        assert not (p._displacement_table.flags.writeable or factors.flags.writeable)
 
 
 def test_parse_lattice():
