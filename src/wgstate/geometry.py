@@ -25,8 +25,12 @@ one gather of its stacked tables.  A graph-state adjacency asks
 the block whose phase is not 0.0, whole rows at a time within a byte
 budget; for a table it reads the table's *stencil*, its entries that are
 not 0.0 (``PhaseProfile._stencil``), each standing for the signed
-displacements that reach across an open or a periodic axis.  Only this
-module reads a lattice's boundaries.
+displacements that reach across an open or a periodic axis.  A sweep of a
+subset that the point reflection through its centre maps onto itself asks
+:func:`mirror_images` for each site's image, which a table gives the same
+phases with the subset permuted; the entropy lower bound asks
+:func:`ball_sites` for the sites within a radius of a block, read from its
+dilated bounding box.  Only this module reads a lattice's boundaries.
 """
 
 from __future__ import annotations
@@ -577,6 +581,88 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
         for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
             box[tuple(map(slice, start, stop))] = True
     return np.flatnonzero(box.ravel()[ls])
+
+
+def ball_sites(lattice: Lattice, sites, radius: float) -> np.ndarray:
+    """Ascending sites outside ``sites`` within distance ``radius`` of one of
+    them (:meth:`Lattice.distances`).  The candidates are read from the
+    bounding box of ``sites`` dilated by floor(radius) along each axis,
+    modulo the extent on a periodic axis, which holds every site that
+    near; only they are measured.  (:func:`coupled_sites` fills its boxes
+    by slices, unwrapped: a table's reach counts |d| before the minimum
+    image.)"""
+    sites = np.asarray(sites, dtype=np.intp)
+    at = lattice.coords(sites)
+    reach = int(min(radius, max(lattice.extents))) if radius >= 0 else 0
+    box = np.zeros(lattice.extents, dtype=bool)
+    box[np.ix_(*[np.arange(a, min(b + 1, a + extent)) % extent if bound == "periodic"
+                 else np.arange(max(a, 0), min(b + 1, extent))
+                 for a, b, extent, bound in zip(at.min(axis=0) - reach, at.max(axis=0) + reach,
+                                                lattice.extents, lattice.boundary)])] = True
+    box.ravel()[sites] = False
+    rest = np.flatnonzero(box)
+    nearest = np.full(rest.size, np.inf)
+    for k in sites:
+        np.minimum(nearest, lattice.distances(int(k), rest), out=nearest)
+    return rest[nearest <= radius]
+
+
+def mirror_images(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray] | None:
+    """The point reflection of the one subset ``sites`` onto itself, for a
+    sweep of the sites ``ls`` under ``profiles`` (one profile, or a grid
+    from :func:`time_profiles`): (perm, image), or None.
+
+    It applies under a :func:`displacement_phases` table when the
+    reflection x -> (lo + hi) - x, lo and hi the subset's least and largest
+    coordinate along each axis, maps the subset onto itself; an image is
+    taken modulo the extent on a periodic axis and must lie on the lattice
+    on an open one.  ``perm[j]`` is the position in ``sites`` of the image
+    of ``sites[j]`` and ``image[i]`` the position in ``ls`` of the image of
+    ``ls[i]``, or -1 where it is off the lattice or not in ``ls``.  The
+    reflection turns every displacement d into -d, so the table gives a
+    site's image the site's phases, subset site j's read at ``perm[j]``:
+    phi(sites[j], image of l) = phi(sites[perm[j]], l).  Costs
+    O(len(ls) * D) and the span of the indices ``ls``, which for every site
+    of a near box but the subset's is O(len(ls)); nothing per lattice site.
+    """
+    if displacement_phases(profiles[0]) is None:
+        return None
+    lattice = profiles[0].lattice
+    sites, ls = np.asarray(sites, dtype=np.intp), np.asarray(ls, dtype=np.intp)
+    at = lattice.coords(sites)
+    centre = at.min(axis=0) + at.max(axis=0)
+
+    def reflected(coords):
+        """Flat indices of the images of ``coords``, -1 off the lattice."""
+        flat = np.zeros(len(coords), dtype=np.intp)
+        ok = np.ones(len(coords), dtype=bool)
+        for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
+            c = centre[axis] - coords[:, axis]
+            if bound == "periodic":
+                c %= extent
+            else:
+                ok &= c.view(np.uintp) < extent     # a negative c wraps past every extent
+            flat *= extent
+            flat += c
+        flat[~ok] = -1      # below every site
+        return flat
+
+    perm = _positions(sites, reflected(at))
+    if (perm < 0).any():
+        return None
+    return perm, _positions(ls, reflected(lattice.coords(ls)))
+
+
+def _positions(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The position in ``values`` (distinct sites) of each of ``targets``,
+    or -1: one look-up table over the span of ``values``."""
+    if len(values) == 0:
+        return np.full(len(targets), -1)
+    lo = values.min() - 1
+    where = np.full(values.max() - lo + 2, -1)    # first and last entry: a miss
+    where[values - lo] = np.arange(len(values))
+    at = targets - lo
+    return where[np.clip(at, 0, len(where) - 1, out=at)]
 
 
 def pair_phases(profile, sites, ls) -> np.ndarray:

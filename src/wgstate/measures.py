@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import displacement_phases, pair_phases
-from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_subset,
-                  _resolve_environment, reduced_density, trace_to)
+from .geometry import ball_sites, displacement_phases, pair_phases
+from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_state,
+                  _check_subset, _resolve_environment, reduced_density, trace_to)
 
 # Pauli x, y, z stacked along the first axis
 _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
@@ -149,11 +149,7 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> f
     if lattice is None:
         raise TypeError("profile has no lattice geometry; the finite-radius "
                         "bound needs distances")
-    rest = _resolve_environment(profile, sites)
-    min_dist = np.full(rest.size, np.inf)
-    for k in sites:
-        np.minimum(min_dist, lattice.distances(int(k), rest), out=min_dist)
-    near = rest[min_dist <= radius]
+    near = ball_sites(lattice, sites, radius)
     if near.size == 0:
         return 0.0
     if sites.size <= A_MAX:
@@ -273,16 +269,22 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     per listed site, O(N) each and O(N^2) for all.
     """
     n = profile.n_sites
-    sites = _check_subset(profile, sites, state, n)
+    if sites is None:       # every site: no index array is built or read
+        _check_state(profile, state)
+    else:
+        sites = _check_subset(profile, sites, state, n)
     amps = state.amplitudes
-    p0, p1 = state.populations(np.arange(n))
-    uniform = (p0 == p0[0]).all() and (p1 == p1[0]).all()
-    table = displacement_phases(profile) if uniform else None
+    p0, p1 = state._populations
+    table = displacement_phases(profile) if state._uniform else None
     if table is not None:
         p0, p1 = p0[0], p1[0]
-        log_c = _log_coherences(table, p0, p1)[sites]
+        log_c = _log_coherences(table, p0, p1)
+        if sites is not None:
+            log_c = log_c[sites]
         purities = p0 ** 2 + p1 ** 2 + 2.0 * p0 * p1 * np.exp(2.0 * log_c)
         return float(2.0 * (1.0 - purities.mean()))
+    if sites is None:
+        sites = np.arange(n)
     purities = np.empty(sites.size)
     for i, k in enumerate(sites):
         others = _resolve_environment(profile, sites[i:i + 1])

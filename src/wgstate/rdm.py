@@ -35,6 +35,23 @@ B or T rows counted, is split into contiguous parts of its near sites,
 one per usable core up to two, swept on their own threads and joined in
 order.
 
+A lone subset (at one time or a grid) that the point reflection through
+its centre maps onto itself -- a pair, a chain block, a box -- under a law
+of distance alone gives an environment site l and its image l' the same
+phases, with the subset's sites permuted by the reflection, perm: so where
+p0 and p1 of l and l' are bit for bit equal, E_l'(d) = E_l(d o perm).  Of
+each such pair only the representative, the one first in the near sites,
+is swept, with the near sites in no pair (:func:`wgstate.geometry.
+mirror_images`, :func:`_mirror_pairs`); the representatives' table is
+multiplied in once as it is and once read at d o perm, a code past the
+center as the conjugate of its opposite.  A centred block sweeps about
+half its near sites, an off-centre block of a chain those in no pair
+too.  The probe costs O(near) and runs only where it can pay: beyond one
+chunk of near sites, from 3 classes a site for an input with the same
+populations at every site and beyond 3^4 for any other, which may keep
+no pair.  Stacks, a law not of distance alone, asymmetric subsets and
+inputs that keep no pair are swept as before, bit for bit.
+
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
 left index and the conjugate on the right.  They never change the spectrum
 of A's state, but they couple the sites of A, so every reduced state
@@ -45,7 +62,8 @@ Input contract: every public function that takes a site list passes it,
 with the input state, through :func:`_check_stack` (a stack) or
 :func:`_check_subset` (one subset, flattened, or every site) before other
 work, and any explicit environment through :func:`_resolve_environment`;
-so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`.
+so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`, and a
+function of every site may check the state alone (:func:`_check_state`).
 :func:`_check_stack` is the one home of the site rules: the state must
 hold one amplitude pair per profile site; the sites must be non-empty, at
 most ``A_MAX`` of them (:class:`SubsetTooLargeError`) for an exact reduced
@@ -67,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_grid_phases, _pair_factors, _warm, coupled_sites, displacement_phases,
-                       time_profiles)
+                       mirror_images, time_profiles)
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -119,6 +137,9 @@ class ProductInput:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_populations", pops)
         object.__setattr__(self, "_norms", norms)
+        # every site's populations the same floats, as in |+>
+        object.__setattr__(self, "_uniform", bool((pops[0] == pops[0][0]).all()
+                                                  and (pops[1] == pops[1][0]).all()))
         amps.setflags(write=False)
 
     @property
@@ -158,10 +179,10 @@ def _check_stack(profile, sites, state: ProductInput | None = None,
     """Checked (B, m) stack of equal-size subsets of at most ``a_max`` sites,
     for ``state``; anything but a 2-D ``sites`` is one subset, a stack of
     one, and None is every site.  The one home of the site rules, checked
-    in this order: state size, stack shape, empty, size, range, repeats."""
+    in this order: state size (:func:`_check_state`), stack shape, empty,
+    size, range, repeats."""
     n_sites = profile.n_sites
-    if state is not None and state.n_sites != n_sites:
-        raise ValueError(f"input state has {state.n_sites} sites, the profile {n_sites}")
+    _check_state(profile, state)
     if sites is None:
         return np.arange(n_sites)[None]
     try:
@@ -185,6 +206,13 @@ def _check_stack(profile, sites, state: ProductInput | None = None,
     if repeats.any():
         raise ValueError(f"subset contains repeated sites: {rows[repeats.argmax()].tolist()}")
     return rows
+
+
+def _check_state(profile, state: ProductInput | None) -> None:
+    """Raise ValueError unless ``state`` (if any) holds one amplitude pair
+    per site of ``profile``."""
+    if state is not None and state.n_sites != profile.n_sites:
+        raise ValueError(f"input state has {state.n_sites} sites, the profile {profile.n_sites}")
 
 
 def _resolve_environment(profile, sites: np.ndarray, environment=None) -> np.ndarray:
@@ -270,6 +298,23 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     6.3e-13 at 10^5 and 6.1e-12 at 10^6.  The order of the product does not
     matter at that level; forming the factors does.
 
+    Mirror pairs: one subset, alone or at ``times``, under a law of
+    distance alone, that the point reflection through its centre maps onto
+    itself (a pair, a chain block, a box, in any order) sweeps one site of
+    each pair of environment sites that are images of each other and
+    have bit for bit equal populations, and reads the other's factors from
+    the same table at permuted classes (module docstring).  It applies
+    once the near sites span more than one chunk, from 3 classes a site
+    (m >= 2, or one site at two times or more) for an input with the same
+    populations at every site, |+> among them, and beyond 3^4 for any
+    other; elsewhere the sweep is the one above, bit for bit.  The
+    regrouped product rounds as the plain one does: in the setting above
+    but with |+>, the mirrored sweep is 4.3e-13 from the reference at
+    N = 10^5 and 3.5e-12 at 10^6 (plain: 5.1e-13 and 3.5e-12).  Against the
+    plain sweep of a centred block (PowerLaw alpha = 2, t = 0.3 pi, |+>) it
+    differs by up to 6.3e-14 at m = 7, N = 15,000 and 3.5e-13 at m = 8,
+    N = 10^5, relative to the d = 0 entry.
+
     Threads: a sweep of W = (near sites) x (3^m + 1) / 2 x B (or T) site
     classes is split into min(usable cores, ``_MAX_PARTS`` = 2,
     W // ``_SPLIT_WORK``) contiguous parts of its near sites
@@ -277,7 +322,8 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     ``os.sched_getaffinity``; a cgroup CPU quota is not detected.  The
     calling thread sweeps part 0, one thread each the others, every part
     into its own table and chunk buffers; the tables are multiplied in part
-    order.  The partition
+    order.  Mirror representatives and the sites swept alone are split so
+    each, every part sweeping its share of both.  The partition
     depends only on the input and the core count, so a run repeats bit for
     bit on one machine.  A split result differs from the one-part sweep
     only by the rounding of the regrouped product, far below the floor
@@ -302,40 +348,110 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     the B subsets ``rows`` under one profile (R = B), or of one subset
     under the T ``profiles`` of a time grid (R = T).  One sweep of the union
     of every row's near box, in contiguous parts on their own threads once
-    it is large enough."""
-    m = rows.shape[1]
+    it is large enough; of a lone subset's mirror pairs
+    (:func:`_mirror_pairs`) only the representatives are swept."""
     n_rows = len(rows) * len(profiles)
+    n_half = (3 ** rows.shape[1] + 1) // 2
     near = coupled_sites(profiles, rows, env)
     swept = np.zeros(env.size, dtype=bool)
-    parts = _part_count(near.size * ((3 ** m + 1) // 2) * n_rows)
+    pairs = _mirror_pairs(profiles, state, rows, env, near)
+    # the representatives, then the sites swept alone
+    groups = [near] if pairs is None else [pairs[1], pairs[3]]
+    parts = _part_count(sum(group.size for group in groups) * n_half * n_rows)
     # every lazily built table a part reads exists before any thread
     # starts; parts share only ``swept``, at disjoint positions
     _warm(profiles)
     halves = [None] * parts
+    pieces = [np.array_split(group, parts) for group in groups]
 
-    def run(p, piece):
+    def run(p):
         try:
-            halves[p] = _sweep_part(profiles, state, rows, env, piece, swept)
+            halves[p] = [_sweep_part(profiles, state, rows, env, piece[p], swept)
+                         for piece in pieces]
         except Exception as exc:     # raised in the calling thread below
             halves[p] = exc
 
-    pieces = np.array_split(near, parts)
-    threads = [threading.Thread(target=run, args=(p, pieces[p])) for p in range(1, parts)]
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
     for thread in threads:
         thread.start()
-    run(0, pieces[0])
+    run(0)
     for thread in threads:
         thread.join()
     for part in halves:
         if isinstance(part, Exception):
             raise part
-    half = halves[0]
+    tables = halves[0]
     for part in halves[1:]:
-        half *= part
+        for table, factor in zip(tables, part):
+            table *= factor
+    half = tables[-1]
+    if pairs is not None:
+        perm, reps, images, _ = pairs
+        half *= tables[0]
+        half *= _mirrored(tables[0], perm)
+        swept[images] = swept[reps]
     # every site left unswept is an environment site of every row, with the
     # same factor p0 + p1 in every class
     half *= float(np.prod(state._norms[env[~swept]]))
     return half.T
+
+
+def _chunk_budget(n_rows: int) -> int:
+    """Complex entries of a chunk of a sweep of ``n_rows`` rows: a stack's
+    and a grid's chunk at a quarter of the budget (see :func:`_sweep_part`)."""
+    return _CHUNK_BUDGET if n_rows == 1 else _CHUNK_BUDGET // 4
+
+
+def _mirror_pairs(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray,
+                  near: np.ndarray):
+    """(perm, reps, images, alone) for a sweep of the lone subset ``rows``
+    over ``env[near]`` under ``profiles``, or None: its mirror pairs of
+    environment sites (:func:`~wgstate.geometry.mirror_images`) whose
+    populations are bit for bit equal, as positions in ``env``, the one
+    earlier in ``near`` in ``reps`` and its image in ``images``, and the
+    near sites in no pair, in order, in ``alone``.  An image's factor is its
+    representative's, class d read at d o perm.
+
+    None for a stack, where no pair is kept, and where the probe, O(near),
+    cannot pay: where the near sites fit in one chunk, and where a sweep
+    has few classes a site.  The probe costs about what sweeping 3 to 5
+    classes a site does (30-45 ns a site at N = 10^6), so an input with
+    the same populations at every site, which keeps every pair, is probed
+    from 3 classes a site on (a single site at N = 10^6: 42 ms swept, 65 ms
+    probed and paired).  Any other input may keep no pair, and is probed
+    only beyond 3^4: a random input lost 15-47% to the probe at m = 2 to 4
+    and N = 10^6, and nothing beyond noise at m = 5.
+    """
+    per_site = len(profiles) * ((3 ** rows.shape[1] + 1) // 2)
+    if (len(rows) > 1 or per_site <= (2 if state._uniform else 3 ** 4)
+            or near.size * per_site <= _chunk_budget(len(profiles))):
+        return None
+    ls = env[near]
+    mirror = mirror_images(profiles, rows[0], ls)
+    if mirror is None:
+        return None
+    perm, image = mirror
+    first = np.flatnonzero(image > np.arange(near.size))
+    other = image[first]
+    if not state._uniform:
+        p0, p1 = state.populations(ls)
+        keep = (p0[first] == p0[other]) & (p1[first] == p1[other])
+        first, other = first[keep], other[keep]
+    if not first.size:
+        return None
+    alone = np.ones(near.size, dtype=bool)
+    alone[first] = alone[other] = False
+    return perm, near[first], near[other], near[alone]
+
+
+def _mirrored(half: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``half`` read at d o perm, (d o perm)_j = d_perm[j], for every code d
+    up to the center: the whole table, the codes past the center from
+    E(-d) = conj E(d), with its digit axes permuted (perm is an
+    involution, its own inverse)."""
+    full = np.concatenate([half, half[-2::-1].conj()])
+    digits = full.reshape((3,) * len(perm) + half.shape[1:])
+    return digits.transpose(*perm, len(perm)).reshape(full.shape)[:len(half)]
 
 
 def _part_count(work: int) -> int:
@@ -374,7 +490,7 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     # and block, so its blocks take the whole budget; a table's gathers cost
     # nothing per call, so its blocks take an eighth, and a stack's factors
     # stay small.  A grid's T rows count as a stack's.
-    budget = _CHUNK_BUDGET if n_rows == 1 else _CHUNK_BUDGET // 4
+    budget = _chunk_budget(n_rows)
     chunk = max(1, budget // (n_rows * n_half))
     share = _CHUNK_BUDGET if displacement_phases(profiles[0]) is None else budget // 8
     block = chunk * max(1, share // (len(profiles) * sites.size * chunk))

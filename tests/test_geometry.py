@@ -18,6 +18,7 @@ from wgstate.geometry import (
     Table,
     _pair_factors,
     _reduce_phase,
+    ball_sites,
     centered_block,
     coupled_pairs,
     coupled_sites,
@@ -504,6 +505,32 @@ def test_a_grid_reads_its_stack_as_each_time_alone(data, profile):
         assert p._displacement_table.tobytes() == table.tobytes()
         assert p._displacement_factors.tobytes() == factors.tobytes()
         assert not (p._displacement_table.flags.writeable or factors.flags.writeable)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ball_sites_are_every_site_within_the_radius(data):
+    # read from the dilated bounding box, the kept ball is the one of the
+    # rule over every site outside the block, in ascending order
+    dim = data.draw(st.integers(1, 3))
+    extents = tuple(data.draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    boundary = data.draw(st.lists(st.sampled_from(["open", "periodic"]),
+                                  min_size=dim, max_size=dim))
+    lattice = Lattice(extents, tuple(boundary))
+    n = lattice.n_sites
+    block = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                        max_size=min(n, 6), unique=True)))
+    radius = data.draw(st.one_of(st.floats(0.0, 2.0 * max(extents)),
+                                 st.integers(0, 2 * max(extents)).map(float),
+                                 st.sampled_from([math.sqrt(2.0), 2.5, math.inf])),
+                       label="radius")
+    rest = np.setdiff1d(np.arange(n), block)
+    nearest = np.full(rest.size, np.inf)
+    for k in block:
+        nearest = np.minimum(nearest, lattice.distances(int(k), rest))
+    assert np.array_equal(ball_sites(lattice, block, radius), rest[nearest <= radius])
 
 
 def test_parse_lattice():

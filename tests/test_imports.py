@@ -1,10 +1,11 @@
-"""Every module of the package uses every name it imports, and only
-``geometry`` knows the lattice's boundaries.
+"""Every module of the package uses every name it imports, only
+``geometry`` knows the lattice's boundaries, and no module asserts.
 
 A stdlib stand-in for a linter's unused-import rule: a reader that is
 deleted must not leave its import behind.  ``__init__.py`` imports to
 re-export and is left out.  Which sites couple, across an open or a
-periodic axis, is decided in ``geometry`` alone.
+periodic axis, is decided in ``geometry`` alone.  Errors are raised, never
+asserted: ``python -O`` strips an ``assert``, and with it the check.
 """
 
 import ast
@@ -47,3 +48,14 @@ def test_only_geometry_reads_the_lattice_boundary():
     reads = {path.name: attribute_reads(path.read_text(encoding="utf-8"), "boundary")
              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "geometry.py"}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_asserts():
+    found = {path.name: assert_lines(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -40,6 +40,8 @@ from wgstate.geometry import (
     PowerLaw,
     Table,
     coupled_sites,
+    mirror_images,
+    pair_phases,
 )
 from wgstate.measures import block_entropy, entropy, trace_distance
 from wgstate.oracle import evolve, partial_trace
@@ -405,14 +407,25 @@ def _switching_often():
 
 def _parts_in_order(profile, state, rows, env, parts):
     """``rdm._sweep`` from ``parts`` contiguous parts of the near sites,
-    swept one after another and multiplied in part order."""
+    swept one after another and multiplied in part order: of a lone
+    subset's mirror pairs, parts of the representatives, then parts of the
+    sites swept alone, each image's factor read from its representative's
+    table."""
     near = coupled_sites((profile,), rows, env)
+    pairs = rdm._mirror_pairs((profile,), state, rows, env, near)
     swept = np.zeros(env.size, dtype=bool)
-    halves = [rdm._sweep_part((profile,), state, rows, env, piece, swept)
-              for piece in np.array_split(near, parts)]
-    half = halves[0]
-    for part in halves[1:]:
-        half = half * part
+    tables = []
+    for group in [near] if pairs is None else [pairs[1], pairs[3]]:
+        halves = [rdm._sweep_part((profile,), state, rows, env, piece, swept)
+                  for piece in np.array_split(group, parts)]
+        half = halves[0]
+        for part in halves[1:]:
+            half = half * part
+        tables.append(half)
+    half = tables[-1]
+    if pairs is not None:
+        half = half * tables[0] * rdm._mirrored(tables[0], pairs[0])
+        swept[pairs[2]] = swept[pairs[1]]
     return (half * float(np.prod(state._norms[env[~swept]]))).T
 
 
@@ -757,3 +770,258 @@ def test_a_grid_matches_the_oracle(case):
         slow = _oracle_at(PhaseProfile(profile.lattice, profile.law, t), state, sites,
                           environment)
         assert 0.5 * np.abs(np.linalg.eigvalsh(rho - slow)).sum() < 1e-10
+
+
+# -- mirror pairs --------------------------------------------------------
+
+@st.composite
+def symmetric_subsets(draw, lattice, m_max=6, kinds=("site", "pair", "run", "box")):
+    """A subset, in any order, that the point reflection through the centre
+    of its bounding box maps onto itself: a single site, a pair, a run
+    along one axis or a box of at most ``m_max`` sites, anywhere on the
+    lattice.  A run or a box may wrap across a periodic axis, where the
+    reflection need not map it onto itself."""
+    extents, n = lattice.extents, lattice.n_sites
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("site", "pair"):
+        size = 1 if kind == "site" else 2
+        return draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+    sides = [1] * len(extents)
+    if kind == "run":
+        axis = draw(st.integers(0, len(extents) - 1))
+        sides[axis] = draw(st.integers(1, min(extents[axis], m_max)))
+    else:
+        for axis, extent in enumerate(extents):
+            room = m_max // math.prod(sides)
+            sides[axis] = draw(st.integers(1, max(1, min(extent, room))))
+    spans = [np.arange(start, start + side) % extent
+             for side, extent, bound in zip(sides, extents, lattice.boundary)
+             for start in [draw(st.integers(0, extent - (1 if bound == "periodic" else side)))]]
+    grids = np.meshgrid(*spans, indexing="ij")
+    sites = np.ravel_multi_index([g.ravel() for g in grids], extents).tolist()
+    return draw(st.permutations(sites))
+
+
+@st.composite
+def mirror_states(draw, n):
+    """An input with the same populations at every site (|+> or one random
+    single-site state), the same with some sites replaced by random ones,
+    so that only some mirror pairs are equal, or a random input at every
+    site; half the time with populations summing to 1 + 9e-13, so that a
+    site folded into the scalar instead of being swept shows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    one = ProductInput.plus(1) if draw(st.booleans()) else ProductInput.random(1, rng)
+    amps = np.repeat(one.amplitudes, n, axis=0)
+    kind = draw(st.sampled_from(["uniform", "partial", "partial", "random"]))
+    if kind != "uniform":
+        changed = rng.random(n) < 0.3 if kind == "partial" else np.ones(n, dtype=bool)
+        amps[changed] = ProductInput.random(n, rng).amplitudes[changed]
+    if draw(st.booleans()):
+        amps = amps * math.sqrt(1.0 + 9e-13)
+    return ProductInput(amps)
+
+
+@st.composite
+def mirror_instances(draw):
+    """(profile, state, sites, environment, times, chunk): a law of each
+    family of distance alone on a 1-3-D lattice of 8 to 60 sites, a
+    symmetric subset, the default or an explicit environment, one time or
+    a grid of 2..4, and chunks of 1..4 sites, so that near sites span many.
+    An input whose populations differ somewhere comes with a subset large
+    enough, 5 or 6 sites or 4 at a grid, for its sweep to be probed."""
+    lattice = draw(lattices(60).filter(lambda lat: lat.n_sites >= 8))
+    profile = PhaseProfile(lattice, draw(distance_laws(lattice)), draw(_TIMES))
+    n = lattice.n_sites
+    state = draw(mirror_states(n))
+    times = draw(st.one_of(st.none(), st.lists(_TIMES, min_size=2, max_size=4)))
+    if state._uniform:
+        sites = draw(symmetric_subsets(lattice))
+    else:
+        least = 5 if times is None else 4
+        sites = draw(symmetric_subsets(lattice, kinds=("run", "box")).filter(
+            lambda sites: len(sites) >= least))
+    environment = None
+    if draw(st.booleans()):
+        rest = draw(st.permutations([l for l in range(n) if l not in sites]))
+        environment = rest[:draw(st.integers(0, len(rest)))]
+    return profile, state, sites, environment, times, draw(st.integers(1, 4))
+
+
+@contextlib.contextmanager
+def _chunks_of(sites, per_site, rows=1):
+    """Sweeps of ``per_site`` classes a site over ``rows`` rows in chunks
+    of ``sites`` sites."""
+    saved = rdm._CHUNK_BUDGET
+    rdm._CHUNK_BUDGET = (1 if rows == 1 else 4) * per_site * sites
+    try:
+        yield
+    finally:
+        rdm._CHUNK_BUDGET = saved
+
+
+@contextlib.contextmanager
+def _no_mirror():
+    """Sweeps that pair no site with its mirror image."""
+    saved = rdm.mirror_images
+    rdm.mirror_images = lambda profiles, sites, ls: None
+    try:
+        yield
+    finally:
+        rdm.mirror_images = saved
+
+
+@NEAR
+@given(mirror_instances())
+def test_a_mirrored_sweep_matches_the_sweep_without_it(case):
+    # sweeping one site of each mirror pair and reading the other's factors
+    # at d o perm gives the table of sweeping both, to the rounding floor,
+    # on any lattice, law, symmetric subset, environment, input and grid
+    profile, state, sites, environment, times, chunk = case
+    rows = 1 if times is None else len(times)
+    with _chunks_of(chunk, (3 ** len(sites) + 1) // 2 * rows, rows):
+        mirrored = environment_product(profile, state, sites, environment, times=times)
+        with _no_mirror():
+            plain = environment_product(profile, state, sites, environment, times=times)
+    mirrored, plain = np.atleast_2d(mirrored), np.atleast_2d(plain)
+    scale = np.abs(plain[:, plain.shape[1] // 2, None])     # d = 0: prod of p0 + p1
+    assert (np.abs(mirrored - plain) <= _rounding_floor(profile.n_sites) * scale).all()
+
+
+@NEAR
+@given(st.data())
+def test_a_mirrored_sweep_matches_the_oracle(data):
+    lattice = data.draw(lattices(14).filter(lambda lat: lat.n_sites >= 8))
+    n = lattice.n_sites
+    profile = PhaseProfile(lattice, data.draw(distance_laws(lattice)),
+                           data.draw(st.floats(0.1, 6.0)))
+    state = data.draw(mirror_states(n))
+    least = 2 if state._uniform else 5      # enough classes a site to be probed
+    sites = data.draw(symmetric_subsets(lattice, kinds=("pair", "run", "box")).filter(
+        lambda sites: len(sites) >= least))
+    with _chunks_of(1, 1):      # chunks of one site: every sweep of a few is probed
+        fast = reduced_density(profile, state, sites)
+    slow = partial_trace(evolve(profile, state), sites)
+    assert 0.5 * np.abs(np.linalg.eigvalsh(fast - slow)).sum() < 1e-10
+
+
+@NEAR
+@given(st.data())
+def test_mirror_images_give_each_site_its_images_phases(data):
+    # the probe names every image that is in ``ls`` and on the lattice, and
+    # an image's phases are its site's, subset site j's read at perm[j]
+    lattice = data.draw(lattices(60))
+    profile = PhaseProfile(lattice, data.draw(distance_laws(lattice)), data.draw(_TIMES))
+    n = lattice.n_sites
+    sites = data.draw(symmetric_subsets(lattice))
+    ls = np.array(data.draw(st.lists(st.sampled_from([l for l in range(n) if l not in sites]),
+                                     unique=True)) if len(sites) < n else [], dtype=np.intp)
+    at = lattice.coords(sites)
+    centre = at.min(axis=0) + at.max(axis=0)
+
+    def image(site):
+        c = [(s - x) % e if bound == "periodic" else s - x
+             for s, x, e, bound in zip(centre, lattice.coords([site])[0], lattice.extents,
+                                       lattice.boundary)]
+        inside = all(0 <= x < e for x, e in zip(c, lattice.extents))
+        return lattice.site_index(c) if inside else -1
+
+    mirror = mirror_images((profile,), np.array(sites), ls)
+    if sorted(map(image, sites)) != sorted(sites):
+        assert mirror is None
+        return
+    perm, found = mirror
+    assert [sites[j] for j in perm] == [image(k) for k in sites]
+    ls_list = ls.tolist()
+    assert found.tolist() == [ls_list.index(image(l)) if image(l) in ls_list else -1
+                              for l in ls_list]
+    paired = found >= 0
+    assert (pair_phases(profile, sites, ls[found[paired]]).tobytes()
+            == pair_phases(profile, np.array(sites)[perm], ls[paired]).tobytes())
+    # a law that is not of distance alone has no table to mirror
+    for other in (PhaseProfile(lattice, Disordered(PowerLaw(1.0), 3), 1.0),
+                  EdgeProfile(n, {(0, n - 1): 1.0})):
+        assert mirror_images((other,), np.array(sites), ls) is None
+
+
+def _swept_sites(profile, state, sites, times=None):
+    """The sites the sweep of ``sites`` hands to its parts, and its table."""
+    counted = []
+    sweep_part = rdm._sweep_part
+
+    def counting(profiles, state, rows, env, near, swept):
+        counted.append(near.size)
+        return sweep_part(profiles, state, rows, env, near, swept)
+
+    rdm._sweep_part = counting
+    try:
+        table = environment_product(profile, state, sites, times=times)
+    finally:
+        rdm._sweep_part = sweep_part
+    return sum(counted), table
+
+
+def test_a_centred_block_sweeps_half_its_environment():
+    n = 2000
+    profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
+    plus = ProductInput.plus(n)
+    centred = list(range(997, 1003))
+    # every environment site of a centred block has its image on the chain
+    swept, table = _swept_sites(profile, plus, centred)
+    assert swept == (n - 6) // 2
+    with _no_mirror():
+        plain = environment_product(profile, plus, centred)
+    assert np.abs(table - plain).max() <= _rounding_floor(n) * abs(plain[plain.size // 2])
+    # split over two threads: bit for bit the parts swept in order
+    rows = np.array([centred])
+    env = rdm._resolve_environment(profile, rows)
+    with _split(1, 2), _switching_often():
+        split = rdm._sweep((profile,), plus, rows, env)
+        assert split.tobytes() == _parts_in_order(profile, plus, rows, env, 2).tobytes()
+    # off the centre, the sites beyond the image of the chain's near end
+    # are swept alone; a pair at a grid of times is mirrored too, but for
+    # the sites 0, 1, 2, whose images are off the chain, and its centre
+    assert _swept_sites(profile, plus, list(range(100, 106)))[0] == 100 + (n - 106 - 100)
+    times = [0.3, 1.0, 2.0, 3.0]
+    assert _swept_sites(profile, plus, [999, 1003], times=times)[0] == (n - 6) // 2 + 4
+    # an input whose populations differ at every site keeps no pair: the
+    # sweep is bit for bit the one without the mirror
+    rng = np.random.default_rng(5)
+    mixed = ProductInput.random(n, rng)
+    swept, table = _swept_sites(profile, mixed, centred)
+    with _no_mirror():
+        assert swept == n - 6 and table.tobytes() == environment_product(
+            profile, mixed, centred).tobytes()
+    # |+> but for one site: its pair is swept as two sites
+    amps = plus.amplitudes.copy()
+    amps[10] = mixed.amplitudes[10]
+    assert _swept_sites(profile, ProductInput(amps), centred)[0] == (n - 6) // 2 + 1
+
+
+def test_small_sweeps_do_not_probe():
+    # the probe runs only where the near sites span more than one chunk and
+    # the sweep has enough classes a site to pay for it
+    calls = []
+    saved = rdm.mirror_images
+    rdm.mirror_images = lambda *args: calls.append(1) or saved(*args)
+    try:
+        # the lone pairs of a nearest-neighbour chain at t = pi
+        chain = PhaseProfile(Lattice(100), Cutoff(1.0), math.pi)
+        for k in range(1, 98, 7):
+            reduced_density(chain, ProductInput.plus(100), [k, k + 1])
+        # a pair on a random input at N = 15,000, within one chunk
+        n = 15_000
+        profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
+        mixed = ProductInput.random(n, np.random.default_rng(1))
+        environment_product(profile, mixed, [n // 2, n // 2 + 3])
+        # four sites of a random input: 41 classes a site, too few to pay
+        # for a probe that may find no pair
+        environment_product(profile, mixed, list(range(n // 2, n // 2 + 4)))
+        # one site: 2 classes a site, cheaper to sweep than to pair
+        environment_product(profile, ProductInput.plus(n), [n // 2])
+        # a stack of pairs
+        environment_product(profile, ProductInput.plus(n), [[10, 11], [20, 22]])
+        assert calls == []
+        environment_product(profile, ProductInput.plus(n), [n // 2, n // 2 + 1, n // 2 + 2])
+        assert calls == [1]
+    finally:
+        rdm.mirror_images = saved
