@@ -9,28 +9,32 @@ time into the controlled-phase angles phi(k,l) = f(r_kl) * t that drive
 everything downstream.
 
 Phases are computed on demand and reduced mod 2*pi at query time; no N x N
-table is ever materialized, so memory stays O(N).  A law of distance alone
-gives every pair's phase from one table over the lattice's displacements,
-:func:`displacement_phases`.  Which environment sites a subset can feel, and
-with what phase, is decided here alone: :func:`coupled_sites` names the
-candidates of a whole sweep in one call (for a table, those in the near box
-of every subset and time: its bounding box, dilated by every displacement
-whose phase is not 0.0) and :func:`pair_phases`, the one phase reader,
-reads their phases, from the table or one ``phase_row`` per subset site;
-:func:`_pair_factors` keeps the sites with a phase other than 0.0 and
-gives the factors exp(-i phi) the sweep multiplies, for one profile or for
-the profiles of a time grid (:func:`time_profiles`) at once, a grid's from
-one gather of its stacked tables.  A graph-state adjacency asks
-:func:`coupled_pairs` for every pair of a block site and a site outside
-the block whose phase is not 0.0, whole rows at a time within a byte
-budget; for a table it reads the table's *stencil*, its entries that are
-not 0.0 (``PhaseProfile._stencil``), each standing for the signed
-displacements that reach across an open or a periodic axis.  A sweep of a
-subset that the point reflection through its centre maps onto itself asks
-:func:`mirror_images` for each site's image, which a table gives the same
-phases with the subset permuted; the entropy lower bound asks
-:func:`ball_sites` for the sites within a radius of a block, read from its
-dilated bounding box.  Only this module reads a lattice's boundaries.
+table is ever materialized, so memory stays O(N).  A site's coordinates are
+computed from its index when asked for (:meth:`Lattice.coords`), never
+cached per lattice.  A law of distance alone gives every pair's phase from
+one table over the lattice's displacements, :func:`displacement_phases`,
+filled from one ``phase_row`` call: over every site for most laws, over
+the reach box alone for a :class:`Cutoff`.  Which environment sites a
+subset can feel, and with what phase, is decided here alone:
+:func:`coupled_sites` names the candidates of a whole sweep in one call
+(for a table, those in the near box of every subset and time: its bounding
+box, dilated by every displacement whose phase is not 0.0) and
+:func:`pair_phases`, the one phase reader, reads their phases, from the
+table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps
+the sites with a phase other than 0.0 and gives the factors exp(-i phi)
+the sweep multiplies, for one profile or for the profiles of a time grid
+(:func:`time_profiles`) at once, a grid's from one gather of its stacked
+tables.  A graph-state adjacency asks :func:`coupled_pairs` for every pair
+of a block site and a site outside the block whose phase is not 0.0, whole
+rows at a time within a byte budget; for a table it reads the table's
+*stencil*, its entries that are not 0.0 (``PhaseProfile._stencil``), each
+standing for the signed displacements that reach across an open or a
+periodic axis.  A sweep of a subset that the point reflection through its
+centre maps onto itself asks :func:`mirror_images` for each site's image,
+which a table gives the same phases with the subset permuted; the entropy
+lower bound asks :func:`ball_sites` for the sites within a radius of a
+block, read from its dilated bounding box.  Only this module reads a
+lattice's boundaries.
 """
 
 from __future__ import annotations
@@ -117,17 +121,17 @@ class Lattice:
     def n_sites(self) -> int:
         return math.prod(self.extents)
 
-    @cached_property
-    def _coords(self) -> np.ndarray:
-        """(n_sites, d) integer coordinates in row-major site order."""
-        idx = np.arange(self.n_sites)
-        out = np.empty((self.n_sites, self.dimension), dtype=np.int64)
-        for axis in range(self.dimension - 1, -1, -1):
-            np.divmod(idx, self.extents[axis], out=(idx, out[:, axis]))
-        return out
-
     def coords(self, sites) -> np.ndarray:
-        return np.take(self._coords, self._check_sites(sites), axis=0)
+        """(*shape, d) integer coordinates of ``sites``, an array of any
+        shape, computed from the indices asked for: one division per axis
+        but axis 0, whose coordinate is the quotient the others leave."""
+        sites = self._check_sites(sites)
+        out = np.empty((self.dimension,) + sites.shape, dtype=np.intp)
+        out[-1] = sites
+        for axis in range(self.dimension - 1, 0, -1):
+            np.floor_divide(out[axis], self.extents[axis], out=out[axis - 1, ...])
+            out[axis] -= out[axis - 1] * self.extents[axis]
+        return out.transpose(*range(1, out.ndim), 0)
 
     def site_index(self, coords: Sequence[int]) -> int:
         coords = tuple(int(c) for c in coords)
@@ -147,25 +151,23 @@ class Lattice:
         return sites
 
     def distances(self, k: int, ls) -> np.ndarray:
-        """Euclidean distances from site k to each site in ls."""
-        (k,) = self._check_sites([k])
-        ls = self._check_sites(ls)
-        # one axis at a time, in place: the integer sum of squares is exact,
-        # and no (len(ls), d) temporaries are made
+        """Euclidean distances from site k to each site in ls, from the
+        coordinates of k and of ls alone, read one axis at a time, last
+        first: one division per axis but axis 0."""
+        rest, k = self._check_sites(ls), int(self._check_sites([k])[0])
+        # no (len(ls), d) temporaries; the integer sum of squares is exact
         square = None
-        for axis, (extent, bound) in enumerate(zip(self.extents, self.boundary)):
-            step = self._coords[ls, axis]
-            step -= self._coords[k, axis]
+        for axis, extent in reversed(tuple(enumerate(self.extents))):
+            (k, at), quotient = divmod(k, extent), (rest // extent if axis else 0)
+            step = rest - (quotient * extent + at)      # this axis's coordinate, less k's
+            rest = quotient
             np.abs(step, out=step)
-            if bound == "periodic":
+            if self.boundary[axis] == "periodic":
                 np.minimum(step, extent - step, out=step)
             if self.dimension == 1:
                 return step.astype(np.float64)
             step *= step
-            if square is None:
-                square = step
-            else:
-                square += step
+            square = step if square is None else np.add(square, step, out=square)
         r = square.astype(np.float64)
         return np.sqrt(r, out=r)
 
@@ -372,10 +374,7 @@ class PhaseProfile:
     @cached_property
     def _displacement_table(self) -> np.ndarray:
         """Read-only table of :func:`displacement_phases`, built on first use."""
-        phi = np.zeros(self.lattice.extents)
-        phi.reshape(-1)[1:] = self.phase_row(0, np.arange(1, self.n_sites))
-        phi.setflags(write=False)
-        return phi
+        return _tables((self,))[0]
 
     @cached_property
     def _displacement_factors(self) -> np.ndarray:
@@ -480,10 +479,12 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
     own time (finite and >= 0), the first bad one in order raising.
 
     Under a law of distance alone (any but :class:`Disordered`) the grid's
-    displacement tables are built at once, one ``phase_row`` per time, as
-    one read-only (T, *extents) stack of phases and one of their factors
-    exp(-1j * phi); each profile's ``_displacement_table`` and
-    ``_displacement_factors`` are views of its row of them, no second copy.
+    displacement tables are built at once, one ``phase_row`` per time over
+    the sites :func:`_tables` reads (a :class:`Cutoff`'s reach box, or
+    every site), as one read-only (T, *extents) stack of phases and one of
+    their factors exp(-1j * phi); each profile's ``_displacement_table``
+    and ``_displacement_factors`` are views of its row of them, no second
+    copy.
     :func:`_pair_factors` and :func:`_grid_phases` read every time of the
     grid with one gather.
 
@@ -514,16 +515,41 @@ class _Grid(tuple):
     """The profiles of a time grid under a law of distance alone, with their
     ``_displacement_table`` and ``_displacement_factors`` as read-only
     stacks, (T, *extents) each, of which each profile's own are row views
-    (:func:`time_profiles`)."""
+    (:func:`time_profiles`); the stack of phases is built as a lone
+    profile's table is, by :func:`_tables`."""
 
     def __init__(self, profiles):
-        phi = np.zeros((len(self),) + self[0].lattice.extents)
-        for table, profile in zip(phi, self):
-            table.reshape(-1)[1:] = profile.phase_row(0, np.arange(1, table.size))
-        phi.setflags(write=False)
+        phi = _tables(self)
         self._displacement_table, self._displacement_factors = phi, _factors(phi)
         for profile, table, factors in zip(self, phi, self._displacement_factors):
             profile.__dict__.update(_displacement_table=table, _displacement_factors=factors)
+
+
+def _tables(profiles) -> np.ndarray:
+    """Read-only (T, *extents) stack of the displacement phases of each of
+    ``profiles``, one lattice and law at T times, from one
+    ``phase_row(0, ...)`` call per profile.
+
+    A :class:`Cutoff` law reads only its reach box: the displacements
+    whose image along each axis, |d| on an open axis and min(|d|, E - |d|)
+    on a periodic one, is at most the reach, so floor(reach) + 1 of them,
+    or 2 floor(reach) + 1 on a periodic axis, at most E.  Every other entry
+    is farther than the reach along some axis, so its phase is 0.0 * t =
+    0.0, which the zeroed stack already holds.  Any other law reads every
+    site but site 0.
+    """
+    lattice, law = profiles[0].lattice, profiles[0].law
+    reach = law.reach if isinstance(law, Cutoff) else math.inf
+    sites = np.zeros(1, dtype=np.intp)
+    for extent, bound in zip(lattice.extents, lattice.boundary):
+        d = np.arange(extent)
+        image = np.minimum(d, extent - d) if bound == "periodic" else d
+        sites = (sites[:, None] * extent + d[image <= reach]).ravel()
+    phi = np.zeros((len(profiles),) + lattice.extents)
+    for table, profile in zip(phi, profiles):
+        table.reshape(-1)[sites[1:]] = profile.phase_row(0, sites[1:])   # sites[0]: the origin
+    phi.setflags(write=False)
+    return phi
 
 
 def displacement_phases(profile) -> np.ndarray | None:
@@ -536,7 +562,11 @@ def displacement_phases(profile) -> np.ndarray | None:
     lattice whose entry at (|d_0|, .., |d_D-1|) is the very float
     ``profile.phase_row(k, l)`` gives for any k, l that far apart: it is
     site 0's phase row, read in one ``phase_row`` call the first time a
-    profile is asked and kept, read-only, for the profile's lifetime.  The
+    profile is asked and kept, read-only, for the profile's lifetime.  A
+    :class:`Cutoff` law reads only its reach box, O(floor(reach)^D) sites,
+    and leaves the rest of the table 0.0, which is its phase there
+    (:func:`_tables`); any other law reads all N sites, and a
+    :class:`Table` raises on a lattice distance it does not list.  The
     entry at the origin (k = l) is 0.0.  Any other profile returns None.
     """
     if not isinstance(profile, PhaseProfile) or isinstance(profile.law, Disordered):
@@ -550,10 +580,8 @@ def _warm(profiles) -> None:
     one environment only read them: ``cached_property`` holds no lock from
     Python 3.12 on."""
     for profile in profiles:
-        if isinstance(profile, PhaseProfile):
-            profile.lattice._coords
-            if displacement_phases(profile) is not None:
-                profile._displacement_factors
+        if displacement_phases(profile) is not None:
+            profile._displacement_factors
 
 
 def coupled_sites(profiles, sites, ls) -> np.ndarray:
@@ -737,8 +765,9 @@ def coupled_pairs(profile, block, budget: int):
     where it lands in the lattice from some block site; on a periodic axis
     for d itself, in 0..E-1, which reaches coordinate (c + d) mod E: |d| or
     E - |d| away, and the table holds the same phase at both.  So a site is
-    at most one image from another.  For any other profile a row's
-    candidates are every site outside the block, read through
+    at most one image from another.  Coordinates and candidate sites are
+    int32 on a lattice of fewer than 2^31 sites.  For any other profile a
+    row's candidates are every site outside the block, read through
     :func:`pair_phases`, one ``phase_row`` per block site.
     """
     inside = np.zeros(profile.n_sites, dtype=bool)
@@ -753,10 +782,11 @@ def coupled_pairs(profile, block, budget: int):
         return
     lattice = profile.lattice
     axes = list(enumerate(zip(lattice.extents, lattice.boundary)))
-    at = lattice.coords(block)
+    dtype, unsigned = (np.int32, np.uint32) if lattice.n_sites < 2 ** 31 else (np.intp, np.uintp)
+    at = lattice.coords(block).astype(dtype)
     lo, hi = at.min(axis=0), at.max(axis=0)
     flat, phases = profile._stencil
-    disp = np.stack(np.unravel_index(flat, lattice.extents), axis=-1)
+    disp = lattice.coords(flat).astype(dtype)
     for axis, (extent, bound) in axes:
         if bound == "open":
             d = disp[:, axis]
@@ -768,14 +798,14 @@ def coupled_pairs(profile, block, budget: int):
     step = _per_budget(budget, len(disp))
     for start in range(0, block.size, step):
         here = at[start:start + step]
-        site = np.zeros((len(here), len(disp)), dtype=np.intp)
+        site = np.zeros((len(here), len(disp)), dtype=dtype)
         ok = np.ones(site.shape, dtype=bool)
         for axis, (extent, bound) in axes:
             c = here[:, axis, None] + disp[:, axis]
             if bound == "periodic":
                 c[c >= extent] -= extent
             else:
-                ok &= c.view(np.uintp) < extent     # a negative c wraps past every extent
+                ok &= c.view(unsigned) < extent     # a negative c wraps past every extent
             site *= extent
             site += c
         ok &= ~np.take(inside, site, mode="clip")      # clipped where ok is already False

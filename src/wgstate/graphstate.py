@@ -4,18 +4,21 @@ When every interaction phase is 0 or pi (mod 2*pi) the evolved state is a
 graph state, and the entanglement entropy of a block equals the GF(2) rank
 of the block-to-environment slice of the adjacency matrix -- an integer
 count of independent edge patterns, computed here without touching any
-amplitudes.  Each row is one Python integer, environment column c at bit
-c, so an m x (N - m) slice costs O(m^2) XORs of integers as wide as the
-columns the rows couple to.
+amplitudes.  Each row is one Python integer, environment column
+``offset`` + j at bit j, ``offset`` the lowest column any row couples to,
+so the rows hold only the coupled span and an m x (N - m) slice costs
+O(m^2) XORs of integers that wide.
 
 :func:`block_adjacency` reads its pairs from one reader,
 :func:`~wgstate.geometry.coupled_pairs`: every pair of a block site and an
 environment site whose phase is not 0.0, a group of whole rows at a time
 within ``_CHUNK_BYTES``.  For a law of distance alone it reads the
-profile's stencil, O(N + m * |stencil|) in place of O(m * N) distance and
-law evaluations; other profiles (a :class:`~wgstate.geometry.Disordered`
-law, an :class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per
-block site, O(m * N).  Which sites couple, and how a lattice is laid out,
+profile's stencil, O(m * |stencil|) in place of O(m * N) distance and law
+evaluations, and for a :class:`~wgstate.geometry.Cutoff` law the table
+behind the stencil reads only the reach box, O(floor(reach)^D); other
+profiles (a :class:`~wgstate.geometry.Disordered` law, an
+:class:`~wgstate.geometry.EdgeProfile`) take one ``phase_row`` per block
+site, O(m * N).  Which sites couple, and how a lattice is laid out,
 is known in :mod:`wgstate.geometry` alone; this module only classifies
 phases and packs edges.  The block goes through the input contract of
 :mod:`wgstate.rdm` first, with the lattice as its size limit.
@@ -24,8 +27,6 @@ phases and packs edges.  The block goes through the input contract of
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -49,10 +50,17 @@ class NotAGraphStateError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Adjacency(NamedTuple):
-    """Matrix over GF(2), one Python integer per row, column c at bit c."""
+    """Matrix over GF(2), one Python integer per row, column offset + j at
+    bit j.
+
+    ``offset`` is the lowest column any row couples to (0 when none does,
+    and by default), so the rows hold only the coupled span of columns;
+    columns below it are zero in every row, which changes no rank.
+    """
 
     rows: tuple[int, ...]
     n_cols: int
+    offset: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -62,20 +70,14 @@ class Adjacency(NamedTuple):
 def gf2_rank(matrix: Adjacency) -> int:
     """Rank over GF(2) by row reduction against stored pivots.
 
-    Every row is first shifted down by the lowest set column of any row,
-    which keeps the rank, so the XORs work on integers only as wide as the
-    coupled columns.  Each nonzero row is XORed with the pivot that shares
-    its lowest set bit until it has none (the row was dependent) or its
-    lowest bit is new (a pivot); each XOR moves that bit strictly up, so a
-    row needs at most n_cols of them.
+    The rows are reduced as stored, as wide as the coupled span of columns
+    (``Adjacency.offset``).  Each nonzero row is XORed with the pivot that
+    shares its lowest set bit until it has none (the row was dependent) or
+    its lowest bit is new (a pivot); each XOR moves that bit strictly up,
+    so a row needs at most n_cols of them.
     """
-    coupled = reduce(operator.or_, matrix.rows, 0)
-    if not coupled:
-        return 0
-    shift = (coupled & -coupled).bit_length() - 1
     pivots: dict[int, int] = {}
     for row in matrix.rows:
-        row >>= shift
         while row:
             low = row & -row
             if low not in pivots:
@@ -105,13 +107,13 @@ def _not_a_graph_state(phi, k, l) -> NotAGraphStateError:
                                f"is neither 0 nor pi (tolerance {_TOL})")
 
 
-def _pack(rows: list, r: np.ndarray, c: np.ndarray) -> None:
-    """Set ``rows[r[i]]`` to the row of the edges (r[i], c[i]): rows r
-    ascending, each row's edges all given at once and none twice.  Each
-    row's columns are packed into a run of bytes of its own that starts at
-    its lowest one, then shifted up to it."""
+def _pack(r: np.ndarray, c: np.ndarray) -> dict[int, tuple[int, int]]:
+    """The rows of the edges (r[i], c[i]), rows r ascending, each row's
+    edges all given at once and none twice: row -> (bits, low), its
+    columns packed into a run of bytes of its own from its lowest column
+    ``low``, at bit c - low."""
     if r.size == 0:
-        return
+        return {}
     first = np.empty(r.size, dtype=bool)
     first[0] = True
     np.not_equal(r[1:], r[:-1], out=first[1:])
@@ -123,25 +125,29 @@ def _pack(rows: list, r: np.ndarray, c: np.ndarray) -> None:
     bit = c - low[nth] + 8 * begin[nth]
     packed = np.zeros(int(end[-1]), dtype=np.uint8)
     np.add.at(packed, bit >> 3, (1 << (bit & 7)).astype(np.uint8))     # no bit twice: + is OR
-    for i, a, b, shift in zip(r[start].tolist(), begin.tolist(), end.tolist(), low.tolist()):
-        rows[i] = int.from_bytes(packed[a:b], "little") << shift
+    return {i: (int.from_bytes(packed[a:b], "little"), lo)
+            for i, a, b, lo in zip(r[start].tolist(), begin.tolist(), end.tolist(), low.tolist())}
 
 
 def block_adjacency(profile, block) -> Adjacency:
     """Block-to-environment edge matrix, one integer row per block site.
 
-    Columns run over the environment sites in ascending order, column c at
-    bit c of its row.  Only the block rows are inspected, so the cost never
-    involves the full graph.  The pairs of a block site and an environment
-    site whose phase is not 0.0 come from the one reader
-    :func:`~wgstate.geometry.coupled_pairs`, a group of whole rows at a
-    time: as many rows as ``_CHUNK_BYTES`` holds of their candidate pairs,
-    at least one.  For a distance law other than ``Disordered`` a row's
-    candidates are the images of the profile's stencil, O(N) once per
-    profile for the table, then O(|block| * |stencil|) per call; for any
-    other profile they are every environment site, one ``phase_row`` per
-    block site, O(|block| * N).  Each group's phases are classified and
-    its edges packed, one run of bytes per row.
+    Columns run over the environment sites in ascending order, column
+    ``offset`` + j at bit j of its row, ``offset`` the lowest column any
+    row couples to: the rows hold the coupled span alone.  Only the block
+    rows are inspected, so the cost never involves the full graph.  The
+    pairs of a block site and an environment site whose phase is not 0.0
+    come from the one reader :func:`~wgstate.geometry.coupled_pairs`, a
+    group of whole rows at a time: as many rows as ``_CHUNK_BYTES`` holds
+    of their candidate pairs, at least one.  For a distance law other than
+    ``Disordered`` a row's candidates are the images of the profile's
+    stencil, O(|block| * |stencil|) per call, after the table is read once
+    per profile: over the reach box for a ``Cutoff`` law, O(floor(reach)^D),
+    over all N sites for any other; for any other profile they are every
+    environment site, one ``phase_row`` per block site, O(|block| * N).
+    Each group's phases are classified and its edges packed, one run of
+    bytes per row from its lowest column; once every group is read, each
+    row is shifted to its place above ``offset``.
 
     A pair whose phase is neither 0 nor pi within 1e-9 raises
     :class:`NotAGraphStateError` naming the first such pair: the first
@@ -150,7 +156,7 @@ def block_adjacency(profile, block) -> Adjacency:
     """
     block = _check_subset(profile, block, a_max=profile.n_sites)
     order = np.sort(block)
-    rows = [0] * block.size
+    packed = {}
     for r, l, phi in coupled_pairs(profile, block, _CHUNK_BYTES):
         edge, bad = _classify(phi)
         if bad.any():
@@ -158,8 +164,12 @@ def block_adjacency(profile, block) -> Adjacency:
             i = i[np.argmin(l[i])]
             raise _not_a_graph_state(phi[i], block[r[i]], l[i])
         l = l[edge]
-        _pack(rows, r[edge], l - np.searchsorted(order, l))
-    return Adjacency(tuple(rows), profile.n_sites - block.size)
+        packed.update(_pack(r[edge], l - np.searchsorted(order, l)))
+    offset = min((low for _, low in packed.values()), default=0)
+    rows = [0] * block.size
+    for i, (bits, low) in packed.items():
+        rows[i] = bits << (low - offset)
+    return Adjacency(tuple(rows), profile.n_sites - block.size, offset)
 
 
 def connected_vertex_count(gamma: Adjacency) -> int:

@@ -337,6 +337,37 @@ def test_displacement_phases_match_phase_rows():
     assert displacement_phases(EdgeProfile.from_edges(4, [(0, 1)])) is None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_cutoff_table_from_its_reach_box_is_the_whole_phase_row(data):
+    # a cutoff's table reads only its reach box, yet equals, byte for byte,
+    # the table of site 0's phase row to every other site: alone, and as a
+    # row of a grid's stack
+    dim = data.draw(st.integers(1, 3))
+    extents = tuple(data.draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    boundary = data.draw(st.lists(st.sampled_from(["open", "periodic"]),
+                                  min_size=dim, max_size=dim))
+    lattice = Lattice(extents, tuple(boundary))
+    reach = data.draw(st.one_of(st.floats(0.0, 1.5 * max(extents)),
+                                st.integers(0, max(extents) + 1).map(float),
+                                st.sampled_from([math.sqrt(2.0), math.inf])), label="reach")
+    times = data.draw(st.lists(st.sampled_from([0.0, math.pi, 0.3, TWO_PI]),
+                               min_size=1, max_size=3), label="times")
+
+    def whole(t):
+        phi = np.zeros(extents)
+        profile = PhaseProfile(lattice, Cutoff(reach), t)
+        phi.reshape(-1)[1:] = profile.phase_row(0, np.arange(1, lattice.n_sites))
+        return phi.tobytes()
+
+    for t in (0.0, math.pi):
+        assert PhaseProfile(lattice, Cutoff(reach), t)._displacement_table.tobytes() == whole(t)
+    grid = time_profiles(PhaseProfile(lattice, Cutoff(reach), 0.0), times)
+    assert [p._displacement_table.tobytes() for p in grid] == [whole(t) for t in times]
+
+
 @st.composite
 def profiles(draw):
     """A 1-3 D lattice of at most 40 sites with open, periodic or mixed axes,

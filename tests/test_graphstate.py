@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ def full_adjacency(profile):
     n = profile.n_sites
     dense = np.zeros((n, n), dtype=int)
     for k in range(n):
-        row = block_adjacency(profile, [k]).rows[0]
+        gamma = block_adjacency(profile, [k])
+        row = gamma.rows[0] << gamma.offset
         dense[k, np.delete(np.arange(n), k)] = [row >> c & 1 for c in range(n - 1)]
     return dense
 
@@ -241,6 +243,27 @@ def test_rank_matches_analytic_across_dimensions():
     assert rank == analytic_block_entropy(3, 20, 2) == 3904
 
 
+def test_a_box_costs_its_coupled_span_not_the_lattice():
+    # the same box in two lattices that differ only along axis 0, the
+    # slowest, has the same sites, edges and rows in both; the larger one
+    # adds only its float64 table and the inside mask per added site
+    gammas, peaks = [], []
+    for rows in (100, 10_000):
+        lattice = Lattice((rows, 100))
+        profile = PhaseProfile(lattice, Cutoff(reach=2.0), time=math.pi)
+        block = (np.arange(40, 60)[:, None] * 100 + np.arange(40, 60)).ravel()
+        tracemalloc.start()
+        try:
+            gammas.append(block_adjacency(profile, block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small, large = gammas
+    assert large.rows == small.rows and large.offset == small.offset
+    assert gf2_rank(large) == analytic_block_entropy(2, 20, 2.0)
+    assert peaks[1] - peaks[0] <= 10 * (10_000 - 100) * 100, peaks
+
+
 def test_rank_matches_analytic_on_periodic_lattice():
     lat = Lattice((6, 6), "periodic")
     prof = PhaseProfile(lat, Cutoff(reach=1.0), time=math.pi)
@@ -346,8 +369,10 @@ def test_block_adjacency_matches_pairwise_reference(data):
         patch.setattr(graphstate, "_CHUNK_BYTES", budget)
         if bad is None:
             gamma = block_adjacency(profile, block)
-            assert gamma.rows == rows
+            assert tuple(row << gamma.offset for row in gamma.rows) == rows
             assert gamma.n_cols == n - len(block)
+            # the rows start at the lowest coupled column, or at 0 if none
+            assert any(row & 1 for row in gamma.rows) if any(rows) else gamma.offset == 0
         else:
             with pytest.raises(NotAGraphStateError,
                                match=rf"between sites {bad[0]} and {bad[1]} "):
@@ -372,7 +397,8 @@ def test_unrealized_bad_phase_does_not_raise():
     for block in ([0, 5], [2]):
         rows, bad = reference_adjacency(prof, block)
         assert bad is None
-        assert block_adjacency(prof, block).rows == rows
+        gamma = block_adjacency(prof, block)
+        assert tuple(row << gamma.offset for row in gamma.rows) == rows
     with pytest.raises(NotAGraphStateError, match="between sites 0 and 5 "):
         block_adjacency(prof, [0])
 
