@@ -618,7 +618,10 @@ def ball_sites(lattice: Lattice, sites, radius: float) -> np.ndarray:
     modulo the extent on a periodic axis, which holds every site that
     near; only they are measured.  (:func:`coupled_sites` fills its boxes
     by slices, unwrapped: a table's reach counts |d| before the minimum
-    image.)"""
+    image.)  A NaN ``radius`` raises ValueError; a negative one gives no
+    site."""
+    if np.isnan(radius):
+        raise ValueError(f"radius {radius} is not a number")
     sites = np.asarray(sites, dtype=np.intp)
     at = lattice.coords(sites)
     reach = int(min(radius, max(lattice.extents))) if radius >= 0 else 0

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ball_sites, displacement_phases, pair_phases
-from .rdm import (A_MAX, ENV_SLAB, ProductInput, SubsetTooLargeError, _check_state,
-                  _check_subset, _resolve_environment, reduced_density, trace_to)
+from .geometry import ball_sites, displacement_phases
+from .rdm import (A_MAX, ProductInput, SubsetTooLargeError, _check_state, _check_subset,
+                  environment_factor, reduced_density, trace_to)
 
 # Pauli x, y, z stacked along the first axis
 _PAULIS = np.array([[[0.0, 1.0], [1.0, 0.0]],
@@ -143,6 +143,9 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> f
     the exact-diagonalization ceiling is diagonalized -- for a big block
     with a small radius that is the kept environment, which is what makes
     the bound affordable exactly where the exact entropy is not.
+
+    A NaN ``radius`` raises ValueError; a negative one keeps nothing, and
+    its bound is 0.
     """
     sites = _check_subset(profile, sites, state, profile.n_sites)
     lattice = getattr(profile, "lattice", None)
@@ -265,8 +268,10 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
     come from running sums of the table along each axis
     (:func:`_log_coherences`), O(N * D) on a D-dimensional lattice whatever
     ``sites`` is, within 3.2e-14 of a per-site ``math.fsum`` in the log of
-    the coherence at N = 10^6.  Otherwise the cost is one environment sweep
-    per listed site, O(N) each and O(N^2) for all.
+    the coherence at N = 10^6.  Otherwise each listed site k's coherence
+    rho_k[0, 1] is a0 conj(a1) times :func:`wgstate.rdm.environment_factor`
+    at x = 0, y = 1, one pass over the environment's phase rows, O(N) each
+    and O(N^2) for all.
     """
     n = profile.n_sites
     if sites is None:       # every site: no index array is built or read
@@ -285,16 +290,13 @@ def meyer_wallach(profile, state: ProductInput, sites=None) -> float:
         return float(2.0 * (1.0 - purities.mean()))
     if sites is None:
         sites = np.arange(n)
-    purities = np.empty(sites.size)
-    for i, k in enumerate(sites):
-        others = _resolve_environment(profile, sites[i:i + 1])
-        off = amps[k, 0] * np.conj(amps[k, 1])
-        for start in range(0, others.size, ENV_SLAB):
-            ls = others[start:start + ENV_SLAB]
-            phi = pair_phases(profile, [k], ls)[0]
-            off *= np.prod(p0[ls] + p1[ls] * np.exp(1j * phi))
-        purities[i] = p0[k] ** 2 + p1[k] ** 2 + 2.0 * abs(off) ** 2
-    return float(2.0 * (1.0 - purities.mean()))
+    # rho_k[0, 1] is a0 conj(a1) times the environment factor of x = 0, y = 1.
+    # Scalar abs and square, site by site: numpy's array forms can round the
+    # last bit differently, which would move E_MW off the released values.
+    offs = [amps[k, 0] * np.conj(amps[k, 1]) * environment_factor(profile, state, [k], [0], [1])
+            for k in sites]
+    purities = [p0[k] ** 2 + p1[k] ** 2 + 2.0 * abs(off) ** 2 for k, off in zip(sites, offs)]
+    return float(2.0 * (1.0 - np.mean(purities)))
 
 
 def _log_coherences(table: np.ndarray, p0: float, p1: float) -> np.ndarray:

@@ -107,9 +107,12 @@ _SPLIT_WORK = 4 * _CHUNK_BUDGET
 # temporaries, about 2.9 MB of peak RSS).
 _MAX_PARTS = 2
 
-# Environment sites per slab of phase rows in the loops over the whole
-# environment outside the sweep, so that memory for the phases is bounded
-# by this, not by the lattice size.
+# Environment sites per slab of phase rows in the two loops over the whole
+# environment outside the sweep (environment_factor, single_site_coherence),
+# so that memory for the phases is bounded by this, not by the lattice size.
+# On a 1/r chain of 10^6 sites (tracemalloc peaks, one site, random input)
+# environment_factor takes 36.9 MiB with slabs and 61.0 MiB without,
+# single_site_coherence 17.6 MiB and 45.8 MiB.
 ENV_SLAB = 262_144
 
 
@@ -562,12 +565,15 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
     """Environment factor for one matrix element, without the 3^m table.
 
     ``x`` and ``y`` are bit sequences over ``sites`` (first site most
-    significant).  Mainly a cross-check for :func:`environment_product`,
-    also usable when only a few elements of a large-subset matrix are
-    needed.
+    significant), every entry 0 or 1, else ValueError.  Mainly a
+    cross-check for :func:`environment_product`, also usable when only a
+    few elements of a large-subset matrix are needed; a single site's
+    x = 0, y = 1 gives its coherence (:func:`wgstate.measures.meyer_wallach`).
     """
     sites = _check_subset(profile, sites, state, a_max=64)
     env = _resolve_environment(profile, sites, environment)
+    if not {*np.ravel(x).tolist(), *np.ravel(y).tolist()} <= {0, 1}:
+        raise ValueError(f"x and y must hold bits 0 or 1, got {x} and {y}")
     d = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
     if d.shape != (sites.size,):
         raise ValueError(f"x and y must each hold {sites.size} bits")

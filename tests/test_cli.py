@@ -157,6 +157,15 @@ def test_entropy_scan_blank_exact_above_ceiling(capsys, tmp_path):
         assert float(row[3]) <= float(row[2]) + 1e-9
 
 
+def test_entropy_scan_rejects_a_nan_radius(capsys, tmp_path):
+    # a NaN radius keeps no site, which would read as a lower bound of 0
+    cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2, 4\nradius = nan\n")
+    code, out, err = run(capsys, "entropy-scan", "--config", cfg)
+    assert code == 1
+    assert "radius nan is not a number" in err
+    assert out == ""
+
+
 GRID_8X8 = """
 [lattice]
 extents = 8, 8

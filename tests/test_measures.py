@@ -184,6 +184,15 @@ def test_block_entropy_lower_trivial_radius():
     assert block_entropy_lower(prof, state, [8, 9], radius=0.0) == 0.0
 
 
+def test_block_entropy_lower_rejects_a_nan_radius():
+    prof = PhaseProfile(Lattice(20), PowerLaw(alpha=2.0), time=0.5)
+    state = ProductInput.plus(20)
+    with pytest.raises(ValueError, match="radius nan"):
+        block_entropy_lower(prof, state, [8, 9], radius=math.nan)
+    # a negative radius keeps nothing: the true lower bound 0
+    assert block_entropy_lower(prof, state, [8, 9], radius=-1.0) == 0.0
+
+
 def test_block_entropy_lower_rejects_empty_block():
     prof = PhaseProfile(Lattice(10), PowerLaw(alpha=2.0), time=0.5)
     with pytest.raises(ValueError, match="subset must contain at least one site"):

@@ -2,8 +2,9 @@
 
 A distance law with the same populations at every site takes running sums
 of its displacement table along each axis, which reads one phase row for
-all sites; every other input takes one environment sweep per site.  Both
-are checked against reduced states from
+all sites; every other input takes each site's coherence from
+:func:`wgstate.rdm.environment_factor` at x = 0, y = 1, one phase row per
+site.  Both are checked against reduced states from
 :func:`wgstate.rdm.reduced_density`, the statevector oracle, and, at large
 N, the closed form :func:`wgstate.rdm.single_site_coherence`.
 Property examples are derandomized so the suite runs the same cases every
@@ -91,6 +92,11 @@ def _from_purities(purities):
     return 2.0 * (1.0 - float(np.mean(purities)))
 
 
+def _oracle_purities(profile, state):
+    psi = evolve(profile, state)
+    return np.array([_purity(partial_trace(psi, [k])) for k in range(profile.n_sites)])
+
+
 @_CASES
 @FEW
 @given(data=st.data(), theta=_THETAS, chi=_CHIS)
@@ -114,10 +120,50 @@ def test_matches_single_site_reduced_states(boundary, kind, data, theta, chi):
 def test_matches_statevector_oracle(boundary, kind, data, theta, chi):
     profile = data.draw(profiles(boundary, kind, max_sites=12), label="profile")
     state = uniform_input(profile.n_sites, theta, chi)
-    psi = evolve(profile, state)
-    purities = [_purity(partial_trace(psi, [k])) for k in range(profile.n_sites)]
     assert meyer_wallach(profile, state) == pytest.approx(
-        _from_purities(purities), abs=1e-12)
+        _from_purities(_oracle_purities(profile, state)), abs=1e-12)
+
+
+@st.composite
+def per_site_inputs(draw, case):
+    """(profile, input) of at most 12 sites that :func:`meyer_wallach`
+    takes site by site: a random input under a law of distance alone (the
+    case names the law), |+> or a random input under :class:`Disordered`
+    or an :class:`EdgeProfile`."""
+    if case == "edges":
+        n = draw(st.integers(2, 12), label="n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda pair: pair[0] != pair[1])
+        profile = EdgeProfile(n, draw(st.dictionaries(pairs, st.floats(0.0, TWO_PI),
+                                                      min_size=1, max_size=2 * n), label="edges"))
+    else:
+        boundary = draw(st.sampled_from([("open",), ("periodic",), ("open", "open"),
+                                         ("periodic", "open")]), label="boundary")
+        kind = "power" if case == "disordered" else case
+        profile = draw(profiles(boundary, kind, max_sites=12), label="profile")
+        if case == "disordered":
+            law = Disordered(base=profile.law, seed=draw(st.integers(0, 99), label="seed"),
+                             amplitude=(0.0, 3.0))
+            profile = PhaseProfile(profile.lattice, law, profile.time)
+    n = profile.n_sites
+    if case in ("disordered", "edges") and draw(st.booleans(), label="plus"):
+        return profile, ProductInput.plus(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="input seed"))
+    return profile, ProductInput.random(n, rng)
+
+
+@pytest.mark.parametrize("case", ["power", "exponential", "cutoff", "table", "disordered",
+                                  "edges"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_per_site_path_matches_statevector_oracle(case, data):
+    profile, state = data.draw(per_site_inputs(case), label="case")
+    purities = _oracle_purities(profile, state)
+    assert meyer_wallach(profile, state) == pytest.approx(_from_purities(purities), abs=1e-12)
+    subset = data.draw(st.lists(st.integers(0, profile.n_sites - 1), min_size=1, max_size=5,
+                                unique=True), label="subset")
+    assert meyer_wallach(profile, state, subset) == pytest.approx(
+        _from_purities(purities[subset]), abs=1e-12)
 
 
 def test_large_chain_matches_closed_form_coherence():
@@ -224,12 +270,11 @@ def test_other_inputs_sweep_every_site(monkeypatch, case):
         else:
             state = ProductInput.random(n, rng)
         profile = PhaseProfile(Lattice(n), law, time=1.3)
-    psi = evolve(profile, state)
-    expected = _from_purities([_purity(partial_trace(psi, [k])) for k in range(n)])
+    expected = _from_purities(_oracle_purities(profile, state))
     calls = _count_phase_rows(monkeypatch, type(profile))
     assert meyer_wallach(profile, state) == pytest.approx(expected, abs=1e-12)
-    # a distance law is read from its displacement table, one row to build it
-    assert len(calls) == (1 if case == "random_input" else n)
+    # one phase row per site, a distance law's too: its table is not built
+    assert len(calls) == n
 
 
 def test_rejects_sites_out_of_range():
@@ -247,9 +292,9 @@ def test_rejects_empty_sites():
 
 @pytest.mark.parametrize("slab", [1, 3, 16])
 def test_slabs_of_the_environment_give_the_one_slab_values(monkeypatch, slab):
-    # the per-site fallback and single_site_coherence read the environment
-    # in slabs of ENV_SLAB sites; measures binds the name at import, so
-    # both bindings are patched
+    # the per-site path (through environment_factor) and
+    # single_site_coherence read the environment in slabs of rdm.ENV_SLAB
+    # sites
     n = 40
     law = Disordered(PowerLaw(alpha=1.0), seed=3, amplitude=(0.5, 1.5))
     disordered = PhaseProfile(Lattice(n), law, 0.3 * math.pi)
@@ -263,6 +308,5 @@ def test_slabs_of_the_environment_give_the_one_slab_values(monkeypatch, slab):
     }
     whole = {name: np.asarray(value()) for name, value in cases.items()}
     monkeypatch.setattr(rdm, "ENV_SLAB", slab)
-    monkeypatch.setattr(measures, "ENV_SLAB", slab)
     for name, value in cases.items():
         assert np.abs(np.asarray(value()) - whole[name]).max() < 1e-13, name

@@ -67,6 +67,15 @@ def test_environment_factor_orthogonal_branch():
     assert abs(val) < 1e-15
 
 
+@pytest.mark.parametrize("x,y", [([2, 0], [0, 0]), ([0.5, 0], [0, 0]), ([0, 0], [0, -1]),
+                                 ([0, math.nan], [0, 0])])
+def test_environment_factor_rejects_entries_other_than_bits(x, y):
+    # 0.5 would be read as 0, and 2 as a difference class outside {-1, 0, 1}
+    prof = PhaseProfile(Lattice(6), PowerLaw(alpha=1.0), time=0.4)
+    with pytest.raises(ValueError, match="bits 0 or 1"):
+        environment_factor(prof, ProductInput.plus(6), [1, 2], x, y)
+
+
 def test_environment_factor_against_oracle_entry():
     lat = Lattice(6)
     prof = PhaseProfile(lat, PowerLaw(alpha=3.0), time=0.3 * math.pi)
