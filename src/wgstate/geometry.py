@@ -11,18 +11,20 @@ everything downstream.
 Phases are computed on demand and reduced mod 2*pi at query time; no N x N
 table is ever materialized, so memory stays O(N).  A site's coordinates are
 computed from its index when asked for (:meth:`Lattice.coords`), never
-cached per lattice.  A law of distance alone gives every pair's phase from
-one table over the lattice's displacements, :func:`displacement_phases`,
-filled from one ``phase_row`` call: over every site for most laws, over
-the reach box alone for a :class:`Cutoff`.  Which environment sites a
-subset can feel, and with what phase, is decided here alone:
-:func:`coupled_sites` names the candidates of a whole sweep in one call
-(for a table, those in the near box of every subset and time: its bounding
-box, dilated by every displacement whose phase is not 0.0) and
+cached per lattice; its inverse, the codec ``Lattice._ravel``, is the one
+place where coordinates become site indices, a periodic axis wrapped and a
+point off an open one masked.  A law of distance alone gives every pair's
+phase from one table over the lattice's displacements,
+:func:`displacement_phases`, filled from one ``phase_row`` call: over every
+site for most laws, over the reach box alone for a :class:`Cutoff`.  Which
+environment sites a subset can feel, and with what phase, is decided here
+alone: :func:`coupled_sites` names the candidates of a whole sweep in one
+call (for a table, those in the near box of every subset and time: its
+bounding box, dilated by every displacement whose phase is not 0.0) and
 :func:`pair_phases`, the one phase reader, reads their phases, from the
-table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps
-the sites with a phase other than 0.0 and gives the factors exp(-i phi)
-the sweep multiplies, for one profile or for the profiles of a time grid
+table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps the
+sites with a phase other than 0.0 and gives the factors exp(-i phi) the
+sweep multiplies, for one profile or for the profiles of a time grid
 (:func:`time_profiles`) at once, a grid's from one gather of its stacked
 tables.  A graph-state adjacency asks :func:`coupled_pairs` for every pair
 of a block site and a site outside the block whose phase is not 0.0, whole
@@ -49,6 +51,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _BOUNDARIES = ("open", "periodic")
+
+# Byte budget for the transients of one group of rows in coupled_pairs.
+_CHUNK_BYTES = 1 << 21
 
 # Bytes of transients one candidate pair takes in coupled_pairs.
 _PAIR_BYTES = 80
@@ -133,16 +138,30 @@ class Lattice:
             out[axis] -= out[axis - 1] * self.extents[axis]
         return out.transpose(*range(1, out.ndim), 0)
 
+    def _ravel(self, coords):
+        """(flat index, on-lattice mask) of the points whose coordinates are
+        ``coords``, one broadcastable integer array per axis: the row-major
+        index, a periodic axis's coordinate taken modulo its extent, and
+        False where a point falls off an open axis (its index is then of no
+        site).  The one place coordinates become site indices; the inverse
+        is :meth:`coords`."""
+        flat, ok = 0, True
+        for c, extent, bound in zip(coords, self.extents, self.boundary):
+            if bound == "open":
+                inside = (0 <= c) & (c < extent)
+                ok = inside if ok is True else ok & inside
+            elif np.size(c) and (np.min(c) < 0 or np.max(c) >= extent):  # % costs more than this
+                c = c % extent
+            flat = flat * extent + c
+        return flat, ok
+
     def site_index(self, coords: Sequence[int]) -> int:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {coords}")
-        idx = 0
-        for c, e in zip(coords, self.extents):
-            if not 0 <= c < e:
-                raise ValueError(f"coordinate {coords} outside extents {self.extents}")
-            idx = idx * e + c
-        return idx
+        if not all(0 <= c < e for c, e in zip(coords, self.extents)):
+            raise ValueError(f"coordinate {coords} outside extents {self.extents}")
+        return self._ravel(coords)[0]
 
     def _check_sites(self, sites) -> np.ndarray:
         sites = np.asarray(sites, dtype=np.intp)
@@ -192,11 +211,7 @@ def centered_block(lattice: Lattice, shape) -> np.ndarray:
             raise ValueError(f"block side {side} does not fit extent {extent}")
         start = (extent - side) // 2
         ranges.append(np.arange(start, start + side))
-    grids = np.meshgrid(*ranges, indexing="ij")
-    idx = np.zeros_like(grids[0])
-    for g, extent in zip(grids, lattice.extents):
-        idx = idx * extent + g
-    return np.sort(idx.ravel())
+    return lattice._ravel(np.ix_(*ranges))[0].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +555,12 @@ def _tables(profiles) -> np.ndarray:
     """
     lattice, law = profiles[0].lattice, profiles[0].law
     reach = law.reach if isinstance(law, Cutoff) else math.inf
-    sites = np.zeros(1, dtype=np.intp)
+    box = []
     for extent, bound in zip(lattice.extents, lattice.boundary):
         d = np.arange(extent)
         image = np.minimum(d, extent - d) if bound == "periodic" else d
-        sites = (sites[:, None] * extent + d[image <= reach]).ravel()
+        box.append(d[image <= reach])
+    sites = lattice._ravel(np.ix_(*box))[0].ravel()
     phi = np.zeros((len(profiles),) + lattice.extents)
     for table, profile in zip(phi, profiles):
         table.reshape(-1)[sites[1:]] = profile.phase_row(0, sites[1:])   # sites[0]: the origin
@@ -664,19 +680,10 @@ def mirror_images(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray] | None:
     centre = at.min(axis=0) + at.max(axis=0)
 
     def reflected(coords):
-        """Flat indices of the images of ``coords``, -1 off the lattice."""
-        flat = np.zeros(len(coords), dtype=np.intp)
-        ok = np.ones(len(coords), dtype=bool)
-        for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
-            c = centre[axis] - coords[:, axis]
-            if bound == "periodic":
-                c %= extent
-            else:
-                ok &= c.view(np.uintp) < extent     # a negative c wraps past every extent
-            flat *= extent
-            flat += c
-        flat[~ok] = -1      # below every site
-        return flat
+        """Flat indices of the images of ``coords``, -1 (below every site)
+        off the lattice."""
+        flat, ok = lattice._ravel((centre - coords).T)
+        return np.where(ok, flat, -1)
 
     perm = _positions(sites, reflected(at))
     if (perm < 0).any():
@@ -726,13 +733,9 @@ def _grid_phases(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray | None]:
         return np.concatenate([pair_phases(profile, sites, ls) for profile in profiles]), None
     lattice = profiles[0].lattice
     ends, at = lattice.coords(sites)[..., :, None, :], lattice.coords(ls)[..., None, :, :]
-    strides = np.cumprod((1,) + lattice.extents[:0:-1])[::-1]
-    idx = np.zeros(ends.shape[:-2] + at.shape[-2:-1], dtype=np.intp)
-    for axis, stride in enumerate(strides):
-        step = ends[..., axis] - at[..., axis]
-        np.abs(step, out=step)
-        step *= stride
-        idx += step
+    # the table's entry at (|d_0|, .., |d_D-1|), each |d| within its extent
+    idx = lattice._ravel(np.abs(ends[..., axis] - at[..., axis])
+                         for axis in range(lattice.dimension))[0]
     return _gather(profiles, "_displacement_table", idx), idx
 
 
@@ -746,18 +749,18 @@ def _gather(profiles, name: str, idx: np.ndarray) -> np.ndarray:
     return at.reshape((len(profiles) * len(idx),) + idx.shape[1:])
 
 
-def _per_budget(budget: int, pairs: int) -> int:
-    """How many rows of ``pairs`` candidate pairs each fit in ``budget``
-    bytes, at least one: the group rule of :func:`coupled_pairs`."""
-    return max(1, budget // (_PAIR_BYTES * pairs + 1))
+def _per_budget(pairs: int) -> int:
+    """How many rows of ``pairs`` candidate pairs each fit in
+    ``_CHUNK_BYTES``, at least one: the group rule of :func:`coupled_pairs`."""
+    return max(1, _CHUNK_BYTES // (_PAIR_BYTES * pairs + 1))
 
 
-def coupled_pairs(profile, block, budget: int):
+def coupled_pairs(profile, block):
     """Every pair of a site of ``block`` and a site outside it whose phase
     is not 0.0, a group of block sites at a time: (r, l, phi) arrays of
     the block position r, ascending, the other site l and the phase, bit
     for bit :func:`pair_phases`'s.  A group holds whole rows, as many as
-    ``budget`` bytes allow for their candidate pairs (:func:`_per_budget`),
+    ``_CHUNK_BYTES`` allows for their candidate pairs (:func:`_per_budget`),
     at least one.
 
     With a :func:`displacement_phases` table a row's candidates are its
@@ -777,20 +780,19 @@ def coupled_pairs(profile, block, budget: int):
     inside[block] = True
     if displacement_phases(profile) is None:
         env = np.flatnonzero(~inside)
-        step = _per_budget(budget, env.size)
+        step = _per_budget(env.size)
         for start in range(0, block.size, step):
             phi = pair_phases(profile, block[start:start + step], env)
             r, j = np.nonzero(phi)
             yield r + start, env[j], phi[r, j]
         return
     lattice = profile.lattice
-    axes = list(enumerate(zip(lattice.extents, lattice.boundary)))
-    dtype, unsigned = (np.int32, np.uint32) if lattice.n_sites < 2 ** 31 else (np.intp, np.uintp)
+    dtype = np.int32 if lattice.n_sites < 2 ** 31 else np.intp
     at = lattice.coords(block).astype(dtype)
     lo, hi = at.min(axis=0), at.max(axis=0)
     flat, phases = profile._stencil
     disp = lattice.coords(flat).astype(dtype)
-    for axis, (extent, bound) in axes:
+    for axis, (extent, bound) in enumerate(zip(lattice.extents, lattice.boundary)):
         if bound == "open":
             d = disp[:, axis]
             keep, flip = d < extent - lo[axis], (d > 0) & (d <= hi[axis])
@@ -798,20 +800,12 @@ def coupled_pairs(profile, block, budget: int):
             mirror[:, axis] *= -1
             disp = np.concatenate([disp[keep], mirror])
             phases = np.concatenate([phases[keep], phases[flip]])
-    step = _per_budget(budget, len(disp))
+    step = _per_budget(len(disp))
     for start in range(0, block.size, step):
         here = at[start:start + step]
-        site = np.zeros((len(here), len(disp)), dtype=dtype)
-        ok = np.ones(site.shape, dtype=bool)
-        for axis, (extent, bound) in axes:
-            c = here[:, axis, None] + disp[:, axis]
-            if bound == "periodic":
-                c[c >= extent] -= extent
-            else:
-                ok &= c.view(unsigned) < extent     # a negative c wraps past every extent
-            site *= extent
-            site += c
-        ok &= ~np.take(inside, site, mode="clip")      # clipped where ok is already False
+        site, ok = lattice._ravel(here[:, axis, None] + disp[:, axis]
+                                  for axis in range(lattice.dimension))
+        ok = ok & ~np.take(inside, site, mode="clip")      # clipped where ok is already False
         hit = np.flatnonzero(ok)
         r = hit // len(disp)
         yield r + start, site.ravel()[hit], phases[hit - r * len(disp)]

@@ -12,7 +12,7 @@ O(m^2) XORs of integers that wide.
 :func:`block_adjacency` reads its pairs from one reader,
 :func:`~wgstate.geometry.coupled_pairs`: every pair of a block site and an
 environment site whose phase is not 0.0, a group of whole rows at a time
-within ``_CHUNK_BYTES``.  For a law of distance alone it reads the
+within ``geometry._CHUNK_BYTES``.  For a law of distance alone it reads the
 profile's stencil, O(m * |stencil|) in place of O(m * N) distance and law
 evaluations, and for a :class:`~wgstate.geometry.Cutoff` law the table
 behind the stencil reads only the reach box, O(floor(reach)^D); other
@@ -33,9 +33,6 @@ import numpy as np
 
 from .geometry import TWO_PI, _check_pair, coupled_pairs
 from .rdm import _check_subset
-
-# Byte budget for the transients of one group of rows in block_adjacency.
-_CHUNK_BYTES = 1 << 21
 
 # A phase this close to 0, pi or 2*pi counts as that value.
 _TOL = 1e-9
@@ -138,16 +135,16 @@ def block_adjacency(profile, block) -> Adjacency:
     rows are inspected, so the cost never involves the full graph.  The
     pairs of a block site and an environment site whose phase is not 0.0
     come from the one reader :func:`~wgstate.geometry.coupled_pairs`, a
-    group of whole rows at a time: as many rows as ``_CHUNK_BYTES`` holds
-    of their candidate pairs, at least one.  For a distance law other than
-    ``Disordered`` a row's candidates are the images of the profile's
-    stencil, O(|block| * |stencil|) per call, after the table is read once
-    per profile: over the reach box for a ``Cutoff`` law, O(floor(reach)^D),
-    over all N sites for any other; for any other profile they are every
-    environment site, one ``phase_row`` per block site, O(|block| * N).
-    Each group's phases are classified and its edges packed, one run of
-    bytes per row from its lowest column; once every group is read, each
-    row is shifted to its place above ``offset``.
+    group of whole rows at a time: as many rows as
+    ``geometry._CHUNK_BYTES`` holds of their candidate pairs, at least one.
+    For a distance law other than ``Disordered`` a row's candidates are the
+    images of the profile's stencil, O(|block| * |stencil|) per call, after
+    the table is read once per profile: over the reach box for a ``Cutoff``
+    law, O(floor(reach)^D), over all N sites for any other; for any other
+    profile they are every environment site, one ``phase_row`` per block
+    site, O(|block| * N).  Each group's phases are classified and its edges
+    packed, one run of bytes per row from its lowest column; once every
+    group is read, each row is shifted to its place above ``offset``.
 
     A pair whose phase is neither 0 nor pi within 1e-9 raises
     :class:`NotAGraphStateError` naming the first such pair: the first
@@ -157,7 +154,7 @@ def block_adjacency(profile, block) -> Adjacency:
     block = _check_subset(profile, block, a_max=profile.n_sites)
     order = np.sort(block)
     packed = {}
-    for r, l, phi in coupled_pairs(profile, block, _CHUNK_BYTES):
+    for r, l, phi in coupled_pairs(profile, block):
         edge, bad = _classify(phi)
         if bad.any():
             i = np.flatnonzero(bad & (r == r[np.argmax(bad)]))     # rows ascending

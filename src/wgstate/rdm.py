@@ -38,19 +38,18 @@ order.
 A lone subset (at one time or a grid) that the point reflection through
 its centre maps onto itself -- a pair, a chain block, a box -- under a law
 of distance alone gives an environment site l and its image l' the same
-phases, with the subset's sites permuted by the reflection, perm: so where
-p0 and p1 of l and l' are bit for bit equal, E_l'(d) = E_l(d o perm).  Of
-each such pair only the representative, the one first in the near sites,
-is swept, with the near sites in no pair (:func:`wgstate.geometry.
+phases, with the subset's sites permuted by the reflection, perm: so for
+an input with the same p0 and p1 at every site, E_l'(d) = E_l(d o perm).
+Of each such pair only the representative, the one first in the near
+sites, is swept, with the near sites in no pair (:func:`wgstate.geometry.
 mirror_images`, :func:`_mirror_pairs`); the representatives' table is
 multiplied in once as it is and once read at d o perm, a code past the
 center as the conjugate of its opposite.  A centred block sweeps about
 half its near sites, an off-centre block of a chain those in no pair
 too.  The probe costs O(near) and runs only where it can pay: beyond one
-chunk of near sites, from 3 classes a site for an input with the same
-populations at every site and beyond 3^4 for any other, which may keep
-no pair.  Stacks, a law not of distance alone, asymmetric subsets and
-inputs that keep no pair are swept as before, bit for bit.
+chunk of near sites and from 3 classes a site.  Stacks, a law not of
+distance alone, asymmetric subsets and inputs whose populations differ
+between sites are swept as before, bit for bit.
 
 Couplings internal to A contribute pure phases exp(-i theta(x)) on the
 left index and the conjugate on the right.  They never change the spectrum
@@ -107,12 +106,12 @@ _SPLIT_WORK = 4 * _CHUNK_BUDGET
 # temporaries, about 2.9 MB of peak RSS).
 _MAX_PARTS = 2
 
-# Environment sites per slab of phase rows in the two loops over the whole
-# environment outside the sweep (environment_factor, single_site_coherence),
-# so that memory for the phases is bounded by this, not by the lattice size.
-# On a 1/r chain of 10^6 sites (tracemalloc peaks, one site, random input)
-# environment_factor takes 36.9 MiB with slabs and 61.0 MiB without,
-# single_site_coherence 17.6 MiB and 45.8 MiB.
+# Environment sites per slab of phase rows and populations in the two loops
+# over the whole environment outside the sweep (environment_factor,
+# single_site_coherence), so that memory for them is bounded by this, not by
+# the lattice size.  On a 1/r chain of 10^6 sites (tracemalloc peaks, one
+# site, random input) environment_factor takes 21.6 MiB with slabs and
+# 61.0 MiB without, single_site_coherence 17.6 MiB and 45.8 MiB.
 ENV_SLAB = 262_144
 
 
@@ -301,18 +300,17 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     6.3e-13 at 10^5 and 6.1e-12 at 10^6.  The order of the product does not
     matter at that level; forming the factors does.
 
-    Mirror pairs: one subset, alone or at ``times``, under a law of
-    distance alone, that the point reflection through its centre maps onto
-    itself (a pair, a chain block, a box, in any order) sweeps one site of
-    each pair of environment sites that are images of each other and
-    have bit for bit equal populations, and reads the other's factors from
-    the same table at permuted classes (module docstring).  It applies
-    once the near sites span more than one chunk, from 3 classes a site
-    (m >= 2, or one site at two times or more) for an input with the same
-    populations at every site, |+> among them, and beyond 3^4 for any
-    other; elsewhere the sweep is the one above, bit for bit.  The
-    regrouped product rounds as the plain one does: in the setting above
-    but with |+>, the mirrored sweep is 4.3e-13 from the reference at
+    Mirror pairs: one subset, alone or at ``times``, under a law of distance
+    alone, that the point reflection through its centre maps onto itself (a
+    pair, a chain block, a box, in any order), of an input with the same
+    populations at every site, |+> among them, sweeps one site of each pair
+    of environment sites that are images of each other, and reads the
+    other's factors from the same table at permuted classes (module
+    docstring).  It applies once the near sites span more than one chunk,
+    from 3 classes a site (m >= 2, or one site at two times or more);
+    elsewhere, and for any other input, the sweep is the one above, bit for
+    bit.  The regrouped product rounds as the plain one does: in the setting
+    above but with |+>, the mirrored sweep is 4.3e-13 from the reference at
     N = 10^5 and 3.5e-12 at 10^6 (plain: 5.1e-13 and 3.5e-12).  Against the
     plain sweep of a centred block (PowerLaw alpha = 2, t = 0.3 pi, |+>) it
     differs by up to 6.3e-14 at m = 7, N = 15,000 and 3.5e-13 at m = 8,
@@ -409,37 +407,31 @@ def _mirror_pairs(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarr
                   near: np.ndarray):
     """(perm, reps, images, alone) for a sweep of the lone subset ``rows``
     over ``env[near]`` under ``profiles``, or None: its mirror pairs of
-    environment sites (:func:`~wgstate.geometry.mirror_images`) whose
-    populations are bit for bit equal, as positions in ``env``, the one
-    earlier in ``near`` in ``reps`` and its image in ``images``, and the
-    near sites in no pair, in order, in ``alone``.  An image's factor is its
-    representative's, class d read at d o perm.
+    environment sites (:func:`~wgstate.geometry.mirror_images`), as
+    positions in ``env``, the one earlier in ``near`` in ``reps`` and its
+    image in ``images``, and the near sites in no pair, in order, in
+    ``alone``.  An image's factor is its representative's, class d read at
+    d o perm.
 
+    None unless the input has the same populations at every site
+    (``ProductInput._uniform``), which gives every site and its image the
+    same factors, the subset permuted; any other input is never paired.
     None for a stack, where no pair is kept, and where the probe, O(near),
     cannot pay: where the near sites fit in one chunk, and where a sweep
-    has few classes a site.  The probe costs about what sweeping 3 to 5
-    classes a site does (30-45 ns a site at N = 10^6), so an input with
-    the same populations at every site, which keeps every pair, is probed
-    from 3 classes a site on (a single site at N = 10^6: 42 ms swept, 65 ms
-    probed and paired).  Any other input may keep no pair, and is probed
-    only beyond 3^4: a random input lost 15-47% to the probe at m = 2 to 4
-    and N = 10^6, and nothing beyond noise at m = 5.
+    has 2 classes a site or fewer.  The probe costs about what sweeping 3
+    to 5 classes a site does (30-45 ns a site at N = 10^6; a single site
+    at N = 10^6: 42 ms swept, 65 ms probed and paired).
     """
     per_site = len(profiles) * ((3 ** rows.shape[1] + 1) // 2)
-    if (len(rows) > 1 or per_site <= (2 if state._uniform else 3 ** 4)
+    if (not state._uniform or len(rows) > 1 or per_site <= 2
             or near.size * per_site <= _chunk_budget(len(profiles))):
         return None
-    ls = env[near]
-    mirror = mirror_images(profiles, rows[0], ls)
+    mirror = mirror_images(profiles, rows[0], env[near])
     if mirror is None:
         return None
     perm, image = mirror
     first = np.flatnonzero(image > np.arange(near.size))
     other = image[first]
-    if not state._uniform:
-        p0, p1 = state.populations(ls)
-        keep = (p0[first] == p0[other]) & (p1[first] == p1[other])
-        first, other = first[keep], other[keep]
     if not first.size:
         return None
     alone = np.ones(near.size, dtype=bool)
@@ -578,15 +570,14 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
     if d.shape != (sites.size,):
         raise ValueError(f"x and y must each hold {sites.size} bits")
     out = 1.0 + 0.0j
-    p0, p1 = state.populations(env)
     active = np.flatnonzero(d)
     for start in range(0, env.size, ENV_SLAB):
         ls = env[start:start + ENV_SLAB]
         delta = np.zeros(ls.size, dtype=np.float64)
         for j in active:
             delta += d[j] * profile.phase_row(int(sites[j]), ls)
-        vals = p0[start:start + ENV_SLAB] + p1[start:start + ENV_SLAB] * np.exp(-1j * delta)
-        out *= complex(vals.prod())
+        p0, p1 = state.populations(ls)
+        out *= complex((p0 + p1 * np.exp(-1j * delta)).prod())
     return out
 
 

@@ -29,7 +29,7 @@ from wgstate.geometry import (
     parse_law,
     time_profiles,
 )
-from wgstate.graphstate import _CHUNK_BYTES
+from wgstate import geometry
 from wgstate.rdm import _bit_table, _internal_phases
 
 
@@ -63,6 +63,33 @@ def test_row_major_linearization():
     assert lat.site_index((2, 3, 4)) == 59
     for idx in [0, 7, 23, 59]:
         assert lat.site_index(lat.coords(idx)) == idx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ravel_wraps_periodic_axes_and_masks_points_off_open_ones(data):
+    # the codec's index of a point on the lattice is its site, once each
+    # periodic coordinate is taken modulo its extent, and coords inverts it
+    dim = data.draw(st.integers(1, 3))
+    extents = tuple(data.draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    boundary = tuple(data.draw(st.lists(st.sampled_from(["open", "periodic"]),
+                                        min_size=dim, max_size=dim)))
+    lattice = Lattice(extents, boundary)
+    points = data.draw(st.lists(st.tuples(*(st.integers(-2 * e, 2 * e) for e in extents)),
+                                min_size=1, max_size=30))
+    dtype = data.draw(st.sampled_from([np.int32, np.intp]))
+    flat, ok = lattice._ravel(np.array(points, dtype=dtype).T)
+    ok = np.broadcast_to(ok, flat.shape)
+    for point, index, inside in zip(points, flat.tolist(), ok.tolist()):
+        assert inside == all(0 <= c < e for c, e, bound in zip(point, extents, boundary)
+                             if bound == "open")
+        if inside:
+            wrapped = [c % e if bound == "periodic" else c
+                       for c, e, bound in zip(point, extents, boundary)]
+            assert index == lattice.site_index(wrapped)
+            assert lattice.coords(index).tolist() == wrapped
 
 
 def test_mixed_boundary_axes():
@@ -440,8 +467,10 @@ def test_coupled_pairs_read_every_phase_once(data, profile):
     block = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                         unique=True)))
     # the default budget; one byte, one row per group; and one in between
-    budget = data.draw(st.sampled_from([_CHUNK_BYTES, 1, 3000]), label="budget")
-    groups = list(coupled_pairs(profile, block, budget))
+    budget = data.draw(st.sampled_from([geometry._CHUNK_BYTES, 1, 3000]), label="budget")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CHUNK_BYTES", budget)
+        groups = list(coupled_pairs(profile, block))
     # each group holds whole rows, ascending
     rows = [g[0] for g in groups if g[0].size]
     assert all(np.all(np.diff(r) >= 0) for r in rows)

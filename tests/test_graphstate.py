@@ -20,7 +20,7 @@ from wgstate.geometry import (
     centered_block,
 )
 import wgstate
-from wgstate import graphstate
+from wgstate import geometry, graphstate
 from wgstate.graphstate import (
     Adjacency,
     NotAGraphStateError,
@@ -363,10 +363,10 @@ def test_block_adjacency_matches_pairwise_reference(data):
     block = data.draw(blocks(n, extents), label="block")
     # the default budget; one byte, which reads one row per group; and one
     # in between
-    budget = data.draw(st.sampled_from([graphstate._CHUNK_BYTES, 1, 3000]), label="budget")
+    budget = data.draw(st.sampled_from([geometry._CHUNK_BYTES, 1, 3000]), label="budget")
     rows, bad = reference_adjacency(profile, block)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphstate, "_CHUNK_BYTES", budget)
+        patch.setattr(geometry, "_CHUNK_BYTES", budget)
         if bad is None:
             gamma = block_adjacency(profile, block)
             assert tuple(row << gamma.offset for row in gamma.rows) == rows

@@ -307,6 +307,16 @@ def test_slabs_of_the_environment_give_the_one_slab_values(monkeypatch, slab):
         "coherence": lambda: [single_site_coherence(disordered, k) for k in sites],
     }
     whole = {name: np.asarray(value()) for name, value in cases.items()}
+    # every population is gathered within its slab, so a slab bounds the
+    # populations read at once as well as the phases
+    gathered, populations = [], ProductInput.populations
+
+    def spy(self, sites):
+        gathered.append(np.size(sites))
+        return populations(self, sites)
+
     monkeypatch.setattr(rdm, "ENV_SLAB", slab)
+    monkeypatch.setattr(ProductInput, "populations", spy)
     for name, value in cases.items():
         assert np.abs(np.asarray(value()) - whole[name]).max() < 1e-13, name
+    assert gathered and max(gathered) <= slab

@@ -827,8 +827,9 @@ def mirror_instances(draw):
     family of distance alone on a 1-3-D lattice of 8 to 60 sites, a
     symmetric subset, the default or an explicit environment, one time or
     a grid of 2..4, and chunks of 1..4 sites, so that near sites span many.
-    An input whose populations differ somewhere comes with a subset large
-    enough, 5 or 6 sites or 4 at a grid, for its sweep to be probed."""
+    An input whose populations differ somewhere, which is never paired,
+    comes with a subset of 5 or 6 sites, or 4 at a grid: enough classes a
+    site that pairing it without regard to its populations would show."""
     lattice = draw(lattices(60).filter(lambda lat: lat.n_sites >= 8))
     profile = PhaseProfile(lattice, draw(distance_laws(lattice)), draw(_TIMES))
     n = lattice.n_sites
@@ -895,7 +896,7 @@ def test_a_mirrored_sweep_matches_the_oracle(data):
     profile = PhaseProfile(lattice, data.draw(distance_laws(lattice)),
                            data.draw(st.floats(0.1, 6.0)))
     state = data.draw(mirror_states(n))
-    least = 2 if state._uniform else 5      # enough classes a site to be probed
+    least = 2 if state._uniform else 5      # 5: enough classes that pairing it would show
     sites = data.draw(symmetric_subsets(lattice, kinds=("pair", "run", "box")).filter(
         lambda sites: len(sites) >= least))
     with _chunks_of(1, 1):      # chunks of one site: every sweep of a few is probed
@@ -983,18 +984,18 @@ def test_a_centred_block_sweeps_half_its_environment():
     assert _swept_sites(profile, plus, list(range(100, 106)))[0] == 100 + (n - 106 - 100)
     times = [0.3, 1.0, 2.0, 3.0]
     assert _swept_sites(profile, plus, [999, 1003], times=times)[0] == (n - 6) // 2 + 4
-    # an input whose populations differ at every site keeps no pair: the
-    # sweep is bit for bit the one without the mirror
+    # an input whose populations differ between sites, at every site or
+    # at one, keeps no pair: every near site is swept, bit for bit the
+    # sweep without the mirror
     rng = np.random.default_rng(5)
     mixed = ProductInput.random(n, rng)
-    swept, table = _swept_sites(profile, mixed, centred)
-    with _no_mirror():
-        assert swept == n - 6 and table.tobytes() == environment_product(
-            profile, mixed, centred).tobytes()
-    # |+> but for one site: its pair is swept as two sites
     amps = plus.amplitudes.copy()
     amps[10] = mixed.amplitudes[10]
-    assert _swept_sites(profile, ProductInput(amps), centred)[0] == (n - 6) // 2 + 1
+    for state in (mixed, ProductInput(amps)):
+        swept, table = _swept_sites(profile, state, centred)
+        with _no_mirror():
+            assert swept == n - 6 and table.tobytes() == environment_product(
+                profile, state, centred).tobytes()
 
 
 def test_small_sweeps_do_not_probe():
@@ -1013,9 +1014,10 @@ def test_small_sweeps_do_not_probe():
         profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
         mixed = ProductInput.random(n, np.random.default_rng(1))
         environment_product(profile, mixed, [n // 2, n // 2 + 3])
-        # four sites of a random input: 41 classes a site, too few to pay
-        # for a probe that may find no pair
+        # a random input, which keeps no pair, at 41 and 122 classes a site:
+        # only an input with the same populations at every site is probed
         environment_product(profile, mixed, list(range(n // 2, n // 2 + 4)))
+        environment_product(profile, mixed, list(range(n // 2, n // 2 + 5)))
         # one site: 2 classes a site, cheaper to sweep than to pair
         environment_product(profile, ProductInput.plus(n), [n // 2])
         # a stack of pairs
