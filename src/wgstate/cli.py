@@ -353,12 +353,12 @@ def _run_dynamics(args, cp, items) -> _Table:
                           f"more than the exact limit of {A_MAX}")
 
     grid = np.linspace(lo, hi, steps).tolist()
-    times = [t_over_pi * math.pi for t_over_pi in grid]
-    outer = (blocks[-1], reduced_density(base, state, blocks[-1], times=times))
+    profiles = time_profiles(base, [t_over_pi * math.pi for t_over_pi in grid])
+    outer = (blocks[-1], reduced_density(profiles, state, blocks[-1]))
     entropies = [block_entropy(base, state, block, outer).tolist() for block in blocks]
-    pair = reduced_density(base, state, pair_sites, times=times)
+    pair = reduced_density(profiles, state, pair_sites)
     q = max_correlation(correlation_matrix(pair)).tolist()
-    e_mw = [meyer_wallach(profile, state) for profile in time_profiles(base, times)]
+    e_mw = [meyer_wallach(profile, state) for profile in profiles]
     rows = list(zip(grid, *entropies, q, e_mw))
     columns = (["t_over_pi"] + [f"s_{l}" for l in range(1, l_max + 1)]
                + ["q_max", "e_mw"])
@@ -384,11 +384,11 @@ def _run_graph_rank(args, cp, items) -> _Table:
 
     def analytic_cell(side: int):
         # closed form only holds for a cutoff law with the block at least
-        # `reach` away from any boundary effect
+        # floor(reach) layers away from any boundary effect
         if not isinstance(profile.law, Cutoff):
             return None
         reach = profile.law.reach
-        if any((extent - side) // 2 < reach for extent in lattice.extents):
+        if any((extent - side) // 2 < math.floor(reach) for extent in lattice.extents):
             return None
         return analytic_block_entropy(lattice.dimension, side, reach)
 

@@ -397,11 +397,6 @@ class PhaseProfile:
         return _factors(self._displacement_table)
 
     @cached_property
-    def _last_grid(self) -> dict:
-        """The last grid's profiles :func:`time_profiles` made of this one, by their times."""
-        return {}
-
-    @cached_property
     def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat indices, ascending, of the ``_displacement_table``
         entries that are not 0.0, and those entries: the displacements with
@@ -488,10 +483,12 @@ class EdgeProfile:
         return np.where(cols[pos] == ls, self._phases[start:stop][pos], 0.0)
 
 
-def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
-    """``PhaseProfile(profile.lattice, profile.law, t)`` for every t in
-    ``times``, a non-empty 1-D sequence of numbers; each profile checks its
-    own time (finite and >= 0), the first bad one in order raising.
+def time_profiles(profile, times) -> _Grid:
+    """A new :class:`_Grid` of ``PhaseProfile(profile.lattice, profile.law,
+    t)`` for every t in ``times``, a non-empty 1-D sequence of numbers; each
+    profile checks its own time (finite and >= 0), the first bad one in
+    order raising.  Any profile but a :class:`PhaseProfile` raises
+    ValueError: its phases have no time to vary.
 
     Under a law of distance alone (any but :class:`Disordered`) the grid's
     displacement tables are built at once, one ``phase_row`` per time over
@@ -499,15 +496,9 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
     every site), as one read-only (T, *extents) stack of phases and one of
     their factors exp(-1j * phi); each profile's ``_displacement_table``
     and ``_displacement_factors`` are views of its row of them, no second
-    copy.
-    :func:`_pair_factors` and :func:`_grid_phases` read every time of the
-    grid with one gather.
-
-    ``profile`` keeps the profiles of the last grid asked of it, with their
-    tables, until another grid is asked of it or it is freed: the sweep of
-    a grid, its assembly and a caller that walks the same grid share one
-    table per time.  Any profile but a :class:`PhaseProfile` raises
-    ValueError: its phases have no time to vary.
+    copy.  :func:`_pair_factors` and :func:`_grid_phases` read every time
+    of the grid with one gather.  The tables live as long as the grid: a
+    caller that sweeps, assembles and walks one grid builds them once.
     """
     if not isinstance(profile, PhaseProfile):
         raise ValueError(f"times need a PhaseProfile (lattice, law, time), "
@@ -518,26 +509,29 @@ def time_profiles(profile, times) -> tuple[PhaseProfile, ...]:
         raise ValueError("times must be a 1-D sequence of numbers") from None
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError(f"times must be a non-empty 1-D sequence, got shape {ts.shape}")
-    key, last = tuple(ts.tolist()), profile._last_grid
-    if key not in last:
-        last.clear()
-        grid = tuple if isinstance(profile.law, Disordered) else _Grid
-        last[key] = grid(PhaseProfile(profile.lattice, profile.law, t) for t in key)
-    return last[key]
+    return _Grid(PhaseProfile(profile.lattice, profile.law, t) for t in ts.tolist())
 
 
 class _Grid(tuple):
-    """The profiles of a time grid under a law of distance alone, with their
+    """The profiles of a time grid, one lattice and law at T times
+    (:func:`time_profiles`), passed where a profile goes: its
+    ``n_sites`` is theirs.  Under a law of distance alone it holds their
     ``_displacement_table`` and ``_displacement_factors`` as read-only
-    stacks, (T, *extents) each, of which each profile's own are row views
-    (:func:`time_profiles`); the stack of phases is built as a lone
-    profile's table is, by :func:`_tables`."""
+    stacks, (T, *extents) each, of which each profile's own are row views;
+    the stack of phases is built as a lone profile's table is, by
+    :func:`_tables`.  A :class:`Disordered` grid has no stacks."""
 
     def __init__(self, profiles):
+        if isinstance(self[0].law, Disordered):
+            return
         phi = _tables(self)
         self._displacement_table, self._displacement_factors = phi, _factors(phi)
         for profile, table, factors in zip(self, phi, self._displacement_factors):
             profile.__dict__.update(_displacement_table=table, _displacement_factors=factors)
+
+    @property
+    def n_sites(self) -> int:
+        return self[0].n_sites
 
 
 def _tables(profiles) -> np.ndarray:

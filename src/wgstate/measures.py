@@ -79,8 +79,8 @@ def block_entropy(profile, state: ProductInput, sites, outer=None) -> float | np
     ``outer = (outer_sites, outer_rho)``, a block holding ``sites`` and its
     ``reduced_density``, skips the sweep: the state is traced out of
     ``outer_rho``.  A (T, 2^m, 2^m) ``outer_rho``, such as the states of a
-    time grid (``reduced_density(..., times=)``), gives the T entropies as
-    an array.
+    time grid (``reduced_density(time_profiles(p, times), ...)``), gives
+    the T entropies as an array, as does such a grid as ``profile``.
     """
     sites = _check_subset(profile, sites, state)
     if outer is None:
@@ -103,8 +103,9 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
     reach beyond adjacent sub-blocks, and is clipped to the trivial range
     [0, len(sites)].
 
-    With a single sub-block the bound is the block entropy itself; pass it
-    as ``exact`` when it is already known and the block is not swept again.
+    With one or two sub-blocks the bound is the block entropy itself (two
+    telescope to S(L_1 ∪ L_2)); pass it as ``exact`` when it is already
+    known and the block is not swept again.
     """
     sites = _check_subset(profile, sites, state, profile.n_sites)
     total = sites.size
@@ -112,8 +113,7 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
         raise ValueError("sub-block size m must be at least 1")
     n = total // m
     if n <= 1:
-        if exact is None:
-            exact = block_entropy(profile, state, sites)
+        exact = block_entropy(profile, state, sites) if exact is None else exact
         return min(exact, float(total))
     blocks = [sites[i * m:(i + 1) * m] for i in range(n - 1)]
     blocks.append(sites[(n - 1) * m:])
@@ -121,6 +121,8 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
         raise SubsetTooLargeError(
             f"adjacent sub-blocks span {blocks[-1].size + m} sites, over the "
             f"limit of {A_MAX}; pick m so that 3*m - 1 <= {A_MAX}")
+    if n == 2 and exact is not None:
+        return min(exact, float(total))
     bound = 0.0
     for left, right in zip(blocks[:-1], blocks[1:]):
         bound += block_entropy(profile, state, np.concatenate([left, right]))

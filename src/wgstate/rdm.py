@@ -26,11 +26,12 @@ finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
 rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.  A stack of B
 subsets of m sites each is swept once, over the union of their near
-boxes, at B times the classes per swept site.  So is one subset at a grid
-of T times (``times=``): the sweep's rows carry the times, row t reading
-the factors of time t's own :class:`~wgstate.geometry.PhaseProfile`, over
-the union of every time's near sites; row t equals a lone call at that
-time to rounding.  A sweep of at least 2 * ``_SPLIT_WORK`` site classes,
+boxes, at B times the classes per swept site.  So is one subset under a
+grid of T times (:func:`~wgstate.geometry.time_profiles`, passed where a
+profile goes): the sweep's rows carry the times, row t reading the factors
+of time t's own :class:`~wgstate.geometry.PhaseProfile`, over the union of
+every time's near sites; row t equals a lone call at that time to
+rounding.  A sweep of at least 2 * ``_SPLIT_WORK`` site classes,
 B or T rows counted, is split into contiguous parts of its near sites,
 one per usable core up to two, swept on their own threads and joined in
 order.
@@ -83,8 +84,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_grid_phases, _pair_factors, _warm, coupled_sites, displacement_phases,
-                       mirror_images, time_profiles)
+from .geometry import (_Grid, _grid_phases, _pair_factors, _warm, coupled_sites,
+                       displacement_phases, mirror_images)
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
 # matrix are fine; a few sites more and the 3^m table stops fitting in cache
@@ -242,8 +243,7 @@ def _bit_table(m: int) -> np.ndarray:
     return (x >> shifts) & 1
 
 
-def environment_product(profile, state: ProductInput, sites, environment=None,
-                        times=None) -> np.ndarray:
+def environment_product(profile, state: ProductInput, sites, environment=None) -> np.ndarray:
     """Accumulated environment factor for every difference class.
 
     Returns a complex array of length 3^m indexed by the base-3 code
@@ -267,22 +267,19 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     the union sweeps sites (with phase 0.0 to that subset) that a lone
     subset folds into its scalar.
 
-    ``times``, a non-empty 1-D sequence of T finite times >= 0 in the
-    units of ``PhaseProfile.time``, sweeps the one subset ``sites`` at
-    every time at once and returns (T, 3^m): row t is the table under
-    ``PhaseProfile(profile.lattice, profile.law, times[t])``, its factors
-    read from that profile's own tables
-    (:func:`~wgstate.geometry.time_profiles`).  ``profile`` must be a
-    :class:`~wgstate.geometry.PhaseProfile` (only its lattice and law are
-    read) and ``sites`` not a stack.  The union of every time's near sites
+    ``profile`` may be a time grid, ``time_profiles(p, times)`` of T times
+    (:func:`~wgstate.geometry.time_profiles`): the one subset ``sites``
+    (not a stack) is swept at every time at once and the result is
+    (T, 3^m), row t the table under the grid's profile t, its factors read
+    from that profile's own tables.  The union of every time's near sites
     is swept; a site whose phases are 0.0 at every time is folded.  Row t
     equals a lone call at ``times[t]`` to rounding, within the floor
     below, not bit for bit: the grid sweeps sites with phase 0.0 at time t
     that the lone call folds, and chunks them at the stack's budget.  In
     the setting of the floor below with 11 times from 0 to pi, the largest
     difference over rows and classes, relative to the row's d = 0 entry,
-    is 1.6e-15 at N = 10^3, 2.1e-14 at 10^4 and 3.5e-13 at 10^5.  One time
-    takes the lone call's path, bit for bit.
+    is 1.6e-15 at N = 10^3, 2.1e-14 at 10^4 and 3.5e-13 at 10^5.  A grid
+    of one time takes the lone call's path, bit for bit.
 
     Only the codes up to the center (d = 0) are swept; the others follow
     from E(-d) = conj E(d).  Environment sites whose phases to every subset
@@ -300,7 +297,7 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     6.3e-13 at 10^5 and 6.1e-12 at 10^6.  The order of the product does not
     matter at that level; forming the factors does.
 
-    Mirror pairs: one subset, alone or at ``times``, under a law of distance
+    Mirror pairs: one subset, alone or at a grid, under a law of distance
     alone, that the point reflection through its centre maps onto itself (a
     pair, a chain block, a box, in any order), of an input with the same
     populations at every site, |+> among them, sweeps one site of each pair
@@ -333,15 +330,12 @@ def environment_product(profile, state: ProductInput, sites, environment=None,
     """
     rows = _check_stack(profile, sites, state)
     env = _resolve_environment(profile, rows, environment)
-    if times is None:
-        profiles = (profile,)
-    elif np.ndim(sites) == 2:
-        raise ValueError("times take one subset, not a stack of subsets")
-    else:
-        profiles = time_profiles(profile, times)
-    half = _sweep(profiles, state, rows, env)
+    grid = isinstance(profile, _Grid)
+    if grid and np.ndim(sites) == 2:
+        raise ValueError("a time grid takes one subset, not a stack of subsets")
+    half = _sweep(profile if grid else (profile,), state, rows, env)
     table = np.concatenate([half, half[:, -2::-1].conj()], axis=1)
-    return table if np.ndim(sites) == 2 or times is not None else table[0]
+    return table if np.ndim(sites) == 2 or grid else table[0]
 
 
 def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -594,8 +588,7 @@ def _internal_phases(profiles, rows: np.ndarray, bits: np.ndarray) -> np.ndarray
     return theta
 
 
-def reduced_density(profile, state: ProductInput, sites, environment=None,
-                    times=None) -> np.ndarray:
+def reduced_density(profile, state: ProductInput, sites, environment=None) -> np.ndarray:
     """Exact reduced density matrix of the subset ``sites``.
 
     Rows/columns are indexed by the subset bitstring with the first listed
@@ -604,17 +597,17 @@ def reduced_density(profile, state: ProductInput, sites, environment=None,
     :func:`trace_to` gives any part of it.
 
     A (B, m) stack of subsets returns the (B, 2^m, 2^m) matrices from one
-    :func:`environment_product` sweep of the stack.  ``times``, a 1-D
-    sequence of T evolution times, returns the (T, 2^m, 2^m) states of the
-    one subset ``sites`` from one sweep of the grid: matrix t is the state
-    under ``PhaseProfile(profile.lattice, profile.law, times[t])``, to the
-    rounding of :func:`environment_product` (bit for bit for T = 1), its
-    internal phases from that time's profile.
+    :func:`environment_product` sweep of the stack.  A time grid of T
+    profiles (:func:`~wgstate.geometry.time_profiles`) as ``profile``
+    returns the (T, 2^m, 2^m) states of the one subset ``sites`` from one
+    sweep of the grid: matrix t is the state under the grid's profile t,
+    to the rounding of :func:`environment_product` (bit for bit for
+    T = 1), its internal phases from that profile.
     """
     rows = _check_stack(profile, sites, state)
     m = rows.shape[1]
-    env = environment_product(profile, state, sites, environment, times=times)
-    env = env.reshape(-1, 3 ** m)
+    env = environment_product(profile, state, sites, environment).reshape(-1, 3 ** m)
+    grid = isinstance(profile, _Grid)
     bits = _bit_table(m)
     amps = state.amplitudes[rows]
     amp = np.where(bits.astype(bool), amps[:, None, :, 1], amps[:, None, :, 0]).prod(axis=2)
@@ -623,14 +616,13 @@ def reduced_density(profile, state: ProductInput, sites, environment=None,
     center = (3 ** m - 1) // 2
     rho = amp[:, :, None] * amp.conj()[:, None, :] * env[:, u[:, None] - u[None, :] + center]
     if m > 1:
-        profiles = (profile,) if times is None else time_profiles(profile, times)
-        phase = np.exp(-1j * _internal_phases(profiles, rows, bits))
+        phase = np.exp(-1j * _internal_phases(profile if grid else (profile,), rows, bits))
         rho *= phase[:, :, None] * phase.conj()[:, None, :]
     trace = rho.trace(axis1=1, axis2=2).real
     if not (trace > 0).all():
         raise ValueError(f"reduced matrix has non-positive trace {float(trace.min())!r}")
     rho /= trace[:, None, None]
-    return rho if np.ndim(sites) == 2 or times is not None else rho[0]
+    return rho if np.ndim(sites) == 2 or grid else rho[0]
 
 
 def trace_to(rho: np.ndarray, sites, keep) -> np.ndarray:

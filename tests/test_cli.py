@@ -218,16 +218,17 @@ def test_entropy_scan_start_key(capsys, tmp_path):
 
 def count_sweeps(monkeypatch, grids=None):
     """Record (subset, explicit environment or None) of every environment
-    sweep, and its times (or None) into ``grids`` when given."""
+    sweep, and the times of a time grid's profiles (or None) into ``grids``
+    when given."""
     calls = []
     sweep = rdm.environment_product
 
-    def counted(profile, state, sites, environment=None, times=None):
+    def counted(profile, state, sites, environment=None):
         calls.append((np.asarray(sites).tolist(),
                       None if environment is None else list(environment)))
         if grids is not None:
-            grids.append(times)
-        return sweep(profile, state, sites, environment, times=times)
+            grids.append([p.time for p in profile] if isinstance(profile, tuple) else None)
+        return sweep(profile, state, sites, environment)
 
     monkeypatch.setattr(rdm, "environment_product", counted)
     return calls
@@ -264,16 +265,16 @@ def test_correlations_diagonalize_the_stack_once_per_measure(capsys, tmp_path, m
 
 
 def test_entropy_scan_sweeps_only_the_largest_exact_block(capsys, tmp_path, monkeypatch):
-    # the blocks share their start, so the 7-site block's state holds every
-    # smaller one; sizes below 2m leave block_entropy_upper a single
-    # sub-block, whose bound is the exact entropy the row already has
+    # the blocks share their start, so the 10-site block's state holds every
+    # smaller one; sizes below 3m leave block_entropy_upper one or two
+    # sub-blocks, whose bound is the exact entropy the row already has
     calls = count_sweeps(monkeypatch)
-    cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2:7\nm = 4\nstart = 3\n")
+    cfg = write_config(tmp_path, CHAIN + "[task]\nsizes = 2:10\nm = 4\nstart = 3\n")
     code, out, _ = run(capsys, "entropy-scan", "--config", cfg, "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert len(rows) == 6
-    assert [sites for sites, env in calls if env is None] == [list(range(3, 10))]
+    assert len(rows) == 9
+    assert [sites for sites, env in calls if env is None] == [list(range(3, 13))]
     profile = PhaseProfile(Lattice(20), PowerLaw(3.0), 0.3 * math.pi)   # CHAIN
     state = ProductInput.plus(20)
     for size, exact, upper, _ in rows:
@@ -422,6 +423,28 @@ def test_graph_rank_analytic_blank_without_margin(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0][2] == ""  # closed form needs margin around the block
+
+
+@pytest.mark.parametrize("lattice, reach, sides", [
+    ("extents = 20", 2.5, "15, 16, 17"),
+    ("extents = 20\nboundary = periodic", 2.5, "14, 15, 16"),
+    ("extents = 12, 12", 1.5, "8, 9, 10, 11"),
+    ("extents = 12, 12\nboundary = periodic, open", 1.5, "9, 10, 11"),
+])
+def test_graph_rank_analytic_needs_a_margin_of_floor_reach(capsys, tmp_path, lattice, reach,
+                                                          sides):
+    # a cutoff reaches floor(reach) layers, so that margin is enough for the
+    # closed form, which is then the rank; less margin leaves it blank
+    cfg = write_config(tmp_path, f"[lattice]\n{lattice}\n[law]\nvariant = cutoff\n"
+                       f"lambda = {reach}\n[time]\nt_over_pi = 1\n[task]\nsides = {sides}\n")
+    code, out, _ = run(capsys, "graph-rank", "--config", cfg)
+    assert code == 0
+    extents = [int(e) for e in lattice.split("\n")[0].split("=")[1].split(",")]
+    for side, rank, analytic, _ in parse_csv(out)[1]:
+        if min(extents) - int(side) >= 2 * math.floor(reach):
+            assert analytic == rank
+        else:
+            assert analytic == ""
 
 
 def test_graph_rank_edge_list(capsys, tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wgstate.geometry import Cutoff, EdgeProfile, Lattice, PhaseProfile, PowerLaw
+from wgstate.geometry import Cutoff, EdgeProfile, Lattice, PhaseProfile, PowerLaw, time_profiles
 from wgstate.graphstate import block_adjacency
 from wgstate.measures import (
     block_entropy,
@@ -160,4 +160,4 @@ TIME_CASES = {
 def test_time_grids_share_the_contract(entry, case):
     profile, sites, times, message = TIME_CASES[case]
     with pytest.raises(ValueError, match=message):
-        ENTRY_POINTS[entry](profile(), ProductInput.plus(N), sites, times=times)
+        ENTRY_POINTS[entry](time_profiles(profile(), times), ProductInput.plus(N), sites)

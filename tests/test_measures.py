@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgstate.geometry import Cutoff, EdgeProfile, Exponential, Lattice, PhaseProfile, PowerLaw
+from wgstate.geometry import (
+    Cutoff,
+    EdgeProfile,
+    Exponential,
+    Lattice,
+    PhaseProfile,
+    PowerLaw,
+    time_profiles,
+)
 from wgstate.measures import (
     NotPositiveSemidefiniteError,
     assistance_and_localizable_bounds,
@@ -74,7 +82,7 @@ def test_trace_to_a_stack_is_each_matrix_alone():
     profile = PhaseProfile(Lattice(40), PowerLaw(1.0), 0.0)
     state = ProductInput.random(40, np.random.default_rng(6))
     sites, keep = [20, 21, 23], [23, 20]
-    rhos = reduced_density(profile, state, sites, times=[0.0, 0.4, math.pi])
+    rhos = reduced_density(time_profiles(profile, [0.0, 0.4, math.pi]), state, sites)
     traced = trace_to(rhos, sites, keep)
     assert traced.shape == (3, 4, 4)
     assert traced.tobytes() == np.stack([trace_to(rho, sites, keep) for rho in rhos]).tobytes()

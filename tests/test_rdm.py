@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from wgstate.geometry import (
     PhaseProfile,
     PowerLaw,
     Table,
+    time_profiles,
 )
 from wgstate.oracle import evolve, partial_trace, random_instance
 from wgstate.rdm import (
@@ -298,3 +301,21 @@ def test_deep_underflow_is_benign():
     assert np.isfinite(rho).all()
     assert abs(rho[0, 1]) < 1e-300
     assert abs(rho[0, 0] - 0.5) < 1e-12
+
+
+def test_a_grid_leaves_nothing_behind():
+    # a grid is a value: each call builds its own, and once the caller
+    # drops it neither its base profile nor a sweep keeps its tables
+    profile = PhaseProfile(Lattice(200), PowerLaw(1.0), 0.0)
+    grid = time_profiles(profile, [0.1, 0.5, 1.0])
+    assert time_profiles(profile, [0.1, 0.5, 1.0]) is not grid and grid.n_sites == 200
+    table = weakref.ref(grid._displacement_table)
+    assert reduced_density(grid, ProductInput.plus(200), [99, 100]).shape == (3, 4, 4)
+    del grid
+    gc.collect()
+    assert table() is None
+    # a law not of distance alone makes a grid too, without stacked tables
+    disordered = time_profiles(PhaseProfile(Lattice(8), Disordered(PowerLaw(1.0), 3), 0.0),
+                               [0.1, 0.5])
+    assert disordered.n_sites == 8 and not hasattr(disordered, "_displacement_table")
+    assert reduced_density(disordered, ProductInput.plus(8), [3, 4]).shape == (2, 4, 4)

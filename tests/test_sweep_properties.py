@@ -42,6 +42,7 @@ from wgstate.geometry import (
     coupled_sites,
     mirror_images,
     pair_phases,
+    time_profiles,
 )
 from wgstate.measures import block_entropy, entropy, trace_distance
 from wgstate.oracle import evolve, partial_trace
@@ -708,16 +709,18 @@ def test_a_grid_matches_its_times_one_by_one(case, chunk):
     lone_tables = [environment_product(p, state, sites, environment) for p in lone]
     lone_rhos = [reduced_density(p, state, sites, environment=environment) for p in lone]
     # one time takes the lone path, bit for bit
-    one = (environment_product(profile, state, sites, environment, times=times[:1]),
-           reduced_density(profile, state, sites, environment=environment, times=times[:1]))
+    one = (environment_product(time_profiles(profile, times[:1]), state, sites, environment),
+           reduced_density(time_profiles(profile, times[:1]), state, sites,
+                           environment=environment))
     assert one[0].tobytes() == lone_tables[0][None].tobytes()
     assert one[1].tobytes() == lone_rhos[0][None].tobytes()
     saved = rdm._CHUNK_BUDGET
     try:
         if chunk is not None:
             rdm._CHUNK_BUDGET = 4 * len(times) * (3 ** m + 1) // 2 * chunk
-        tables = environment_product(profile, state, sites, environment, times=times)
-        rhos = reduced_density(profile, state, sites, environment=environment, times=times)
+        tables = environment_product(time_profiles(profile, times), state, sites, environment)
+        rhos = reduced_density(time_profiles(profile, times), state, sites,
+                               environment=environment)
     finally:
         rdm._CHUNK_BUDGET = saved
     assert tables.shape == (len(times), 3 ** m)
@@ -765,7 +768,7 @@ def small_grid_instances(draw):
                [1, 6, 10, 4], [math.pi, 0.0, 1.3]))
 def test_a_grid_matches_the_oracle(case):
     profile, state, sites, environment, times = case
-    rhos = reduced_density(profile, state, sites, environment=environment, times=times)
+    rhos = reduced_density(time_profiles(profile, times), state, sites, environment=environment)
     for t, rho in zip(times, rhos):
         slow = _oracle_at(PhaseProfile(profile.lattice, profile.law, t), state, sites,
                           environment)
@@ -879,10 +882,12 @@ def test_a_mirrored_sweep_matches_the_sweep_without_it(case):
     # on any lattice, law, symmetric subset, environment, input and grid
     profile, state, sites, environment, times, chunk = case
     rows = 1 if times is None else len(times)
+    if times is not None:
+        profile = time_profiles(profile, times)
     with _chunks_of(chunk, (3 ** len(sites) + 1) // 2 * rows, rows):
-        mirrored = environment_product(profile, state, sites, environment, times=times)
+        mirrored = environment_product(profile, state, sites, environment)
         with _no_mirror():
-            plain = environment_product(profile, state, sites, environment, times=times)
+            plain = environment_product(profile, state, sites, environment)
     mirrored, plain = np.atleast_2d(mirrored), np.atleast_2d(plain)
     scale = np.abs(plain[:, plain.shape[1] // 2, None])     # d = 0: prod of p0 + p1
     assert (np.abs(mirrored - plain) <= _rounding_floor(profile.n_sites) * scale).all()
@@ -944,7 +949,7 @@ def test_mirror_images_give_each_site_its_images_phases(data):
         assert mirror_images((other,), np.array(sites), ls) is None
 
 
-def _swept_sites(profile, state, sites, times=None):
+def _swept_sites(profile, state, sites):
     """The sites the sweep of ``sites`` hands to its parts, and its table."""
     counted = []
     sweep_part = rdm._sweep_part
@@ -955,7 +960,7 @@ def _swept_sites(profile, state, sites, times=None):
 
     rdm._sweep_part = counting
     try:
-        table = environment_product(profile, state, sites, times=times)
+        table = environment_product(profile, state, sites)
     finally:
         rdm._sweep_part = sweep_part
     return sum(counted), table
@@ -983,7 +988,7 @@ def test_a_centred_block_sweeps_half_its_environment():
     # the sites 0, 1, 2, whose images are off the chain, and its centre
     assert _swept_sites(profile, plus, list(range(100, 106)))[0] == 100 + (n - 106 - 100)
     times = [0.3, 1.0, 2.0, 3.0]
-    assert _swept_sites(profile, plus, [999, 1003], times=times)[0] == (n - 6) // 2 + 4
+    assert _swept_sites(time_profiles(profile, times), plus, [999, 1003])[0] == (n - 6) // 2 + 4
     # an input whose populations differ between sites, at every site or
     # at one, keeps no pair: every near site is swept, bit for bit the
     # sweep without the mirror
