@@ -84,7 +84,7 @@ from .measures import (
     meyer_wallach,
     trace_distance,
 )
-from .oracle import partial_trace, random_instance
+from .oracle import N_MAX, partial_trace, random_instance
 from .oracle import evolve as brute_force_evolve
 from .rdm import A_MAX, ProductInput, reduced_density
 
@@ -264,7 +264,8 @@ def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
             raise ConfigError("key 'start': only a chain takes a block start")
         start = _parse_int(items["start"], "start")
         if start < 0 or start + size > profile.n_sites:
-            raise ConfigError(f"block {start}..{start + size - 1} outside lattice")
+            raise ConfigError(f"key 'start': block {start}..{start + size - 1} is outside "
+                              f"the lattice 0..{profile.n_sites - 1}")
         return np.arange(start, start + size)
     return centered_block(profile.lattice, size)
 
@@ -428,7 +429,14 @@ def _run_mw(args, cp, items) -> _Table:
 
 
 def _run_verify(args, cp, items) -> _Table:
-    """Fast path vs brute-force statevector on random small instances."""
+    """Fast path vs brute-force statevector on random small instances:
+    --instances at least 1, --n-max in 4..N_MAX, --a-max in 1..A_MAX."""
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    for flag, value, lo, hi in [("--n-max", args.n_max, 4, N_MAX),
+                                ("--a-max", args.a_max, 1, A_MAX)]:
+        if not lo <= value <= hi:
+            raise ValueError(f"{flag} must be in {lo}..{hi}, got {value}")
     rng = np.random.default_rng(args.seed)
     rows = []
     failures = 0

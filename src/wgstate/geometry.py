@@ -28,15 +28,14 @@ sweep multiplies, for one profile or for the profiles of a time grid
 (:func:`time_profiles`) at once, a grid's from one gather of its stacked
 tables.  A graph-state adjacency asks :func:`coupled_pairs` for every pair
 of a block site and a site outside the block whose phase is not 0.0, whole
-rows at a time within a byte budget; for a table it reads the table's
+rows at a time within a byte budget, and so does the entropy lower bound,
+under a :class:`Cutoff` of its radius; for a table it reads the table's
 *stencil*, its entries that are not 0.0 (``PhaseProfile._stencil``), each
 standing for the signed displacements that reach across an open or a
 periodic axis.  A sweep of a subset that the point reflection through its
 centre maps onto itself asks :func:`mirror_images` for each site's image,
-which a table gives the same phases with the subset permuted; the entropy
-lower bound asks :func:`ball_sites` for the sites within a radius of a
-block, read from its dilated bounding box.  Only this module reads a
-lattice's boundaries.
+which a table gives the same phases with the subset permuted.  Only this
+module reads a lattice's boundaries.
 """
 
 from __future__ import annotations
@@ -70,11 +69,15 @@ def _reduce_phase(phi: np.ndarray) -> np.ndarray:
     2*pi rounds up to 2*pi itself; that full turn is returned as 0.0.  Only
     entries outside [0, 2*pi) go through ``np.mod``, the rest are kept:
     ``np.mod`` returns those unchanged, except -0.0, which it turns into
-    0.0 and which therefore counts as outside.
+    0.0 and which therefore counts as outside.  A phase that is not finite
+    (NaN, or an overflow of f(r) * t) raises ValueError naming it.
     """
     out = np.signbit(phi) | ~(phi < TWO_PI)
     if out.any():
-        wrapped = np.mod(phi[out], TWO_PI)
+        wrapped = phi[out]
+        if not np.isfinite(wrapped).all():
+            raise ValueError(f"phase {float(wrapped[~np.isfinite(wrapped)][0])!r} is not finite")
+        wrapped = np.mod(wrapped, TWO_PI)
         phi[out] = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return phi
 
@@ -112,8 +115,7 @@ class Lattice:
         for b in boundary:
             if b not in _BOUNDARIES:
                 raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {b!r}")
-        n = math.prod(extents)
-        if n < 2:
+        if math.prod(extents) < 2:
             raise ValueError("lattice must contain at least 2 sites")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "boundary", boundary)
@@ -619,33 +621,6 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
         for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
             box[tuple(map(slice, start, stop))] = True
     return np.flatnonzero(box.ravel()[ls])
-
-
-def ball_sites(lattice: Lattice, sites, radius: float) -> np.ndarray:
-    """Ascending sites outside ``sites`` within distance ``radius`` of one of
-    them (:meth:`Lattice.distances`).  The candidates are read from the
-    bounding box of ``sites`` dilated by floor(radius) along each axis,
-    modulo the extent on a periodic axis, which holds every site that
-    near; only they are measured.  (:func:`coupled_sites` fills its boxes
-    by slices, unwrapped: a table's reach counts |d| before the minimum
-    image.)  A NaN ``radius`` raises ValueError; a negative one gives no
-    site."""
-    if np.isnan(radius):
-        raise ValueError(f"radius {radius} is not a number")
-    sites = np.asarray(sites, dtype=np.intp)
-    at = lattice.coords(sites)
-    reach = int(min(radius, max(lattice.extents))) if radius >= 0 else 0
-    box = np.zeros(lattice.extents, dtype=bool)
-    box[np.ix_(*[np.arange(a, min(b + 1, a + extent)) % extent if bound == "periodic"
-                 else np.arange(max(a, 0), min(b + 1, extent))
-                 for a, b, extent, bound in zip(at.min(axis=0) - reach, at.max(axis=0) + reach,
-                                                lattice.extents, lattice.boundary)])] = True
-    box.ravel()[sites] = False
-    rest = np.flatnonzero(box)
-    nearest = np.full(rest.size, np.inf)
-    for k in sites:
-        np.minimum(nearest, lattice.distances(int(k), rest), out=nearest)
-    return rest[nearest <= radius]
 
 
 def mirror_images(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray] | None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ball_sites, displacement_phases
+from .geometry import Cutoff, PhaseProfile, coupled_pairs, displacement_phases
 from .rdm import (A_MAX, ProductInput, SubsetTooLargeError, _check_state, _check_subset,
                   environment_factor, reduced_density, trace_to)
 
@@ -146,15 +146,24 @@ def block_entropy_lower(profile, state: ProductInput, sites, radius: float) -> f
     with a small radius that is the kept environment, which is what makes
     the bound affordable exactly where the exact entropy is not.
 
-    A NaN ``radius`` raises ValueError; a negative one keeps nothing, and
-    its bound is 0.
+    The kept sites are those a :class:`~wgstate.geometry.Cutoff` of reach
+    ``radius`` couples to the block, read from
+    :func:`~wgstate.geometry.coupled_pairs`: the sites within Euclidean
+    distance ``radius`` of a block site, ascending, at a cost of O(N) plus
+    O(|block| * |stencil|).  A NaN ``radius`` raises ValueError; a negative
+    one keeps nothing, and its bound is 0.
     """
     sites = _check_subset(profile, sites, state, profile.n_sites)
     lattice = getattr(profile, "lattice", None)
     if lattice is None:
         raise TypeError("profile has no lattice geometry; the finite-radius "
                         "bound needs distances")
-    near = ball_sites(lattice, sites, radius)
+    if np.isnan(radius):
+        raise ValueError(f"radius {radius} is not a number")
+    kept = np.zeros(lattice.n_sites, dtype=bool)
+    for _, l, _ in coupled_pairs(PhaseProfile(lattice, Cutoff(max(radius, 0.0)), 1.0), sites):
+        kept[l] = True
+    near = np.flatnonzero(kept)
     if near.size == 0:
         return 0.0
     if sites.size <= A_MAX:

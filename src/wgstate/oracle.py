@@ -85,7 +85,7 @@ def random_instance(rng: np.random.Generator, n_max: int, a_max: int):
     if rng.random() < 0.7:
         extents: tuple[int, ...] = (int(rng.integers(4, n_max + 1)),)
     else:
-        e0 = int(rng.integers(2, 4))
+        e0 = int(rng.integers(2, min(4, n_max // 2 + 1)))
         e1 = int(rng.integers(2, n_max // e0 + 1))
         extents = (e0, e1)
     boundary = str(rng.choice(["open", "periodic"]))

@@ -60,8 +60,8 @@ proper part of A.
 
 Input contract: every public function that takes a site list passes it,
 with the input state, through :func:`_check_stack` (a stack) or
-:func:`_check_subset` (one subset, flattened, or every site) before other
-work, and any explicit environment through :func:`_resolve_environment`;
+:func:`_check_subset` (one subset, flattened) before other work, and
+any explicit environment through :func:`_resolve_environment`;
 so do :mod:`wgstate.measures` and :mod:`wgstate.graphstate`, and a
 function of every site may check the state alone (:func:`_check_state`).
 :func:`_check_stack` is the one home of the site rules: the state must
@@ -170,27 +170,22 @@ class ProductInput:
 
 def _check_subset(profile, sites, state: ProductInput | None = None,
                   a_max: int = A_MAX) -> np.ndarray:
-    """Checked index array of ``sites``, flattened (None: every site), for
-    ``state``: :func:`_check_stack` of one subset."""
-    if sites is not None:
-        sites = np.asarray(sites, dtype=np.intp).ravel()
-    return _check_stack(profile, sites, state, a_max)[0]
+    """Checked index array of ``sites``, flattened, for ``state``:
+    :func:`_check_stack` of one subset."""
+    return _check_stack(profile, np.ravel(sites), state, a_max)[0]
 
 
 def _check_stack(profile, sites, state: ProductInput | None = None,
                  a_max: int = A_MAX) -> np.ndarray:
     """Checked (B, m) stack of equal-size subsets of at most ``a_max`` sites,
     for ``state``; anything but a 2-D ``sites`` is one subset, a stack of
-    one, and None is every site.  The one home of the site rules, checked
-    in this order: state size (:func:`_check_state`), stack shape, empty,
-    size, range, repeats."""
+    one.  The one home of the site rules, checked in this order: state
+    size (:func:`_check_state`), stack shape, empty, size, range, repeats."""
     n_sites = profile.n_sites
     _check_state(profile, state)
-    if sites is None:
-        return np.arange(n_sites)[None]
     try:
         rows = np.asarray(sites, dtype=np.intp)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError("sites must be a subset or a stack of equal-size subsets") from None
     if rows.ndim != 2:
         rows = rows.reshape(1, -1)

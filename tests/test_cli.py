@@ -517,6 +517,51 @@ def test_a_non_finite_time_exits_one(capsys, tmp_path, command, task, value):
     assert f"time must be finite and non-negative, got {value}" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_a_phase_that_is_not_finite_exits_one(capsys, tmp_path):
+    # f(r) * t overflows to inf: refused where the phase is reduced, not
+    # reported later as a NaN trace
+    cfg = write_config(tmp_path, "[lattice]\nextents = 3\n[law]\nvariant = table\n"
+                       "table = 1:1e300, 2:1\n[time]\nt_over_pi = 1e10\n"
+                       "[task]\nsizes = 1:2\nradius = 2\n")
+    code, out, err = run(capsys, "entropy-scan", "--config", cfg)
+    assert code == 1 and out == ""
+    assert "phase inf is not finite" in err
+
+
+# (command, text replaced in CHAIN or None, [task] body, the key the error names)
+MALFORMED = {
+    "range_arity": ("correlations", None, "separations = 1:2:3:4", "key 'separations'"),
+    "range_text": ("correlations", None, "separations = a:3", "key 'separations'"),
+    "range_step": ("correlations", None, "separations = 1:5:0", "key 'separations'"),
+    "list_text": ("correlations", None, "separations = 1, x", "key 'separations'"),
+    "list_empty": ("correlations", None, "separations = ,", "key 'separations'"),
+    "table_pair": ("mw", ("variant = power\nalpha = 3.0", "variant = table\ntable = 1 2"),
+                   "", "key 'table'"),
+    "table_empty": ("mw", ("variant = power\nalpha = 3.0", "variant = table\ntable = ,"),
+                    "", "key 'table'"),
+    "amplitude": ("mw", ("variant = power", "variant = disordered\nbase = power\n"
+                                             "seed = 7\namplitude = uniform(1)"),
+                  "", "key 'amplitude'"),
+    "state_kind": ("mw", ("[time]", "[state]\nkind = ghz\n[time]"), "", "key 'kind'"),
+    "grid_parts": ("dynamics", None, "grid = 0:1", "key 'grid'"),
+    "grid_text": ("dynamics", None, "grid = 0:one:5", "key 'grid'"),
+    "sample": ("mw", None, "sample = 21", "key 'sample'"),
+    "start": ("entropy-scan", None, "sizes = 4\nstart = 18", "key 'start'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_a_malformed_config_names_its_key(capsys, tmp_path, case):
+    command, replace, task, key = MALFORMED[case]
+    body = CHAIN if replace is None else CHAIN.replace(*replace)
+    assert body != CHAIN or replace is None
+    cfg = write_config(tmp_path, body + f"[task]\n{task}\n")
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 1 and out == ""
+    assert key in err
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -600,6 +645,33 @@ def test_verify_passes(capsys):
     assert set(payload["summary"]) == {"max_distance", "tolerance"}
     assert payload["summary"]["tolerance"] == 1e-10
     assert payload["summary"]["max_distance"] == max(r[3] for r in payload["rows"])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--instances", "0"], "--instances must be at least 1, got 0"),
+    (["--instances", "-3"], "--instances must be at least 1, got -3"),
+    (["--n-max", "3"], "--n-max must be in 4..20, got 3"),
+    (["--n-max", "21"], "--n-max must be in 4..20, got 21"),
+    (["--a-max", "0"], "--a-max must be in 1..10, got 0"),
+    (["--a-max", "11"], "--a-max must be in 1..10, got 11"),
+])
+def test_verify_rejects_flags_it_cannot_honour(capsys, flags, message):
+    # no pass that checked nothing, and no numpy error from the draw
+    code, out, err = run(capsys, "verify", *flags)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_verify_draws_grids_at_the_smallest_n_max(capsys, n_max):
+    # a grid's first extent is 2 when a second extent of 2 or more leaves
+    # no room for 3
+    code, out, _ = run(capsys, "verify", "--instances", "20", "--n-max", str(n_max),
+                       "--a-max", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 20 and all(r[4] == "ok" for r in rows)
+    assert all(4 <= int(r[1]) <= n_max for r in rows)
 
 
 def test_verify_reports_failures(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from wgstate.geometry import (
     Table,
     _pair_factors,
     _reduce_phase,
-    ball_sites,
     centered_block,
     coupled_pairs,
     coupled_sites,
@@ -340,13 +340,32 @@ def test_phases_just_below_a_full_turn_reduce_to_zero():
     st.floats(-1e3, 1e3), st.floats(0.0, TWO_PI, exclude_max=True),
     st.floats(allow_nan=True, allow_infinity=True)), max_size=40))
 def test_phase_reduction_matches_np_mod_bit_for_bit(values):
-    # only entries outside [0, 2*pi), -0.0 among them, go through np.mod
+    # only entries outside [0, 2*pi), -0.0 among them, go through np.mod;
+    # a phase that is not finite raises, naming the first one
     x = np.array(values, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        wrapped = np.mod(x, TWO_PI)
-        expected = np.where(wrapped == TWO_PI, 0.0, wrapped)
-        got = _reduce_phase(x)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        with pytest.raises(ValueError, match=re.escape(f"phase {float(bad[0])!r} is not finite")):
+            _reduce_phase(x)
+        return
+    wrapped = np.mod(x, TWO_PI)
+    expected = np.where(wrapped == TWO_PI, 0.0, wrapped)
+    got = _reduce_phase(x)
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_a_phase_that_is_not_finite_raises():
+    # NaN listed for an edge, and f(r) * t overflowing to inf, where each
+    # phase is reduced: no NaN reaches an entropy
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"phase {phi!r} is not finite"):
+            EdgeProfile(4, {(0, 1): phi})
+    profile = PhaseProfile(Lattice(3), Table({1.0: 1e300, 2.0: 1.0}), time=1e10 * math.pi)
+    with pytest.raises(ValueError, match="phase inf is not finite"):
+        profile.phase_row(0, [1, 2])
+    with pytest.raises(ValueError, match="phase inf is not finite"):
+        displacement_phases(profile)
 
 
 def test_displacement_phases_match_phase_rows():
@@ -570,8 +589,9 @@ def test_a_grid_reads_its_stack_as_each_time_alone(data, profile):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_ball_sites_are_every_site_within_the_radius(data):
-    # read from the dilated bounding box, the kept ball is the one of the
-    # rule over every site outside the block, in ascending order
+    # a Cutoff of reach radius couples the block, with phase 1.0, to the
+    # sites the rule over every site outside the block keeps: the lower
+    # bound's kept ball
     dim = data.draw(st.integers(1, 3))
     extents = tuple(data.draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
     if math.prod(extents) < 2:
@@ -590,7 +610,10 @@ def test_ball_sites_are_every_site_within_the_radius(data):
     nearest = np.full(rest.size, np.inf)
     for k in block:
         nearest = np.minimum(nearest, lattice.distances(int(k), rest))
-    assert np.array_equal(ball_sites(lattice, block, radius), rest[nearest <= radius])
+    groups = list(coupled_pairs(PhaseProfile(lattice, Cutoff(max(radius, 0.0)), 1.0), block))
+    kept = np.concatenate([np.empty(0, dtype=np.intp)] + [l for _, l, _ in groups])
+    assert all((phi == 1.0).all() for _, _, phi in groups)
+    assert np.array_equal(np.unique(kept), rest[nearest <= radius])
 
 
 def test_parse_lattice():

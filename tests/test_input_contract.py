@@ -40,6 +40,8 @@ SITE_CASES = {
     # in sub-blocks of 4, [10..13], [0..3], [10..13]: no adjacent pair repeats
     "spread_repeat": ([*range(10, 14), *range(4), *range(10, 14)],
                       "subset contains repeated sites"),
+    # None is no subset (meyer_wallach alone reads it as every site)
+    "none": (None, "sites must be a subset or a stack of equal-size subsets"),
 }
 
 STATE_CASES = {"short_state": N - 1, "long_state": N + 1}
@@ -50,7 +52,8 @@ WHOLE_LATTICE = {"block_entropy_upper", "block_entropy_lower", "meyer_wallach",
 
 
 def _cases(entry):
-    cases = [c for c in SITE_CASES if c != "spread_repeat" or entry in WHOLE_LATTICE]
+    cases = [c for c in SITE_CASES if (c != "spread_repeat" or entry in WHOLE_LATTICE)
+             and (c != "none" or entry != "meyer_wallach")]
     return cases + ([] if entry == "block_adjacency" else list(STATE_CASES))
 
 

@@ -238,6 +238,41 @@ def test_block_entropy_lower_routes_agree():
     assert abs(dual - block_entropy(prof, state, [5])) < 1e-12
 
 
+# (lattice, block, radius): the block's side diagonalized, then the kept
+# environment's; radii between lattice distances keep sites at sqrt(2),
+# sqrt(5) and sqrt(3) that floor(radius) would drop
+LOWER_CASES = {
+    "chain_open": (Lattice(16), range(5, 9), 2.5),
+    "chain_periodic": (Lattice(16, "periodic"), [15, 0, 1], 3.0),
+    "grid_periodic": (Lattice((6, 6), "periodic"), [14, 15, 20, 21], math.sqrt(2.0)),
+    "grid_mixed": (Lattice((5, 7), ("open", "periodic")), [0, 6, 13], 2.5),
+    "cube_open": (Lattice((3, 3, 4)), [13, 17], math.sqrt(3.0)),
+    "env_chain": (Lattice(14), range(1, 12), 1.5),
+    "env_grid": (Lattice((5, 5)), range(11), 1.5),
+    "env_cube": (Lattice((4, 3, 2), ("open", "periodic", "periodic")), range(11), 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(LOWER_CASES))
+def test_block_entropy_lower_is_the_entropy_of_the_kept_ball(case):
+    # the kept environment is every site within the radius of the block, as
+    # brute force finds it; whichever side fits is diagonalized
+    lattice, block, radius = LOWER_CASES[case]
+    block = np.asarray(block)
+    profile = PhaseProfile(lattice, PowerLaw(alpha=1.5), time=0.3 * math.pi)
+    state = ProductInput.random(lattice.n_sites, np.random.default_rng(3))
+    rest = np.setdiff1d(np.arange(lattice.n_sites), block)
+    nearest = np.min([lattice.distances(int(k), rest) for k in block], axis=0)
+    ball = rest[nearest <= radius]
+    assert 0 < ball.size < rest.size
+    if block.size <= A_MAX:
+        rho = reduced_density(profile, state, block, environment=ball)
+    else:
+        assert ball.size <= A_MAX
+        rho = reduced_density(profile, state, ball, environment=block)
+    assert block_entropy_lower(profile, state, block, radius) == entropy(rho)
+
+
 def test_block_entropy_lower_close_for_fast_decay():
     lat = Lattice(200)
     prof = PhaseProfile(lat, PowerLaw(alpha=3.0), time=0.3 * math.pi)

@@ -25,6 +25,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -537,6 +538,32 @@ def test_parts_stop_at_the_cap(monkeypatch):
     assert rdm._part_count(2 * rdm._SPLIT_WORK - 1) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert rdm._part_count(10 ** 6 * rdm._SPLIT_WORK) == 1
+
+
+def test_without_cpu_affinity_a_sweep_is_one_part(monkeypatch):
+    # a platform without os.sched_getaffinity sweeps in the calling thread
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert rdm._part_count(10 ** 6 * rdm._SPLIT_WORK) == 1
+
+
+def test_a_part_that_raises_raises_in_the_caller(monkeypatch):
+    # the exception of a part swept on its own thread reaches the caller,
+    # after that thread is joined
+    n = 4000
+    profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
+    state = ProductInput.random(n, np.random.default_rng(2))
+    caller, sweep_part, workers = threading.current_thread(), rdm._sweep_part, []
+
+    def failing(*args):
+        if threading.current_thread() is caller:
+            return sweep_part(*args)
+        workers.append(threading.current_thread())
+        raise RuntimeError("part 1 failed")
+
+    monkeypatch.setattr(rdm, "_sweep_part", failing)
+    with _split(1, 2), pytest.raises(RuntimeError, match="part 1 failed"):
+        environment_product(profile, state, list(range(n // 2, n // 2 + 5)))
+    assert len(workers) == 1 and not workers[0].is_alive()
 
 
 # -- subset order --------------------------------------------------------
