@@ -20,7 +20,9 @@ site for most laws, over the reach box alone for a :class:`Cutoff`.  Which
 environment sites a subset can feel, and with what phase, is decided here
 alone: :func:`coupled_sites` names the candidates of a whole sweep in one
 call (for a table, those in the near box of every subset and time: its
-bounding box, dilated by every displacement whose phase is not 0.0) and
+bounding box, dilated by every displacement whose phase is not 0.0; or,
+given a threshold tau, by every displacement whose phase reduced to
+(-pi, pi] exceeds tau in magnitude, :func:`_reach`) and
 :func:`pair_phases`, the one phase reader, reads their phases, from the
 table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps the
 sites with a phase other than 0.0 and gives the factors exp(-i phi) the
@@ -48,6 +50,10 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# 2*pi less TWO_PI, its float: (phi - TWO_PI) - _TWO_PI_LO is phi - 2*pi to
+# one rounding for phi in [pi, 2*pi)
+_TWO_PI_LO = 2.4492935982947064e-16
 
 _BOUNDARIES = ("open", "periodic")
 
@@ -80,6 +86,31 @@ def _reduce_phase(phi: np.ndarray) -> np.ndarray:
         wrapped = np.mod(wrapped, TWO_PI)
         phi[out] = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return phi
+
+
+def _centred(phi: np.ndarray) -> np.ndarray:
+    """The phases ``phi``, each in [0, 2*pi), reduced to (-pi, pi]: phi
+    less a true 2*pi above pi, to one rounding (``phi - TWO_PI`` is exact
+    there), so exp(-1j * d * phi) and exp(-1j * d * result) agree for
+    every integer d to rounding."""
+    out = phi - TWO_PI
+    out -= _TWO_PI_LO
+    np.copyto(out, phi, where=phi <= math.pi)
+    return out
+
+
+def _reach(table: np.ndarray, tau: float) -> tuple[int, ...]:
+    """Per-axis largest |d| with an entry of the displacement table ``table``
+    whose phase, reduced to (-pi, pi] (:func:`_centred`), exceeds ``tau`` in
+    magnitude, or 0: the dilation of the boxes :func:`coupled_sites` fills."""
+    live = table > tau      # |phi~| = phi up to pi, and is 0 only where phi is
+    if tau:
+        wrapped = np.flatnonzero(table > math.pi)
+        live.flat[wrapped] = np.abs(_centred(table.flat[wrapped])) > tau
+    live.flat[0] = True     # the origin: a box always holds its own subset
+    axes = range(live.ndim)
+    return tuple(int(np.flatnonzero(live.any(axis=tuple(b for b in axes if b != a)))[-1])
+                 for a in axes)
 
 
 def _factors(phi: np.ndarray) -> np.ndarray:
@@ -412,13 +443,20 @@ class PhaseProfile:
         return at, entries
 
     @cached_property
-    def _near_reach(self) -> np.ndarray:
-        """Per-axis largest |d| with a table entry not 0.0, or 0."""
-        live = self._displacement_table != 0.0
-        live.flat[0] = True     # the origin: a box always holds its own subset
-        axes = range(live.ndim)
-        return np.array([np.flatnonzero(live.any(axis=tuple(b for b in axes if b != a)))[-1]
-                         for a in axes])
+    def _near_reach(self) -> tuple[int, ...]:
+        """Per-axis largest |d| with a table entry not 0.0, or 0: the reach
+        at tau = 0 (:func:`_reach`; phi~ is 0 exactly where phi is)."""
+        return _reach(self._displacement_table, 0.0)
+
+    @cached_property
+    def _rim(self) -> float:
+        """The least, over the axes, of the largest |phi~| on the outermost
+        hyperplane along that axis with a table entry not 0.0 (inf where
+        that holds the origin alone): at any tau below it the reach is the
+        near reach, read from those hyperplanes, not the whole table."""
+        table = self._displacement_table
+        return min(float(np.abs(_centred(table[(slice(None),) * a + (slice(r, r + 1),)])).max())
+                   if r else math.inf for a, r in enumerate(self._near_reach))
 
 
 def _check_pair(n_sites: int, k: int, l: int) -> None:
@@ -596,20 +634,24 @@ def _warm(profiles) -> None:
             profile._displacement_factors
 
 
-def coupled_sites(profiles, sites, ls) -> np.ndarray:
+def coupled_sites(profiles, sites, ls, tau: float = 0.0) -> np.ndarray:
     """Ascending positions in ``ls`` of the sites that may couple to ``sites``
-    under some of ``profiles``: one profile, or the profiles of a time grid
-    from :func:`time_profiles`, all a sweep feels in one call.
+    under some of ``profiles`` with a reduced phase larger than ``tau`` in
+    magnitude: one profile, or the profiles of a time grid from
+    :func:`time_profiles`, all a sweep feels in one call.
 
     ``sites`` is one subset or a (B, m) stack of them.  With a
-    :func:`displacement_phases` table these are the sites inside the near
-    box of a subset, or of any subset of a stack, under any of the
-    profiles: its bounding box dilated, along each axis, by the largest |d|
-    along it whose table entry is not 0.0 (on a periodic axis the table is
-    indexed by |d| before the minimum image, so this holds there).  The
-    bounding boxes are read once and one box is filled per distinct reach.
-    Every site outside it has phase exactly 0.0 to every site of the
-    subset.  For any other profile they are all positions.
+    :func:`displacement_phases` table these are the sites inside the box
+    of a subset, or of any subset of a stack, under any of the profiles:
+    its bounding box dilated, along each axis, by the largest |d| along it
+    whose table entry, reduced to (-pi, pi], exceeds ``tau`` in magnitude
+    (:func:`_reach`; on a periodic axis the table is indexed by |d| before
+    the minimum image, so this holds there).  The reach at ``tau`` = 0 is
+    kept per profile, any other is one scan of the table.  The bounding
+    boxes are read once and one box is filled per distinct reach.  Every
+    site outside it has phases of magnitude at most ``tau`` to every site
+    of the subset, once reduced: at ``tau`` = 0, the near box, exactly
+    0.0.  For any other profile they are all positions.
     """
     if displacement_phases(profiles[0]) is None:
         return np.arange(len(ls))
@@ -617,7 +659,8 @@ def coupled_sites(profiles, sites, ls) -> np.ndarray:
     ends = lattice.coords(np.atleast_2d(sites))
     lo, hi = ends.min(axis=1), ends.max(axis=1) + 1
     box = np.zeros(lattice.extents, dtype=bool)
-    for reach in {tuple(profile._near_reach) for profile in profiles}:
+    for reach in {_reach(profile._displacement_table, tau) if tau else profile._near_reach
+                  for profile in profiles}:
         for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
             box[tuple(map(slice, start, stop))] = True
     return np.flatnonzero(box.ravel()[ls])

@@ -21,9 +21,23 @@ sweep for all its rows, and :func:`wgstate.geometry.pair_phases`; for a
 law of distance alone every site outside the subset's near box is folded
 unread: the box is its bounding box dilated by the largest displacement
 whose phase (from a table built once per profile) is not exactly 0, one
-box per distinct dilation.  The sweep costs O(|near box| * (3^m + 1) / 2) for a law of
-finite support or one that underflows to 0, O(N * (3^m + 1) / 2) for the
-rest, in chunks of about 2 MiB, plus an O(N) scalar fold, and O(3^m + 4^m)
+box per distinct dilation.  Inside it, a site whose every phase to the
+subset, reduced to (-pi, pi], is at most tau = sqrt(2^-53 / (C m^2 |env|)),
+C = (1 + 2^-50) / 8, is not swept but folded at first order
+(:func:`_far_field`): the log of its factor is p1 / (p0 + p1) times
+-i theta to within theta^2 / 8 (1 + theta^2 / 4), so all of them together
+multiply in exp(-i sum_k d_k M1_k), M1 one moment per subset site, and
+their norms join the scalar, with a remainder of at most 2^-53, the unit
+roundoff, in the log of every class for all of them together: below the
+sweep's own rounding, a certified truncation, never a silent one.  The
+sweep covers only
+the box dilated by the reach at tau, which grows with N only as tau
+shrinks, as N^-1/2: about ln sqrt(N) sites a side for an exponential,
+as N^(1/(2 alpha)) for a power law r^-alpha, which for alpha <= 1 is
+beyond any lattice (at alpha = 2 and t = 0.3 pi it spans a centred
+block's whole chain up to at least 10^5 sites).  It costs
+O(|tau box| * (3^m + 1) / 2), in chunks of about 2 MiB, plus O(|near
+box| * m) to fold the rest and an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.  A stack of B
 subsets of m sites each is swept once, over the union of their near
 boxes, at B times the classes per swept site.  So is one subset under a
@@ -84,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_Grid, _grid_phases, _pair_factors, _warm, coupled_sites,
+from .geometry import (_centred, _Grid, _grid_phases, _pair_factors, _warm, coupled_sites,
                        displacement_phases, mirror_images)
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
@@ -172,7 +186,11 @@ def _check_subset(profile, sites, state: ProductInput | None = None,
                   a_max: int = A_MAX) -> np.ndarray:
     """Checked index array of ``sites``, flattened, for ``state``:
     :func:`_check_stack` of one subset."""
-    return _check_stack(profile, np.ravel(sites), state, a_max)[0]
+    try:
+        sites = np.ravel(sites)
+    except ValueError:      # a ragged list, which _check_stack rejects
+        pass
+    return _check_stack(profile, sites, state, a_max)[0]
 
 
 def _check_stack(profile, sites, state: ProductInput | None = None,
@@ -180,7 +198,8 @@ def _check_stack(profile, sites, state: ProductInput | None = None,
     """Checked (B, m) stack of equal-size subsets of at most ``a_max`` sites,
     for ``state``; anything but a 2-D ``sites`` is one subset, a stack of
     one.  The one home of the site rules, checked in this order: state
-    size (:func:`_check_state`), stack shape, empty, size, range, repeats."""
+    size (:func:`_check_state`), stack shape (a ragged list is none),
+    empty, size, range, repeats."""
     n_sites = profile.n_sites
     _check_state(profile, state)
     try:
@@ -284,13 +303,42 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     phase table spans every lattice displacement: a :class:`Table` law
     missing any lattice distance raises ValueError, whatever the subset.
 
+    Far field: under a law of distance alone, the near sites whose every
+    phase to every row's sites, reduced to (-pi, pi], is at most
+    tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8, are folded at
+    first order instead of being swept (:func:`_far_field`).  With
+    g(theta) = log(q0 + q1 e^{-i theta}), q = p / (p0 + p1), g(0) = 0,
+    g'(0) = -i q1 and |g''(theta)| = q0 q1 / |q0 + q1 e^{-i theta}|^2 <=
+    1 / (4 cos^2(theta / 2)), so a site's remainder past first order is at
+    most theta^2 / 8 (1 + theta^2 / 4) to leading order, and theta =
+    sum_k phi~_k d_k is at most m tau in magnitude: together the folded
+    sites leave at most 2^-53 in the log of each class, below the rounding
+    below.  Each folded phase is read once per distinct site and time; the
+    table is multiplied once by exp(-i D M1^T), D the digits of the codes
+    and M1[r, k] = sum_l q1_l phi~(row r's site k, l).  Where no site is
+    that far, as for the power laws of wgbench's workloads and of the
+    linear-cost acceptance test (alpha = 1 and 2 at N <= 10^5), at every
+    t = 0 row, and for a :class:`Cutoff` at an ordinary time, nothing is
+    folded or gathered and the sweep is the one without a far field, bit
+    for bit; a profile without a displacement
+    table (:class:`Disordered`, :class:`EdgeProfile`) never folds.  A
+    64-pair stack on an Exponential(1) chain sweeps 108 sites at N = 2 *
+    10^4 and 112 at 2 * 10^5, not the 1,554 of its near box; a centred
+    8-site block of a PowerLaw(3) chain of 10^6 sites at t = 0.3 pi sweeps
+    6,324 sites (12,648 near sites, mirror paired), not 499,996.
+
     Rounding: each factor carries its own rounding, so the error grows
     about linearly in the number of swept sites.  Measured for m = 2 (sites
     N/2 and N/2 + 3), PowerLaw alpha = 1, t = 0.3 pi and a random input,
     the largest relative error over the 9 classes against a
     ``np.clongdouble`` reference is 1.2e-14 at N = 10^3, 6.8e-14 at 10^4,
     6.3e-13 at 10^5 and 6.1e-12 at 10^6.  The order of the product does not
-    matter at that level; forming the factors does.
+    matter at that level; forming the factors does.  With an Exponential(1)
+    law in the same setting, where all but 44 to 50 sites are folded, into
+    the first-order factor or the scalar of norms, it is 5.4e-15, 6.1e-14,
+    5.9e-13 and 5.8e-12 (8.2e-15, 6.7e-14, 5.9e-13 and 5.8e-12 sweeping
+    every site of the near box): the scalar of N norms rounds as the sweep
+    did, and the fold's own 2^-53 does not show.
 
     Mirror pairs: one subset, alone or at a grid, under a law of distance
     alone, that the point reflection through its centre maps onto itself (a
@@ -342,7 +390,7 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     (:func:`_mirror_pairs`) only the representatives are swept."""
     n_rows = len(rows) * len(profiles)
     n_half = (3 ** rows.shape[1] + 1) // 2
-    near = coupled_sites(profiles, rows, env)
+    near, far = _near_and_far(profiles, rows, env)
     swept = np.zeros(env.size, dtype=bool)
     pairs = _mirror_pairs(profiles, state, rows, env, near)
     # the representatives, then the sites swept alone
@@ -380,10 +428,71 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
         half *= tables[0]
         half *= _mirrored(tables[0], perm)
         swept[images] = swept[reps]
+    if far.size:
+        half *= _far_field(profiles, state, rows, env[far])
     # every site left unswept is an environment site of every row, with the
-    # same factor p0 + p1 in every class
+    # same factor p0 + p1 in every class, up to the far field's phases
     half *= float(np.prod(state._norms[env[~swept]]))
     return half.T
+
+
+def _near_and_far(profiles, rows: np.ndarray, env: np.ndarray):
+    """Ascending positions in ``env`` of the sites a sweep of ``rows``
+    under ``profiles`` multiplies in one by one (near) and of those it
+    folds at first order (far, :func:`_far_field`).
+
+    The near sites are :func:`~wgstate.geometry.coupled_sites` at
+    tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8; the far ones
+    lie in its box at tau = 0 (phases not 0.0) and outside that one, so
+    every phase of a far site to a row's site has |phi~| <= tau at every
+    time.  Where tau is below every profile's ``PhaseProfile._rim``, the
+    boxes agree and nothing is far: the near sites are those at tau = 0,
+    as always for a profile without a displacement table, and the check
+    costs nothing beyond them."""
+    near = coupled_sites(profiles, rows, env)
+    c = (1 + 2.0 ** -50) / 8
+    # an empty environment has no far site, whatever tau
+    tau = math.sqrt(2.0 ** -53 / (c * rows.shape[1] ** 2 * max(env.size, 1)))
+    if displacement_phases(profiles[0]) is None or all(tau < p._rim for p in profiles):
+        return near, near[:0]
+    inner = coupled_sites(profiles, rows, env, tau)
+    return inner, np.setdiff1d(near, inner, assume_unique=True)
+
+
+def _far_field(profiles, state: ProductInput, rows: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """((3^m + 1) / 2, R) first-order factor of the far sites ``ls`` for the
+    R rows of :func:`_sweep`, their norms p0 + p1 left out.
+
+    With q1 = p1 / (p0 + p1), a far site's factor over its norm is
+    exp(g(theta)), g(theta) = log(q0 + q1 e^{-i theta}), theta = sum_k
+    phi~_k d_k.  g(0) = 0 and g'(0) = -i q1, so to first order the far
+    sites together give exp(-i sum_k d_k M1[r, k]), with the moment
+    M1[r, k] = sum_l q1_l phi~(row r's site k, l).  Each phase is read
+    once per distinct site and time, from the table, in slabs of about
+    ``_CHUNK_BUDGET / 8`` phases, so that memory stays level.
+    """
+    m = rows.shape[1]
+    sites, which = _row_sites(profiles, rows)
+    moment = np.zeros(len(profiles) * sites.size)
+    slab = max(1, _CHUNK_BUDGET // 8 // moment.size)
+    for start in range(0, ls.size, slab):
+        at = ls[start:start + slab]
+        phi = _grid_phases(profiles, sites, at)[0]
+        moment += _centred(phi) @ (state._populations[1][at] / state._norms[at])
+    digits = np.arange((3 ** m + 1) // 2)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3 - 1
+    return np.exp(-1j * (digits @ moment[which].T))
+
+
+def _row_sites(profiles, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sites of ``rows`` and, for each of the R rows of
+    :func:`_sweep` and each subset site j, where its phases and factors are
+    in what :func:`~wgstate.geometry._pair_factors` and
+    :func:`~wgstate.geometry._grid_phases` give over those sites: row t of
+    a grid reads time t's, offset by t * len(sites).  Read once per
+    distinct site and time."""
+    sites, which = np.unique(rows, return_inverse=True)
+    offsets = sites.size * np.arange(len(profiles))
+    return sites, (which.reshape(rows.shape) + offsets[:, None, None]).reshape(-1, rows.shape[1])
 
 
 def _chunk_budget(n_rows: int) -> int:
@@ -459,12 +568,7 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     m = rows.shape[1]
     n_rows = len(rows) * len(profiles)
     n_half = (3 ** m + 1) // 2
-    # phases and factors are read once per distinct subset site and time:
-    # row t of a grid reads time t's factors, offset by t * len(sites) in
-    # what _pair_factors gives
-    sites, which = np.unique(rows, return_inverse=True)
-    offsets = sites.size * np.arange(len(profiles))
-    which = (which.reshape(rows.shape) + offsets[:, None, None]).reshape(n_rows, m)
+    sites, which = _row_sites(profiles, rows)
     # chunk: swept sites whose classes, for every row, fit the budget.  A
     # stack's chunk also holds its factors and a gathered column per stage;
     # at a quarter of the budget that stays in cache (64 pairs at m = 2 on

@@ -244,19 +244,34 @@ def test_10_large_system_cost_scales_linearly(monkeypatch):
     # is swept in one part, in the calling thread, and timed by that
     # thread's CPU time: a sweep split over two threads takes as long as
     # the busier of two vCPUs allows, and time the host gives to other
-    # processes mid-sweep counts in wall time, not in the thread's
+    # processes mid-sweep counts in wall time, not in the thread's.  The
+    # sites each sweep hands to its parts are counted too, a measure that
+    # does not depend on the host: a centred block sweeps one site of each
+    # mirror pair and the 8 sites whose image is off the chain, N / 2, and
+    # no phase is small enough at these sizes to be folded
     monkeypatch.setattr(rdm, "_MAX_PARTS", 1)
+    sweep_part, swept = rdm._sweep_part, []
+
+    def counting(profiles, state, rows, env, near, done):
+        swept[-1] += near.size
+        return sweep_part(profiles, state, rows, env, near, done)
+
+    monkeypatch.setattr(rdm, "_sweep_part", counting)
     sizes = (10_000, 20_000, 40_000)
     cases = []
     for n in sizes:
         profile = PhaseProfile(Lattice(n), PowerLaw(alpha=2.0), time=0.3 * math.pi)
         cases.append((profile, ProductInput.plus(n), np.arange(n // 2, n // 2 + 8)))
     best = [math.inf] * len(sizes)
+    counts = [set() for _ in sizes]
     for _ in range(3):
         for i, (profile, state, sites) in enumerate(cases):
+            swept.append(0)
             t0 = time.thread_time()
             reduced_density(profile, state, sites)
             best[i] = min(best[i], time.thread_time() - t0)
+            counts[i].add(swept[-1])
+    assert counts == [{n // 2} for n in sizes]
     t1, t2, t4 = best
     for ratio in (t2 / t1, t4 / t2):
         assert 1.6 < ratio < 2.6, (t1, t2, t4)

@@ -17,6 +17,7 @@ from wgstate.geometry import (
     PhaseProfile,
     PowerLaw,
     Table,
+    _centred,
     _pair_factors,
     _reduce_phase,
     centered_block,
@@ -467,6 +468,12 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     near = coupled_sites((profile,), sites, ls)
     assert np.all(np.diff(near) > 0) and np.all((0 <= near) & (near < ls.size))
     assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
+    # at a threshold, the box shrinks and every site outside it has phases
+    # of magnitude at most the threshold, once reduced to (-pi, pi]
+    tau = data.draw(st.sampled_from([1e-12, 0.3, 1.0, 3.0]), label="tau")
+    inner = coupled_sites((profile,), sites, ls, tau)
+    assert np.all(np.diff(inner) > 0) and np.isin(inner, near).all()
+    assert (np.abs(_centred(rows[:, np.setdiff1d(np.arange(ls.size), inner)])) <= tau).all()
     # the sites the sweep multiplies and their factors, from the cached
     # table or np.exp
     live, z = _pair_factors((profile,), sites, ls)
@@ -522,6 +529,18 @@ def test_near_reach_is_the_farthest_live_displacement_per_axis(data):
     live = profile._displacement_table != 0.0
     live.flat[0] = True
     assert np.array_equal(profile._near_reach, np.max(np.nonzero(live), axis=1))
+    # at a threshold, the farthest entries whose reduced phase exceeds it;
+    # below the rim, the near reach
+    table = data.draw(st.sampled_from([0.0, 1e-9, 0.5, 4.0, TWO_PI - 1e-9]), label="scale") * (
+        profile._displacement_table != 0.0)
+    profile = PhaseProfile(lattice, PowerLaw(1.0), time=0.0)
+    profile.__dict__["_displacement_table"] = table
+    tau = data.draw(st.sampled_from([1e-10, 1e-8, 1.0, 3.0]), label="tau")
+    above = np.abs(np.where(table > math.pi, table - TWO_PI, table)) > tau
+    above.flat[0] = True
+    reach = geometry._reach(table, tau)
+    assert np.array_equal(reach, np.max(np.nonzero(above), axis=1))
+    assert (reach == profile._near_reach) == (tau < profile._rim)
 
 
 @settings(max_examples=100, deadline=None)

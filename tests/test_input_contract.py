@@ -42,6 +42,8 @@ SITE_CASES = {
                       "subset contains repeated sites"),
     # None is no subset (meyer_wallach alone reads it as every site)
     "none": (None, "sites must be a subset or a stack of equal-size subsets"),
+    # a ragged list is no subset, and no stack of equal-size ones
+    "ragged": ([[3, 4], [5]], "sites must be a subset or a stack of equal-size subsets"),
 }
 
 STATE_CASES = {"short_state": N - 1, "long_state": N + 1}

@@ -40,6 +40,7 @@ from wgstate.geometry import (
     PhaseProfile,
     PowerLaw,
     Table,
+    _centred,
     coupled_sites,
     mirror_images,
     pair_phases,
@@ -412,8 +413,8 @@ def _parts_in_order(profile, state, rows, env, parts):
     swept one after another and multiplied in part order: of a lone
     subset's mirror pairs, parts of the representatives, then parts of the
     sites swept alone, each image's factor read from its representative's
-    table."""
-    near = coupled_sites((profile,), rows, env)
+    table; then the far sites' first-order factor."""
+    near, far = rdm._near_and_far((profile,), rows, env)
     pairs = rdm._mirror_pairs((profile,), state, rows, env, near)
     swept = np.zeros(env.size, dtype=bool)
     tables = []
@@ -428,6 +429,8 @@ def _parts_in_order(profile, state, rows, env, parts):
     if pairs is not None:
         half = half * tables[0] * rdm._mirrored(tables[0], pairs[0])
         swept[pairs[2]] = swept[pairs[1]]
+    if far.size:
+        half = half * rdm._far_field((profile,), state, rows, env[far])
     return (half * float(np.prod(state._norms[env[~swept]]))).T
 
 
@@ -449,7 +452,7 @@ def test_a_split_sweep_joins_its_parts_in_order(case, chunk, cores, data):
     n_half = (3 ** rows.shape[1] + 1) // 2
     env = rdm._resolve_environment(profile, rows, environment)
     whole = rdm._sweep((profile,), state, rows, env)
-    work = coupled_sites((profile,), rows, env).size * n_half * len(rows)
+    work = rdm._near_and_far((profile,), rows, env)[0].size * n_half * len(rows)
     per_part = data.draw(st.integers(1, max(1, work)), label="work per part")
     parts = min(cores, work // per_part) if work // per_part >= 2 else 1
     budget = 4 * len(rows) * n_half * chunk
@@ -519,7 +522,8 @@ def test_one_usable_core_starts_no_thread(monkeypatch):
         assert environment_product(profile, state, sites).tobytes() == whole.tobytes()
     assert started == []
     # a pair-correlations scan, 64 pairs at m = 2 in a chain of 2 * 10^4
-    # with a near box of about 1,560 sites, stays on one core of two
+    # with a near box of about 1,560 sites, 108 of them swept and the rest
+    # folded, stays on one core of two
     chain = PhaseProfile(Lattice(20_000), Exponential(1.0), 0.3 * math.pi)
     pairs = [[10_000, 10_000 + r] for r in range(1, 65)]
     with _split(rdm._SPLIT_WORK, 2):
@@ -1059,3 +1063,191 @@ def test_small_sweeps_do_not_probe():
         assert calls == [1]
     finally:
         rdm.mirror_images = saved
+
+
+# -- far field -----------------------------------------------------------
+
+@st.composite
+def far_laws(draw, lattice):
+    """(law, times) on ``lattice`` whose phases fall below the fold's
+    threshold somewhere, each time of the same kind: tiny times, where
+    every site outside the subset's bounding box folds; a steep
+    exponential at ordinary times, where only distant sites fold; a cutoff
+    just short of a full turn, whose phases reduce to tiny negative ones;
+    or a table of tiny strengths of either sign, which wrap the same way."""
+    kind = draw(st.sampled_from(["tiny", "decaying", "wrapped", "signed"]))
+    if kind == "tiny":
+        law, times = draw(distance_laws(lattice)), st.floats(1e-13, 1e-11)
+    elif kind == "decaying":
+        law, times = Exponential(draw(st.floats(2.0, 6.0))), st.floats(0.1, 6.0)
+    elif kind == "wrapped":
+        law = Cutoff(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
+        times = st.floats(1e-13, 1e-11).map(lambda eps: TWO_PI - eps)
+    else:
+        n = lattice.n_sites
+        r = np.unique(np.concatenate([lattice.distances(k, np.arange(n)) for k in range(n)]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        law, times = Table(dict(zip(r.tolist(), rng.uniform(-1e-11, 1e-11, r.size)))), \
+            st.floats(0.5, 6.0)
+    return law, draw(st.lists(times, min_size=1, max_size=4))
+
+
+@st.composite
+def far_instances(draw):
+    """(profile, state, sites, environment, chunk): a far law on a 1-3-D
+    lattice of 8..150 sites, each axis open or periodic, and one of: a
+    subset drawn towards the lattice's faces; a stack of two or three; a
+    symmetric subset of an input with the same populations at every site,
+    which is mirrored; or a subset at a grid of two to four times.  The
+    default or an explicit environment, and sweeps in chunks of ``chunk``
+    sites (None: the default; a mirrored subset always has a chunk, so
+    that it is probed)."""
+    lattice = draw(lattices(150).filter(lambda lat: lat.n_sites >= 8))
+    n = lattice.n_sites
+    law, times = draw(far_laws(lattice))
+    kind = draw(st.sampled_from(["one", "stack", "mirrored", "grid"]))
+    if kind == "mirrored":
+        one = ProductInput.random(1, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+        state = ProductInput(np.repeat(one.amplitudes, n, axis=0))
+        sites = draw(symmetric_subsets(lattice, m_max=3, kinds=("pair", "run", "box")))
+    else:
+        state = draw(near_states(n))
+        pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
+                           for e in lattice.extents]).map(lattice.site_index)
+        m = draw(st.integers(1, 3))
+        pool = draw(st.lists(pick, min_size=m, max_size=m + 2, unique=True))
+        sites = [draw(st.permutations(pool))[:m]
+                 for _ in range(draw(st.integers(2, 3)) if kind == "stack" else 1)]
+        sites = sites if kind == "stack" else sites[0]
+    profile = PhaseProfile(lattice, law, times[0])
+    if kind == "grid":
+        profile = time_profiles(profile, times + [0.0])
+    environment = None
+    if draw(st.booleans()):
+        rest = draw(st.permutations(sorted(set(range(n)) - set(np.ravel(sites).tolist()))))
+        environment = rest[:draw(st.integers(1, len(rest)))]
+    chunks = st.integers(1, 4)
+    return profile, state, sites, environment, draw(
+        chunks if kind == "mirrored" else st.one_of(st.none(), chunks))
+
+
+def _rho_from_factors(profile, state, sites, table):
+    """The state of ``sites`` assembled entry by entry from its environment
+    table, with the phases of the couplings inside the subset."""
+    m = len(sites)
+    bits = list(itertools.product((0, 1), repeat=m))
+    amps, phi = state.amplitudes[sites], pair_phases(profile, sites, sites)
+    pow3 = 3 ** np.arange(m - 1, -1, -1)
+
+    def amplitude(x):
+        internal = sum(phi[j, k] * x[j] * x[k] for j in range(m) for k in range(j + 1, m))
+        return np.prod([amps[j, x[j]] for j in range(m)]) * np.exp(-1j * internal)
+
+    rho = np.array([[amplitude(x) * np.conj(amplitude(y))
+                     * table[int(((np.subtract(x, y) + 1) * pow3).sum())] for y in bits]
+                    for x in bits])
+    return rho / np.trace(rho).real
+
+
+@NEAR
+@given(far_instances())
+def test_the_far_fold_matches_environment_factor(case):
+    # the sites folded at first order give every class, row and time the
+    # factors of the whole-environment reference loop, to the rounding
+    # floor, and so the state assembled from them
+    profile, state, sites, environment, chunk = case
+    grid = isinstance(profile, tuple)
+    rows = np.atleast_2d(sites)
+    with _chunks_of(chunk, 1) if chunk else contextlib.nullcontext():
+        tables = np.atleast_2d(environment_product(profile, state, sites, environment))
+        rhos = reduced_density(profile, state, sites, environment=environment).reshape(
+            len(tables), 2 ** rows.shape[1], -1)
+    floor = _rounding_floor(profile.n_sites)
+    lone = [(p, rows[0]) for p in profile] if grid else [(profile, row) for row in rows]
+    for (p, row), table, rho in zip(lone, tables, rhos):
+        scale = abs(table[table.size // 2])
+        for code, x, y in _classes(len(row)):
+            direct = environment_factor(p, state, row, x, y, environment=environment)
+            assert abs(table[code] - direct) <= floor * scale, (code, table[code], direct)
+        assert np.abs(rho - _rho_from_factors(p, state, row, table)).max() <= floor
+
+
+@NEAR
+@given(st.data())
+def test_a_folded_state_matches_the_oracle(data):
+    # at a tiny time, or a full turn less a tiny one, every environment site
+    # outside the subset's bounding box is folded, none swept; the state
+    # stays within the oracle's own rounding, far below the first-order
+    # term it folds (about 1e-12 here)
+    lattice = data.draw(lattices(14).filter(lambda lat: lat.n_sites >= 3))
+    n = lattice.n_sites
+    law, times = data.draw(far_laws(lattice).filter(lambda lt: lt[1][0] < 1e-10
+                                                    or lt[1][0] > 6.0))
+    profile = PhaseProfile(lattice, law, times[0])
+    state = data.draw(states(n))
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n - 1),
+                               unique=True))
+    rows = np.array([sites])
+    env = rdm._resolve_environment(profile, rows)
+    near = env[rdm._near_and_far((profile,), rows, env)[0]]
+    lo, hi = lattice.coords(sites).min(axis=0), lattice.coords(sites).max(axis=0)
+    assert ((lattice.coords(near) >= lo) & (lattice.coords(near) <= hi)).all()
+    fast = reduced_density(profile, state, sites)
+    slow = partial_trace(evolve(profile, state), sites)
+    assert np.abs(fast - slow).max() < 1e-14
+
+
+def test_the_folded_sites_certify_their_remainder():
+    # log(p0 + p1 e^{-i theta}) less its first-order term is at most
+    # theta^2 / 8 (1 + theta^2 / 4) a site, and |theta| <= s = sum_k |phi~_k|:
+    # on the phases of the sites the sweep folds, (1/8) sum s^2 <= 2^-53 for
+    # every row and time.  Each folded phase is at most the threshold
+    # tau = sqrt(2^-53 / (m^2 |env| / 8)), which bounds that sum by 2^-53
+    # whatever the phases
+    rng = np.random.default_rng(4)
+    chain = PhaseProfile(Lattice(20_000), Exponential(1.0), 0.3 * math.pi)
+    power = PhaseProfile(Lattice(100_000), PowerLaw(3.0), 0.3 * math.pi)
+    grid = time_profiles(PhaseProfile(Lattice((60, 70)), Exponential(2.0), 0.0), [0.0, 0.5, 3.0])
+    wrapped = PhaseProfile(Lattice((30, 40), ("open", "periodic")), Cutoff(2.0), TWO_PI - 1e-12)
+    # strong at r <= 3 and again at 51..53, weak between: the reach at the
+    # threshold is 53, past the gap
+    gap = Table({r: 1.0 if r <= 3 or 51 <= r <= 53 else 1e-15 if r <= 60 else 0.0
+                 for r in range(3000)})
+    cases = [
+        ((chain,), [[10_000, 10_000 + r] for r in range(1, 65)], None),
+        ((power,), [list(range(49_996, 50_004))], None),
+        (grid, [[2000, 2001, 2070, 2071]], None),
+        ((wrapped,), [[600, 641], [5, 1199]], rng.permutation(1200)[:900]),
+        ((PhaseProfile(Lattice(3000), gap, 1.0),), [[1500, 1502]], None),
+    ]
+    for profiles, sites, environment in cases:
+        rows = np.array(sites)
+        environment = None if environment is None else np.setdiff1d(environment, rows)
+        env = rdm._resolve_environment(profiles[0], rows, environment)
+        far = env[rdm._near_and_far(profiles, rows, env)[1]]
+        assert far.size > 0
+        tau = math.sqrt(2.0 ** -53 / (rows.shape[1] ** 2 * env.size / 8))
+        for profile in profiles:
+            phi = np.abs(_centred(pair_phases(profile, rows,
+                                              np.broadcast_to(far, (len(rows), far.size)))))
+            assert phi.max() <= tau
+            s = phi.sum(axis=1)         # (rows, far sites)
+            assert ((s ** 2).sum(axis=1) / 8 <= 2.0 ** -53).all()
+
+
+def test_a_far_field_keeps_the_sweep_flat_in_the_lattice_size():
+    # the paper's "arbitrarily large N": the 64 pairs of a pair-correlations
+    # scan on an Exponential(1) chain sweep about 111 sites however long the
+    # chain, not the 1,554 of the box where phases underflow to 0.0.  The
+    # threshold scales as N^-1/2, so ten times the sites moves the reach by
+    # ln sqrt(10), about 1.2 sites a side
+    swept = []
+    for n in (20_000, 200_000):
+        profile = PhaseProfile(Lattice(n), Exponential(1.0), 0.3 * math.pi)
+        state = ProductInput.random(n, np.random.default_rng(7))
+        pairs = [[n // 2, n // 2 + r] for r in range(1, 65)]
+        swept.append(_swept_sites(profile, state, pairs)[0])
+        rows = np.array(pairs)
+        assert coupled_sites((profile,), rows, rdm._resolve_environment(profile, rows)).size == 1554
+    assert swept[0] == 108
+    assert 0 <= swept[1] - swept[0] <= 4
