@@ -258,7 +258,10 @@ def _run_correlations(args, cp, items) -> _Table:
                   list(zip(seps, *(c.tolist() for c in columns))))
 
 
-def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
+def _contiguous_block(profile, items: dict, size: int, key: str) -> np.ndarray:
+    """The block of ``size`` sites from the chain site ``start`` in
+    ``items``, else the centred block of side ``size``; a block that does
+    not fit raises ConfigError naming 'start', else ``key``."""
     if "start" in items:
         if profile.lattice.dimension >= 2:
             raise ConfigError("key 'start': only a chain takes a block start")
@@ -267,7 +270,10 @@ def _contiguous_block(profile, items: dict, size: int) -> np.ndarray:
             raise ConfigError(f"key 'start': block {start}..{start + size - 1} is outside "
                               f"the lattice 0..{profile.n_sites - 1}")
         return np.arange(start, start + size)
-    return centered_block(profile.lattice, size)
+    try:
+        return centered_block(profile.lattice, size)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def _run_entropy_scan(args, cp, items) -> _Table:
@@ -284,7 +290,7 @@ def _run_entropy_scan(args, cp, items) -> _Table:
     sizes = _parse_int_list(items.get("sizes", f"1:{A_MAX}"), "sizes")
     m = _parse_int(items.get("m", "4"), "m")
     radius = _parse_float(items.get("radius", "4"), "radius")
-    blocks = [_contiguous_block(profile, items, size) for size in sizes]
+    blocks = [_contiguous_block(profile, items, size, "sizes") for size in sizes]
     largest = max(blocks, key=lambda block: block.size if block.size <= A_MAX else 0)
     if largest.size <= A_MAX:
         outer = (largest, reduced_density(profile, state, largest))
@@ -311,7 +317,7 @@ def _run_bounds_scan(args, cp, items) -> _Table:
     size = _parse_int(_require(items, "size", "task"), "size")
     ms = _parse_int_list(items.get("ms", "1:5"), "ms")
     radii = _parse_int_list(items.get("radii", "0:5"), "radii")
-    block = _contiguous_block(profile, items, size)
+    block = _contiguous_block(profile, items, size, "size")
 
     uppers = [block_entropy_upper(profile, state, block, m=m) for m in ms]
     lowers = [block_entropy_lower(profile, state, block, float(r)) for r in radii]
@@ -348,7 +354,7 @@ def _run_dynamics(args, cp, items) -> _Table:
         raise ConfigError(f"key 'l_max': must be in 1..{min(A_MAX, base.n_sites)}")
     separation = _parse_int(items.get("separation", "1"), "separation")
     pair_sites = _pair(base, base.n_sites // 2, separation, "separation")
-    blocks = [_contiguous_block(base, items, l) for l in range(1, l_max + 1)]
+    blocks = [_contiguous_block(base, items, l, "l_max") for l in range(1, l_max + 1)]
     if blocks[-1].size > A_MAX:
         raise ConfigError(f"key 'l_max': block {l_max} has {blocks[-1].size} sites, "
                           f"more than the exact limit of {A_MAX}")
@@ -403,7 +409,7 @@ def _run_graph_rank(args, cp, items) -> _Table:
     elif "sides" in items:
         if lattice is None:
             raise ConfigError("key 'sides' needs a [lattice] section, not an edge list")
-        rows = [row(str(side), centered_block(lattice, side), analytic_cell(side))
+        rows = [row(str(side), _contiguous_block(profile, {}, side, "sides"), analytic_cell(side))
                 for side in _parse_int_list(items["sides"], "sides")]
     else:
         raise ConfigError("need key 'sides' or 'block' in section [task]")

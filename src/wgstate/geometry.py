@@ -18,11 +18,13 @@ phase from one table over the lattice's displacements,
 :func:`displacement_phases`, filled from one ``phase_row`` call: over every
 site for most laws, over the reach box alone for a :class:`Cutoff`.  Which
 environment sites a subset can feel, and with what phase, is decided here
-alone: :func:`coupled_sites` names the candidates of a whole sweep in one
-call (for a table, those in the near box of every subset and time: its
-bounding box, dilated by every displacement whose phase is not 0.0; or,
-given a threshold tau, by every displacement whose phase reduced to
-(-pi, pi] exceeds tau in magnitude, :func:`_reach`) and
+alone: :func:`coupled_sites` names the sites of a whole sweep in one call,
+those it sweeps and those it may fold (for a table, the box of every
+subset and time: its bounding box, dilated by every displacement whose
+phase reduced to (-pi, pi] exceeds a threshold tau in magnitude; and the
+near box less it, dilated by every displacement whose phase is not 0.0;
+both reaches read from one peak profile per profile,
+``PhaseProfile._peaks``, and filled into one box) and
 :func:`pair_phases`, the one phase reader, reads their phases, from the
 table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps the
 sites with a phase other than 0.0 and gives the factors exp(-i phi) the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -97,20 +99,6 @@ def _centred(phi: np.ndarray) -> np.ndarray:
     out -= _TWO_PI_LO
     np.copyto(out, phi, where=phi <= math.pi)
     return out
-
-
-def _reach(table: np.ndarray, tau: float) -> tuple[int, ...]:
-    """Per-axis largest |d| with an entry of the displacement table ``table``
-    whose phase, reduced to (-pi, pi] (:func:`_centred`), exceeds ``tau`` in
-    magnitude, or 0: the dilation of the boxes :func:`coupled_sites` fills."""
-    live = table > tau      # |phi~| = phi up to pi, and is 0 only where phi is
-    if tau:
-        wrapped = np.flatnonzero(table > math.pi)
-        live.flat[wrapped] = np.abs(_centred(table.flat[wrapped])) > tau
-    live.flat[0] = True     # the origin: a box always holds its own subset
-    axes = range(live.ndim)
-    return tuple(int(np.flatnonzero(live.any(axis=tuple(b for b in axes if b != a)))[-1])
-                 for a in axes)
 
 
 def _factors(phi: np.ndarray) -> np.ndarray:
@@ -188,14 +176,6 @@ class Lattice:
             flat = flat * extent + c
         return flat, ok
 
-    def site_index(self, coords: Sequence[int]) -> int:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coordinates, got {coords}")
-        if not all(0 <= c < e for c, e in zip(coords, self.extents)):
-            raise ValueError(f"coordinate {coords} outside extents {self.extents}")
-        return self._ravel(coords)[0]
-
     def _check_sites(self, sites) -> np.ndarray:
         sites = np.asarray(sites, dtype=np.intp)
         if sites.size and (sites.min() < 0 or sites.max() >= self.n_sites):
@@ -222,9 +202,6 @@ class Lattice:
             square = step if square is None else np.add(square, step, out=square)
         r = square.astype(np.float64)
         return np.sqrt(r, out=r)
-
-    def distance(self, k: int, l: int) -> float:
-        return float(self.distances(k, [l])[0])
 
 
 def centered_block(lattice: Lattice, shape) -> np.ndarray:
@@ -443,20 +420,19 @@ class PhaseProfile:
         return at, entries
 
     @cached_property
-    def _near_reach(self) -> tuple[int, ...]:
-        """Per-axis largest |d| with a table entry not 0.0, or 0: the reach
-        at tau = 0 (:func:`_reach`; phi~ is 0 exactly where phi is)."""
-        return _reach(self._displacement_table, 0.0)
-
-    @cached_property
-    def _rim(self) -> float:
-        """The least, over the axes, of the largest |phi~| on the outermost
-        hyperplane along that axis with a table entry not 0.0 (inf where
-        that holds the origin alone): at any tau below it the reach is the
-        near reach, read from those hyperplanes, not the whole table."""
-        table = self._displacement_table
-        return min(float(np.abs(_centred(table[(slice(None),) * a + (slice(r, r + 1),)])).max())
-                   if r else math.inf for a, r in enumerate(self._near_reach))
+    def _peaks(self) -> tuple[np.ndarray, ...]:
+        """The peak profile, one ascending array per axis a: entry j is
+        the largest |phi~| (a ``_displacement_table`` entry reduced to
+        (-pi, pi], :func:`_centred`; the origin counted as inf) on the
+        hyperplanes |d_a| >= E_a - 1 - j, a running maximum from the far
+        end.  The reach at tau along a, the largest |d_a| with an entry of
+        |phi~| > tau, is the count of its entries above tau, less one."""
+        size = _centred(self._displacement_table)
+        np.abs(size, out=size)
+        size.flat[0] = math.inf
+        axes = range(size.ndim)
+        return tuple(np.maximum.accumulate(size.max(axis=tuple(b for b in axes if b != a))[::-1])
+                     for a in axes)
 
 
 def _check_pair(n_sites: int, k: int, l: int) -> None:
@@ -634,36 +610,46 @@ def _warm(profiles) -> None:
             profile._displacement_factors
 
 
-def coupled_sites(profiles, sites, ls, tau: float = 0.0) -> np.ndarray:
-    """Ascending positions in ``ls`` of the sites that may couple to ``sites``
-    under some of ``profiles`` with a reduced phase larger than ``tau`` in
-    magnitude: one profile, or the profiles of a time grid from
-    :func:`time_profiles`, all a sweep feels in one call.
+def coupled_sites(profiles, sites, ls, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(near, far): ascending positions in ``ls`` of the sites that may
+    couple to ``sites`` under some of ``profiles`` with a phase, reduced to
+    (-pi, pi], larger than ``tau`` in magnitude (near), and of the other
+    sites that may couple with a phase not 0.0 (far): one profile, or the
+    profiles of a time grid from :func:`time_profiles`, all a sweep feels
+    in one call.
 
     ``sites`` is one subset or a (B, m) stack of them.  With a
-    :func:`displacement_phases` table these are the sites inside the box
-    of a subset, or of any subset of a stack, under any of the profiles:
-    its bounding box dilated, along each axis, by the largest |d| along it
-    whose table entry, reduced to (-pi, pi], exceeds ``tau`` in magnitude
-    (:func:`_reach`; on a periodic axis the table is indexed by |d| before
-    the minimum image, so this holds there).  The reach at ``tau`` = 0 is
-    kept per profile, any other is one scan of the table.  The bounding
-    boxes are read once and one box is filled per distinct reach.  Every
-    site outside it has phases of magnitude at most ``tau`` to every site
-    of the subset, once reduced: at ``tau`` = 0, the near box, exactly
-    0.0.  For any other profile they are all positions.
+    :func:`displacement_phases` table the near sites are those inside the
+    box of a subset, or of any subset of a stack, under any of the
+    profiles: its bounding box dilated, along each axis, by the reach at
+    ``tau``, the largest |d| along it whose table entry, reduced, exceeds
+    ``tau`` in magnitude (one ``searchsorted`` of the cached peak profile,
+    ``PhaseProfile._peaks``; on a periodic axis the table is indexed by |d|
+    before the minimum image, so this holds there).  The far ones are
+    inside the box dilated by the reach at 0 and outside every near box.
+    One int8 box is filled, level 1 for the reach at 0 and level 2 for the
+    reach at ``tau``, once per distinct reach; the bounding boxes are read
+    once.  Every site outside the near box has phases of magnitude at most
+    ``tau`` to every site of the subset, once reduced, and every site
+    outside both boxes exactly 0.0.  For any other profile every position
+    is near and none far.
     """
     if displacement_phases(profiles[0]) is None:
-        return np.arange(len(ls))
+        return np.arange(len(ls)), np.arange(0)
     lattice = profiles[0].lattice
     ends = lattice.coords(np.atleast_2d(sites))
     lo, hi = ends.min(axis=1), ends.max(axis=1) + 1
-    box = np.zeros(lattice.extents, dtype=bool)
-    for reach in {_reach(profile._displacement_table, tau) if tau else profile._near_reach
-                  for profile in profiles}:
-        for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
-            box[tuple(map(slice, start, stop))] = True
-    return np.flatnonzero(box.ravel()[ls])
+    at_zero, at_tau = ({tuple(peak.size - 1 - int(np.searchsorted(peak, t, "right"))
+                              for peak in profile._peaks) for profile in profiles}
+                       for t in (0.0, tau))
+    box = np.zeros(lattice.extents, dtype=np.int8)
+    # a reach at 0 that is also one at tau is filled once, at level 2
+    for level, reaches in ((1, at_zero - at_tau), (2, at_tau)):
+        for reach in reaches:
+            for start, stop in zip(np.maximum(lo - reach, 0), hi + reach):
+                box[tuple(map(slice, start, stop))] = level
+    levels = box.ravel()[ls]
+    return np.flatnonzero(levels == 2), np.flatnonzero(levels == 1)
 
 
 def mirror_images(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray] | None:

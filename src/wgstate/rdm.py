@@ -20,19 +20,21 @@ rest, come from :func:`wgstate.geometry.coupled_sites`, asked once per
 sweep for all its rows, and :func:`wgstate.geometry.pair_phases`; for a
 law of distance alone every site outside the subset's near box is folded
 unread: the box is its bounding box dilated by the largest displacement
-whose phase (from a table built once per profile) is not exactly 0, one
-box per distinct dilation.  Inside it, a site whose every phase to the
-subset, reduced to (-pi, pi], is at most tau = sqrt(2^-53 / (C m^2 |env|)),
-C = (1 + 2^-50) / 8, is not swept but folded at first order
-(:func:`_far_field`): the log of its factor is p1 / (p0 + p1) times
--i theta to within theta^2 / 8 (1 + theta^2 / 4), so all of them together
-multiply in exp(-i sum_k d_k M1_k), M1 one moment per subset site, and
-their norms join the scalar, with a remainder of at most 2^-53, the unit
-roundoff, in the log of every class for all of them together: below the
-sweep's own rounding, a certified truncation, never a silent one.  The
-sweep covers only
-the box dilated by the reach at tau, which grows with N only as tau
-shrinks, as N^-1/2: about ln sqrt(N) sites a side for an exponential,
+whose phase (from a table built once per profile) is not exactly 0.
+Inside it, a site whose every phase to the subset, reduced to (-pi, pi],
+is at most tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8
+(:func:`_far_threshold`), is not swept but folded at first order
+(:func:`_far_field`); the two boxes are one box of two levels, filled
+once per distinct dilation, each dilation one ``searchsorted`` per axis
+of a peak profile cached per profile.  The log of a folded site's factor
+is p1 / (p0 + p1) times -i theta to within theta^2 / 8 (1 + theta^2 / 4),
+so all of them together multiply in exp(-i sum_k d_k M1_k), M1 one
+moment per subset site, and their norms join the scalar, with a
+remainder of at most 2^-53, the unit roundoff, in the log of every class
+for all of them together: below the sweep's own rounding, a certified
+truncation, never a silent one.  The sweep covers only the box dilated
+by the reach at tau, which grows with N only as tau shrinks, as N^-1/2:
+about ln sqrt(N) sites a side for an exponential,
 as N^(1/(2 alpha)) for a power law r^-alpha, which for alpha <= 1 is
 beyond any lattice (at alpha = 2 and t = 0.3 pi it spans a centred
 block's whole chain up to at least 10^5 sites).  It costs
@@ -315,17 +317,19 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     sites leave at most 2^-53 in the log of each class, below the rounding
     below.  Each folded phase is read once per distinct site and time; the
     table is multiplied once by exp(-i D M1^T), D the digits of the codes
-    and M1[r, k] = sum_l q1_l phi~(row r's site k, l).  Where no site is
-    that far, as for the power laws of wgbench's workloads and of the
-    linear-cost acceptance test (alpha = 1 and 2 at N <= 10^5), at every
-    t = 0 row, and for a :class:`Cutoff` at an ordinary time, nothing is
-    folded or gathered and the sweep is the one without a far field, bit
-    for bit; a profile without a displacement
-    table (:class:`Disordered`, :class:`EdgeProfile`) never folds.  A
-    64-pair stack on an Exponential(1) chain sweeps 108 sites at N = 2 *
-    10^4 and 112 at 2 * 10^5, not the 1,554 of its near box; a centred
-    8-site block of a PowerLaw(3) chain of 10^6 sites at t = 0.3 pi sweeps
-    6,324 sites (12,648 near sites, mirror paired), not 499,996.
+    and M1[r, k] = sum_l q1_l phi~(row r's site k, l).  The near and the
+    far sites come from one :func:`~wgstate.geometry.coupled_sites` call
+    at tau, one box of two levels.  Nothing is folded or gathered, and the
+    sweep is the one without a far field, bit for bit where nothing is
+    far: for the power laws of wgbench's workloads and of the linear-cost
+    acceptance test (alpha = 1 and 2 at N <= 10^5), at every t = 0 row,
+    and for a :class:`Cutoff` at an ordinary time; a profile without a
+    displacement table (:class:`Disordered`, :class:`EdgeProfile`) never
+    folds.  A 64-pair stack on an Exponential(1) chain sweeps 108 sites at
+    N = 2 * 10^4 and 112 at 2 * 10^5, not the 1,554 of its near box; a
+    centred 8-site block of a PowerLaw(3) chain of 10^6 sites at
+    t = 0.3 pi sweeps 6,324 sites (12,648 near sites, mirror paired), not
+    499,996.
 
     Rounding: each factor carries its own rounding, so the error grows
     about linearly in the number of swept sites.  Measured for m = 2 (sites
@@ -390,7 +394,7 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     (:func:`_mirror_pairs`) only the representatives are swept."""
     n_rows = len(rows) * len(profiles)
     n_half = (3 ** rows.shape[1] + 1) // 2
-    near, far = _near_and_far(profiles, rows, env)
+    near, far = coupled_sites(profiles, rows, env, _far_threshold(rows.shape[1], env.size))
     swept = np.zeros(env.size, dtype=bool)
     pairs = _mirror_pairs(profiles, state, rows, env, near)
     # the representatives, then the sites swept alone
@@ -436,27 +440,15 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     return half.T
 
 
-def _near_and_far(profiles, rows: np.ndarray, env: np.ndarray):
-    """Ascending positions in ``env`` of the sites a sweep of ``rows``
-    under ``profiles`` multiplies in one by one (near) and of those it
-    folds at first order (far, :func:`_far_field`).
-
-    The near sites are :func:`~wgstate.geometry.coupled_sites` at
-    tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8; the far ones
-    lie in its box at tau = 0 (phases not 0.0) and outside that one, so
-    every phase of a far site to a row's site has |phi~| <= tau at every
-    time.  Where tau is below every profile's ``PhaseProfile._rim``, the
-    boxes agree and nothing is far: the near sites are those at tau = 0,
-    as always for a profile without a displacement table, and the check
-    costs nothing beyond them."""
-    near = coupled_sites(profiles, rows, env)
-    c = (1 + 2.0 ** -50) / 8
+def _far_threshold(m: int, n_env: int) -> float:
+    """The far field's threshold tau = sqrt(2^-53 / (C m^2 |env|)),
+    C = (1 + 2^-50) / 8, for a sweep of m sites a row over ``n_env``
+    environment sites: a site whose every phase to a row's site, reduced to
+    (-pi, pi], is at most tau at every time is folded at first order
+    (:func:`_far_field`), and all of them together leave at most 2^-53 in
+    the log of every class (:func:`environment_product`, "Far field")."""
     # an empty environment has no far site, whatever tau
-    tau = math.sqrt(2.0 ** -53 / (c * rows.shape[1] ** 2 * max(env.size, 1)))
-    if displacement_phases(profiles[0]) is None or all(tau < p._rim for p in profiles):
-        return near, near[:0]
-    inner = coupled_sites(profiles, rows, env, tau)
-    return inner, np.setdiff1d(near, inner, assume_unique=True)
+    return math.sqrt(2.0 ** -53 / ((1 + 2.0 ** -50) / 8 * m ** 2 * max(n_env, 1)))
 
 
 def _far_field(profiles, state: ProductInput, rows: np.ndarray, ls: np.ndarray) -> np.ndarray:

@@ -548,6 +548,11 @@ MALFORMED = {
     "grid_text": ("dynamics", None, "grid = 0:one:5", "key 'grid'"),
     "sample": ("mw", None, "sample = 21", "key 'sample'"),
     "start": ("entropy-scan", None, "sizes = 4\nstart = 18", "key 'start'"),
+    # a centred block that does not fit the 20-site chain
+    "sizes_empty": ("entropy-scan", None, "sizes = 0", "key 'sizes'"),
+    "sizes_long": ("entropy-scan", None, "sizes = 21", "key 'sizes'"),
+    "size_long": ("bounds-scan", None, "size = 40", "key 'size'"),
+    "sides_empty": ("graph-rank", None, "sides = 0", "key 'sides'"),
 }
 
 

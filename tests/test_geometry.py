@@ -34,36 +34,39 @@ from wgstate import geometry
 from wgstate.rdm import _bit_table, _internal_phases
 
 
+def distance(lattice, k, l):
+    """The distance between sites k and l, from ``Lattice.distances``."""
+    return float(lattice.distances(k, [l])[0])
+
+
 def test_chain_open_distance():
     lat = Lattice(10)
-    assert lat.distance(2, 7) == 5.0
-    assert lat.distance(0, 9) == 9.0
+    assert distance(lat, 2, 7) == 5.0
+    assert distance(lat, 0, 9) == 9.0
 
 
 def test_chain_periodic_distance():
     lat = Lattice(10, boundary="periodic")
-    assert lat.distance(0, 9) == 1.0
-    assert lat.distance(0, 5) == 5.0
-    assert lat.distance(2, 7) == 5.0
+    assert distance(lat, 0, 9) == 1.0
+    assert distance(lat, 0, 5) == 5.0
+    assert distance(lat, 2, 7) == 5.0
 
 
 def test_square_lattice_distance():
     lat = Lattice((4, 4))
-    k = lat.site_index((0, 0))
-    l = lat.site_index((3, 3))
-    assert lat.distance(k, l) == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-15)
+    k, l = lat._ravel(np.array([(0, 3), (0, 3)]))[0]
+    assert distance(lat, k, l) == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-15)
 
 
 def test_row_major_linearization():
     lat = Lattice((3, 4, 5))
     # axis 0 slowest: index = (c0*4 + c1)*5 + c2
-    assert lat.site_index((0, 0, 0)) == 0
-    assert lat.site_index((0, 0, 1)) == 1
-    assert lat.site_index((0, 1, 0)) == 5
-    assert lat.site_index((1, 0, 0)) == 20
-    assert lat.site_index((2, 3, 4)) == 59
+    points = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 3, 4)]
+    flat, ok = lat._ravel(np.array(points).T)
+    assert flat.tolist() == [0, 1, 5, 20, 59] and ok.all()
+    assert lat.coords(flat).tolist() == [list(p) for p in points]
     for idx in [0, 7, 23, 59]:
-        assert lat.site_index(lat.coords(idx)) == idx
+        assert lat._ravel(lat.coords(idx))[0] == idx
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -89,16 +92,15 @@ def test_ravel_wraps_periodic_axes_and_masks_points_off_open_ones(data):
         if inside:
             wrapped = [c % e if bound == "periodic" else c
                        for c, e, bound in zip(point, extents, boundary)]
-            assert index == lattice.site_index(wrapped)
+            assert index == int(np.ravel_multi_index(wrapped, extents))
             assert lattice.coords(index).tolist() == wrapped
 
 
 def test_mixed_boundary_axes():
     lat = Lattice((6, 6), boundary=("open", "periodic"))
-    a = lat.site_index((0, 0))
-    b = lat.site_index((5, 5))
+    a, b = lat._ravel(np.array([(0, 5), (0, 5)]))[0]
     # open axis contributes 5, periodic axis contributes min(5, 1) = 1
-    assert lat.distance(a, b) == pytest.approx(math.sqrt(25 + 1), abs=1e-15)
+    assert distance(lat, a, b) == pytest.approx(math.sqrt(25 + 1), abs=1e-15)
 
 
 def test_distance_symmetry():
@@ -106,14 +108,14 @@ def test_distance_symmetry():
     lat = Lattice((5, 7), boundary=("periodic", "open"))
     for _ in range(50):
         k, l = rng.integers(0, lat.n_sites, size=2)
-        assert lat.distance(int(k), int(l)) == lat.distance(int(l), int(k))
+        assert distance(lat, k, l) == distance(lat, l, k)
 
 
 def test_periodic_translation_invariance():
     lat = Lattice(12, boundary="periodic")
     for shift in range(1, 12):
-        d0 = lat.distance(0, 4)
-        ds = lat.distance(shift % 12, (4 + shift) % 12)
+        d0 = distance(lat, 0, 4)
+        ds = distance(lat, shift % 12, (4 + shift) % 12)
         assert d0 == ds
 
 
@@ -126,8 +128,11 @@ def test_lattice_validation():
         Lattice(10, boundary="twisted")
     with pytest.raises(ValueError):
         Lattice((4, 4), boundary=("open",))
-    with pytest.raises(ValueError):
-        Lattice(10).distance(0, 10)
+    # a site out of range, on either side of a distance
+    with pytest.raises(ValueError, match="out of range"):
+        Lattice(10).distances(0, [10])
+    with pytest.raises(ValueError, match="out of range"):
+        Lattice(10).distances(-1, [3])
 
 
 def test_centered_block_even_in_even():
@@ -465,15 +470,19 @@ def test_pair_phases_read_phase_rows_and_coupled_sites_bound_them(data, profile)
     rows = np.stack([profile.phase_row(int(k), ls) for k in sites])
     phi = pair_phases(profile, sites, ls)
     assert phi.shape == rows.shape and phi.tobytes() == rows.tobytes()
-    near = coupled_sites((profile,), sites, ls)
-    assert np.all(np.diff(near) > 0) and np.all((0 <= near) & (near < ls.size))
-    assert not rows[:, np.setdiff1d(np.arange(ls.size), near)].any()
-    # at a threshold, the box shrinks and every site outside it has phases
-    # of magnitude at most the threshold, once reduced to (-pi, pi]
+    # at 0, the near box: every site outside it has phase 0.0, none is far
+    box, none = coupled_sites((profile,), sites, ls, 0.0)
+    assert np.all(np.diff(box) > 0) and np.all((0 <= box) & (box < ls.size))
+    assert none.size == 0
+    assert not rows[:, np.setdiff1d(np.arange(ls.size), box)].any()
+    # at a threshold, near is the box at tau and far the box at 0 less it;
+    # every site outside the box at tau has phases of magnitude at most
+    # tau, once reduced to (-pi, pi]
     tau = data.draw(st.sampled_from([1e-12, 0.3, 1.0, 3.0]), label="tau")
-    inner = coupled_sites((profile,), sites, ls, tau)
-    assert np.all(np.diff(inner) > 0) and np.isin(inner, near).all()
-    assert (np.abs(_centred(rows[:, np.setdiff1d(np.arange(ls.size), inner)])) <= tau).all()
+    near, far = coupled_sites((profile,), sites, ls, tau)
+    _assert_near_and_far((profile,), sites, ls, tau, near, far)
+    assert np.array_equal(np.union1d(near, far), box)
+    assert (np.abs(_centred(rows[:, np.setdiff1d(np.arange(ls.size), near)])) <= tau).all()
     # the sites the sweep multiplies and their factors, from the cached
     # table or np.exp
     live, z = _pair_factors((profile,), sites, ls)
@@ -512,6 +521,42 @@ def test_coupled_pairs_read_every_phase_once(data, profile):
     assert phi[got].tobytes() == ref[i, j].tobytes()
 
 
+def _reach(profile, tau):
+    """Brute force: per axis, the largest |d| with an entry of the profile's
+    table whose phase, reduced to (-pi, pi], exceeds ``tau`` in magnitude,
+    or 0."""
+    above = np.abs(_centred(profile._displacement_table)) > tau
+    above.flat[0] = True
+    return np.max(np.nonzero(above), axis=1)
+
+
+def _box(profiles, stack, ls, tau):
+    """Brute force: ascending positions in ``ls`` inside the bounding box of
+    some subset of ``stack`` dilated by some profile's reach at ``tau``, or
+    every position for a profile without a displacement table."""
+    if displacement_phases(profiles[0]) is None:
+        return np.arange(len(ls))
+    lattice = profiles[0].lattice
+    at = lattice.coords(ls)
+    inside = np.zeros(len(ls), dtype=bool)
+    for profile in profiles:
+        reach = _reach(profile, tau)
+        for row in np.atleast_2d(stack):
+            ends = lattice.coords(row)
+            lo, hi = ends.min(axis=0) - reach, ends.max(axis=0) + reach
+            inside |= ((lo <= at) & (at <= hi)).all(axis=1)
+    return np.flatnonzero(inside)
+
+
+def _assert_near_and_far(profiles, stack, ls, tau, near, far):
+    """``coupled_sites(profiles, stack, ls, tau)`` is (near, far): near the
+    box at tau, far the box at 0 less it, disjoint and ascending."""
+    assert np.all(np.diff(near) > 0) and np.all(np.diff(far) > 0)
+    assert not np.isin(near, far).any()
+    assert np.array_equal(near, _box(profiles, stack, ls, tau))
+    assert np.array_equal(far, np.setdiff1d(_box(profiles, stack, ls, 0.0), near))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_near_reach_is_the_farthest_live_displacement_per_axis(data):
@@ -520,27 +565,40 @@ def test_near_reach_is_the_farthest_live_displacement_per_axis(data):
     if math.prod(extents) < 2:
         extents = extents[:-1] + (2,)
     lattice = Lattice(extents)
-    # at t = 0 every entry is 0.0; otherwise a table of any pattern
+    # at t = 0 every entry is 0.0; otherwise a table of any pattern, each
+    # entry 0.0, tiny, ordinary or a full turn less a tiny phase
     profile = PhaseProfile(lattice, PowerLaw(1.0), time=0.0)
     if data.draw(st.booleans()):
-        live = data.draw(st.lists(st.booleans(), min_size=lattice.n_sites,
-                                  max_size=lattice.n_sites))
-        profile.__dict__["_displacement_table"] = np.where(np.reshape(live, extents), 0.5, 0.0)
+        entries = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.5, 4.0, TWO_PI - 1e-9]),
+                                     min_size=lattice.n_sites, max_size=lattice.n_sites))
+        profile.__dict__["_displacement_table"] = np.reshape(entries, extents)
+    size = np.abs(_centred(profile._displacement_table))
+    size.flat[0] = math.inf
+    # the peak profile: per axis, ascending, the largest |phi~| on the
+    # hyperplanes from the far end in, the origin's counted as inf
+    for axis, peak in enumerate(profile._peaks):
+        planes = np.moveaxis(size, axis, 0).reshape(extents[axis], -1).max(axis=1)
+        assert peak.tolist() == [planes[i:].max() for i in range(extents[axis] - 1, -1, -1)]
+    # at 0, the farthest entry not 0.0 per axis
     live = profile._displacement_table != 0.0
     live.flat[0] = True
-    assert np.array_equal(profile._near_reach, np.max(np.nonzero(live), axis=1))
-    # at a threshold, the farthest entries whose reduced phase exceeds it;
-    # below the rim, the near reach
-    table = data.draw(st.sampled_from([0.0, 1e-9, 0.5, 4.0, TWO_PI - 1e-9]), label="scale") * (
-        profile._displacement_table != 0.0)
-    profile = PhaseProfile(lattice, PowerLaw(1.0), time=0.0)
-    profile.__dict__["_displacement_table"] = table
-    tau = data.draw(st.sampled_from([1e-10, 1e-8, 1.0, 3.0]), label="tau")
-    above = np.abs(np.where(table > math.pi, table - TWO_PI, table)) > tau
-    above.flat[0] = True
-    reach = geometry._reach(table, tau)
-    assert np.array_equal(reach, np.max(np.nonzero(above), axis=1))
-    assert (reach == profile._near_reach) == (tau < profile._rim)
+    assert np.array_equal(_reach(profile, 0.0), np.max(np.nonzero(live), axis=1))
+    # the reach the peak profile gives, read off the box about the corner
+    # site 0, at 0 and at a threshold: drawn, or an entry's own |phi~|,
+    # which the rule's strict > leaves out
+    tau = data.draw(st.one_of(st.sampled_from([1e-10, 1e-8, 1.0, 3.0]),
+                              st.sampled_from(size.ravel()[1:].tolist())), label="tau")
+    ls = np.arange(1, lattice.n_sites)
+    near, far = coupled_sites((profile,), [0], ls, tau)
+    _assert_near_and_far((profile,), [0], ls, tau, near, far)
+
+    def reach(positions):
+        return np.max(lattice.coords(np.concatenate([[0], ls[positions]])), axis=0)
+
+    assert np.array_equal(reach(near), _reach(profile, tau))
+    assert np.array_equal(reach(np.union1d(near, far)), _reach(profile, 0.0))
+    # nothing is far exactly where the two reaches agree
+    assert (far.size == 0) == np.array_equal(_reach(profile, tau), _reach(profile, 0.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -552,17 +610,28 @@ def test_a_stack_couples_the_union_of_its_subsets(data, profile):
         st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True),
         min_size=1, max_size=4)))
     ls = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
-    union = np.unique(np.concatenate([coupled_sites((profile,), row, ls) for row in stack]))
-    assert np.array_equal(coupled_sites((profile,), stack, ls), union)
+    tau = data.draw(st.sampled_from([0.0, 1e-12, 0.3, 1.0, 3.0]), label="tau")
+
+    def check(profiles, each):
+        # near and far of the union are the union of the subsets' (or the
+        # times') near boxes, and the union of their boxes at 0 less that
+        near, far = coupled_sites(profiles, stack, ls, tau)
+        _assert_near_and_far(profiles, stack, ls, tau, near, far)
+        alone = [coupled_sites(*args, ls, tau) for args in each]
+        assert np.array_equal(near, np.unique(np.concatenate([a[0] for a in alone])))
+        assert np.array_equal(np.union1d(near, far), np.unique(np.concatenate(
+            [np.union1d(*a) for a in alone])))
+        return near
+
+    near = check((profile,), [((profile,), row) for row in stack])
     # a grid couples the union of its times; at 0.0, and at 2 pi for a
     # cutoff, every phase is 0.0 and the box is the bounding box alone
     if isinstance(profile, PhaseProfile):
         more = data.draw(st.lists(st.sampled_from([0.3, 1.0, math.pi, 7.5]), max_size=3))
         grid = time_profiles(profile, data.draw(st.permutations([0.0, TWO_PI, *more])))
-        each = np.unique(np.concatenate([coupled_sites((p,), stack, ls) for p in grid]))
-        assert np.array_equal(coupled_sites(grid, stack, ls), each)
+        check(grid, [((p,), stack) for p in grid])
     # the near box holds its own subset, even where no phase is other than 0.0
-    assert np.isin(stack, ls[union]).all()
+    assert np.isin(stack, ls[near]).all()
     # every row's own pairs in one read, bit for bit each row's alone
     lone = np.stack([pair_phases(profile, row, row) for row in stack])
     assert pair_phases(profile, stack, stack).tobytes() == lone.tobytes()

@@ -270,7 +270,7 @@ def near_instances(draw, max_sites, m_max):
     else:
         lattice = profile.lattice
         pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
-                           for e in lattice.extents]).map(lattice.site_index)
+                           for e in lattice.extents]).map(lambda c: lattice._ravel(c)[0])
     m = draw(st.integers(1, min(m_max, n)))
     sites = draw(st.lists(pick, min_size=m, max_size=m, unique=True))
     environment = None
@@ -320,7 +320,7 @@ def stack_instances(draw, max_sites=60, m_max=3, b_max=4):
     else:
         lattice = profile.lattice
         pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
-                           for e in lattice.extents]).map(lattice.site_index)
+                           for e in lattice.extents]).map(lambda c: lattice._ravel(c)[0])
     m = draw(st.integers(1, min(m_max, n)))
     pool = draw(st.lists(pick, min_size=m, max_size=min(n, m + 3), unique=True))
     stack = [draw(st.permutations(pool))[:m] for _ in range(draw(st.integers(1, b_max)))]
@@ -408,13 +408,20 @@ def _switching_often():
         sys.setswitchinterval(saved)
 
 
+def _near_and_far(profiles, rows, env):
+    """The positions in ``env`` that ``rdm._sweep`` of ``rows`` sweeps and
+    those it folds at first order: ``coupled_sites`` at the sweep's own
+    threshold."""
+    return coupled_sites(profiles, rows, env, rdm._far_threshold(rows.shape[1], env.size))
+
+
 def _parts_in_order(profile, state, rows, env, parts):
     """``rdm._sweep`` from ``parts`` contiguous parts of the near sites,
     swept one after another and multiplied in part order: of a lone
     subset's mirror pairs, parts of the representatives, then parts of the
     sites swept alone, each image's factor read from its representative's
     table; then the far sites' first-order factor."""
-    near, far = rdm._near_and_far((profile,), rows, env)
+    near, far = _near_and_far((profile,), rows, env)
     pairs = rdm._mirror_pairs((profile,), state, rows, env, near)
     swept = np.zeros(env.size, dtype=bool)
     tables = []
@@ -452,7 +459,7 @@ def test_a_split_sweep_joins_its_parts_in_order(case, chunk, cores, data):
     n_half = (3 ** rows.shape[1] + 1) // 2
     env = rdm._resolve_environment(profile, rows, environment)
     whole = rdm._sweep((profile,), state, rows, env)
-    work = rdm._near_and_far((profile,), rows, env)[0].size * n_half * len(rows)
+    work = _near_and_far((profile,), rows, env)[0].size * n_half * len(rows)
     per_part = data.draw(st.integers(1, max(1, work)), label="work per part")
     parts = min(cores, work // per_part) if work // per_part >= 2 else 1
     budget = 4 * len(rows) * n_half * chunk
@@ -960,7 +967,7 @@ def test_mirror_images_give_each_site_its_images_phases(data):
              for s, x, e, bound in zip(centre, lattice.coords([site])[0], lattice.extents,
                                        lattice.boundary)]
         inside = all(0 <= x < e for x, e in zip(c, lattice.extents))
-        return lattice.site_index(c) if inside else -1
+        return lattice._ravel(c)[0] if inside else -1
 
     mirror = mirror_images((profile,), np.array(sites), ls)
     if sorted(map(image, sites)) != sorted(sites):
@@ -1113,7 +1120,7 @@ def far_instances(draw):
     else:
         state = draw(near_states(n))
         pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
-                           for e in lattice.extents]).map(lattice.site_index)
+                           for e in lattice.extents]).map(lambda c: lattice._ravel(c)[0])
         m = draw(st.integers(1, 3))
         pool = draw(st.lists(pick, min_size=m, max_size=m + 2, unique=True))
         sites = [draw(st.permutations(pool))[:m]
@@ -1189,7 +1196,7 @@ def test_a_folded_state_matches_the_oracle(data):
                                unique=True))
     rows = np.array([sites])
     env = rdm._resolve_environment(profile, rows)
-    near = env[rdm._near_and_far((profile,), rows, env)[0]]
+    near = env[_near_and_far((profile,), rows, env)[0]]
     lo, hi = lattice.coords(sites).min(axis=0), lattice.coords(sites).max(axis=0)
     assert ((lattice.coords(near) >= lo) & (lattice.coords(near) <= hi)).all()
     fast = reduced_density(profile, state, sites)
@@ -1224,7 +1231,7 @@ def test_the_folded_sites_certify_their_remainder():
         rows = np.array(sites)
         environment = None if environment is None else np.setdiff1d(environment, rows)
         env = rdm._resolve_environment(profiles[0], rows, environment)
-        far = env[rdm._near_and_far(profiles, rows, env)[1]]
+        far = env[_near_and_far(profiles, rows, env)[1]]
         assert far.size > 0
         tau = math.sqrt(2.0 ** -53 / (rows.shape[1] ** 2 * env.size / 8))
         for profile in profiles:
@@ -1248,6 +1255,7 @@ def test_a_far_field_keeps_the_sweep_flat_in_the_lattice_size():
         pairs = [[n // 2, n // 2 + r] for r in range(1, 65)]
         swept.append(_swept_sites(profile, state, pairs)[0])
         rows = np.array(pairs)
-        assert coupled_sites((profile,), rows, rdm._resolve_environment(profile, rows)).size == 1554
+        env = rdm._resolve_environment(profile, rows)
+        assert coupled_sites((profile,), rows, env, 0.0)[0].size == 1554
     assert swept[0] == 108
     assert 0 <= swept[1] - swept[0] <= 4
