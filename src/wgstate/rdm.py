@@ -22,24 +22,29 @@ law of distance alone every site outside the subset's near box is folded
 unread: the box is its bounding box dilated by the largest displacement
 whose phase (from a table built once per profile) is not exactly 0.
 Inside it, a site whose every phase to the subset, reduced to (-pi, pi],
-is at most tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8
-(:func:`_far_threshold`), is not swept but folded at first order
-(:func:`_far_field`); the two boxes are one box of two levels, filled
-once per distinct dilation, each dilation one ``searchsorted`` per axis
-of a peak profile cached per profile.  The log of a folded site's factor
-is p1 / (p0 + p1) times -i theta to within theta^2 / 8 (1 + theta^2 / 4),
-so all of them together multiply in exp(-i sum_k d_k M1_k), M1 one
-moment per subset site, and their norms join the scalar, with a
-remainder of at most 2^-53, the unit roundoff, in the log of every class
-for all of them together: below the sweep's own rounding, a certified
-truncation, never a silent one.  The sweep covers only the box dilated
-by the reach at tau, which grows with N only as tau shrinks, as N^-1/2:
-about ln sqrt(N) sites a side for an exponential,
-as N^(1/(2 alpha)) for a power law r^-alpha, which for alpha <= 1 is
-beyond any lattice (at alpha = 2 and t = 0.3 pi it spans a centred
-block's whole chain up to at least 10^5 sites).  It costs
+is at most a threshold tau (:func:`_far_threshold`) is not swept but
+folded (:func:`_far_field`); the two boxes are one box of two levels,
+filled once per distinct dilation, each dilation one ``searchsorted`` per
+axis of a peak profile cached per profile.  The log of a folded site's
+factor over its norm, g(theta) = log(q0 + q1 e^{-i theta}), q = p / (p0 +
+p1), is its Taylor polynomial of degree K, the cumulants of a Bernoulli
+variable, to within C_K |theta|^(K+1): K = 1 for m <= 2 and K = 3 from
+m = 3, the order of least measured cost (``_FAR_ORDER``).  So all of them
+together multiply in exp(sum_n (-i)^n / n! M_n[d, .., d]), M_n the moment
+tensors of order n <= K over the folded sites, and their norms join the
+scalar.  tau = (2^-53 / (C_K m^(K+1) |env|))^(1/(K+1)) leaves a remainder
+of at most 2^-53, the unit roundoff, in the log of every class for all of
+them together: below the sweep's own rounding, a certified truncation,
+never a silent one.  The sweep covers only the box dilated by the reach
+at tau, which grows with N only as tau shrinks, as N^(-1/(K+1)): about
+ln N^(1/(K+1)) / kappa sites a side for an exponential e^(-kappa r), as
+N^(1/((K+1) alpha)) for a power law r^-alpha (at t = 0.3 pi it spans a
+centred block's whole chain up to about 6 * 10^5 sites at alpha = 1 and
+m >= 3, 3 * 10^6 at m = 10; at alpha = 2 up to 500 to 900 sites for
+m >= 3 and 2.6 * 10^5 for m = 1).  It costs
 O(|tau box| * (3^m + 1) / 2), in chunks of about 2 MiB, plus O(|near
-box| * m) to fold the rest and an O(N) scalar fold, and O(3^m + 4^m)
+box| * m^K) to fold the rest, O(3^m m^K) to spread the moments over the
+classes and an O(N) scalar fold, and O(3^m + 4^m)
 memory -- linear in system size, never a 2^N statevector.  A stack of B
 subsets of m sites each is swept once, over the union of their near
 boxes, at B times the classes per swept site.  So is one subset under a
@@ -130,6 +135,22 @@ _MAX_PARTS = 2
 # site, random input) environment_factor takes 21.6 MiB with slabs and
 # 61.0 MiB without, single_site_coherence 17.6 MiB and 45.8 MiB.
 ENV_SLAB = 262_144
+
+# Order K of the far field's cumulant series (_far_field) for a sweep of m
+# sites a row, index m: the order of least cost over the measured cases, a
+# centred block of a PowerLaw(2) chain at N = 15,000 and 10^5, of a
+# PowerLaw(3) chain at 10^5 and of an Exponential(1) chain at 2 * 10^4, with
+# the 64-pair Exponential(1) stack at m = 2.  From m = 3 order 3 is never
+# more than 1.7x the best order and order 2 up to 3.6x (m = 7 at N =
+# 15,000: 6.9 ms at order 3, 25 ms at order 2, 50 ms at order 1, where
+# nothing folds); at m = 2 the pair stack is fastest at order 1 (3.6 ms,
+# 3.8 ms at order 2, 5.7 ms at order 3), and at m = 1 the orders are within
+# 20% of each other.
+_FAR_ORDER = (0, 1, 1) + (3,) * (A_MAX - 2)
+
+# C_K of the far field's certificate for K = 1, 2, 3 (index K), each with
+# its slack; the proof is in _far_threshold
+_FAR_BOUND = (0.0, (1 + 2.0 ** -50) / 8, (1 + 2.0 ** -20) / 24, (1 + 2.0 ** -20) * 0.625 / 24)
 
 
 class SubsetTooLargeError(ValueError):
@@ -306,30 +327,34 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     missing any lattice distance raises ValueError, whatever the subset.
 
     Far field: under a law of distance alone, the near sites whose every
-    phase to every row's sites, reduced to (-pi, pi], is at most
-    tau = sqrt(2^-53 / (C m^2 |env|)), C = (1 + 2^-50) / 8, are folded at
-    first order instead of being swept (:func:`_far_field`).  With
-    g(theta) = log(q0 + q1 e^{-i theta}), q = p / (p0 + p1), g(0) = 0,
-    g'(0) = -i q1 and |g''(theta)| = q0 q1 / |q0 + q1 e^{-i theta}|^2 <=
-    1 / (4 cos^2(theta / 2)), so a site's remainder past first order is at
-    most theta^2 / 8 (1 + theta^2 / 4) to leading order, and theta =
-    sum_k phi~_k d_k is at most m tau in magnitude: together the folded
+    phase to every row's sites, reduced to (-pi, pi], is at most the
+    threshold tau = (2^-53 / (C_K m^(K+1) |env|))^(1/(K+1)) are folded to
+    order K instead of being swept (:func:`_far_field`): K = 1 for m <= 2
+    and K = 3 from m = 3 (``_FAR_ORDER``), C_1 = 1/8 and C_3 = 0.625/24,
+    each with a slack (``_FAR_BOUND``).  With g(theta) = log(q0 + q1
+    e^{-i theta}), q = p / (p0 + p1), a folded site's theta = sum_k
+    phi~_k d_k is at most m tau in magnitude, and g differs from its
+    Taylor polynomial of degree K by at most C_K |theta|^(K+1)
+    (:func:`_far_threshold` proves the constants): together the folded
     sites leave at most 2^-53 in the log of each class, below the rounding
     below.  Each folded phase is read once per distinct site and time; the
-    table is multiplied once by exp(-i D M1^T), D the digits of the codes
-    and M1[r, k] = sum_l q1_l phi~(row r's site k, l).  The near and the
-    far sites come from one :func:`~wgstate.geometry.coupled_sites` call
-    at tau, one box of two levels.  Nothing is folded or gathered, and the
-    sweep is the one without a far field, bit for bit where nothing is
-    far: for the power laws of wgbench's workloads and of the linear-cost
-    acceptance test (alpha = 1 and 2 at N <= 10^5), at every t = 0 row,
-    and for a :class:`Cutoff` at an ordinary time; a profile without a
-    displacement table (:class:`Disordered`, :class:`EdgeProfile`) never
-    folds.  A 64-pair stack on an Exponential(1) chain sweeps 108 sites at
-    N = 2 * 10^4 and 112 at 2 * 10^5, not the 1,554 of its near box; a
-    centred 8-site block of a PowerLaw(3) chain of 10^6 sites at
-    t = 0.3 pi sweeps 6,324 sites (12,648 near sites, mirror paired), not
-    499,996.
+    table is multiplied once by the exponential of the moment tensors
+    M_n[r, k_1 .. k_n] = sum_l kappa_n(l) phi~_k1l .. phi~_knl, n <= K,
+    contracted with each class's digits.  The near and the far sites come
+    from one :func:`~wgstate.geometry.coupled_sites` call at tau, one box
+    of two levels.  Nothing is folded or gathered, and the sweep is the one
+    without a far field, bit for bit, where nothing is far: at every t = 0
+    row, for a :class:`Cutoff` at an ordinary time, and for a centred block
+    of a 1/r chain at t = 0.3 pi up to about 6 * 10^5 sites; a profile
+    without a displacement table (:class:`Disordered`,
+    :class:`EdgeProfile`) never folds.  A 64-pair stack on an
+    Exponential(1) chain sweeps 108 sites at N = 2 * 10^4 and 112 at
+    2 * 10^5 (K = 1), not the 1,554 of its near box.  At t = 0.3 pi a
+    centred 7-site block of a PowerLaw(2) chain of 15,000 sites has 1,068
+    near sites, not 14,993, and folds the other 13,925; a centred 8-site
+    block sweeps 543 sites at N = 10^4 and 724 at 10^5 (mirror paired), not
+    4,996 and 49,996; and a centred 8-site block of a PowerLaw(3) chain of
+    10^6 sites sweeps 97 (194 near sites), not 499,996.
 
     Rounding: each factor carries its own rounding, so the error grows
     about linearly in the number of swept sites.  Measured for m = 2 (sites
@@ -342,7 +367,12 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     the first-order factor or the scalar of norms, it is 5.4e-15, 6.1e-14,
     5.9e-13 and 5.8e-12 (8.2e-15, 6.7e-14, 5.9e-13 and 5.8e-12 sweeping
     every site of the near box): the scalar of N norms rounds as the sweep
-    did, and the fold's own 2^-53 does not show.
+    did, and the fold's own 2^-53 does not show.  Folding to third order
+    sweeps fewer sites, so it rounds less than the exact sweep: for a
+    centred block at t = 0.3 pi under PowerLaw(2), relative to the d = 0
+    entry, 6.9e-15 (|+>) and 1.1e-13 (random input) at m = 7, N = 15,000,
+    against 1.7e-13 and 2.1e-13 sweeping every site; 1.0e-14 and 6.1e-13
+    at m = 8, N = 10^5 (150 classes), against 2.0e-12 and 1.5e-12.
 
     Mirror pairs: one subset, alone or at a grid, under a law of distance
     alone, that the point reflection through its centre maps onto itself (a
@@ -441,38 +471,100 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
 
 
 def _far_threshold(m: int, n_env: int) -> float:
-    """The far field's threshold tau = sqrt(2^-53 / (C m^2 |env|)),
-    C = (1 + 2^-50) / 8, for a sweep of m sites a row over ``n_env``
-    environment sites: a site whose every phase to a row's site, reduced to
-    (-pi, pi], is at most tau at every time is folded at first order
-    (:func:`_far_field`), and all of them together leave at most 2^-53 in
-    the log of every class (:func:`environment_product`, "Far field")."""
+    """The far field's threshold tau = (2^-53 / (C_K m^(K+1) |env|))^(1/(K+1))
+    for a sweep of m sites a row over ``n_env`` environment sites, K =
+    ``_FAR_ORDER[m]``, C_K = ``_FAR_BOUND[K]``: a site whose every phase to
+    a row's site, reduced to (-pi, pi], is at most tau at every time is
+    folded to order K (:func:`_far_field`), and all of them together leave
+    at most C_K |env| (m tau)^(K+1) = 2^-53 in the log of every class.
+
+    Proof.  A folded site's theta = sum_k phi~_k d_k has |theta| <= m tau.
+    With q = p / (p0 + p1), its factor over its norm is exp(g(theta)),
+    g(theta) = log(D), D = q0 + q1 e^{-i theta}, and the fold keeps the
+    Taylor polynomial of g of degree K, whose remainder is at most
+    sup |g^(K+1)| |theta|^(K+1) / (K+1)! over |theta| <= m tau (the
+    integral form holds for a complex g of real theta).  With sigma =
+    q1 e^{-i theta} / D, g' = -i sigma and sigma' = -i sigma (1 - sigma),
+    so with u = sigma (1 - sigma)
+
+        g'' = -u,   g''' = i u (1 - 2 sigma),   g'''' = u (1 - 6 u).
+
+    |D|^2 = 1 - 4 q0 q1 sin^2(theta / 2) >= c^2, c = cos(theta / 2), since
+    q0 q1 <= 1/4; so |u| = q0 q1 / |D|^2 <= 1 / (4 c^2) and |1 - 2 sigma| =
+    |q0 - q1 e^{-i theta}| / |D| <= 1 / c.  Hence |g''| / 2! <= 1 / (8 c^2),
+    |g'''| / 3! <= 1 / (24 c^3) and |g''''| / 4! <= (1 + 3 / (2 c^2)) /
+    (96 c^2): C_1 = 1/8, C_2 = 1/24 and C_3 = 0.625/24 at c = 1.  Since
+    |env| >= 1, m tau is at most 3.0e-8, 1.4e-5 and 2.6e-4 for K = 1, 2,
+    3, where 1/c^2 exceeds 1 by at most 2.2e-16, 4.9e-11 and 1.7e-8: the
+    slacks 2^-50 (8.9e-16) for K = 1 and 2^-20 (9.5e-7) for K = 2, 3 cover
+    that and the few units of roundoff in tau.
+    """
+    order = _FAR_ORDER[m]
     # an empty environment has no far site, whatever tau
-    return math.sqrt(2.0 ** -53 / ((1 + 2.0 ** -50) / 8 * m ** 2 * max(n_env, 1)))
+    bound = _FAR_BOUND[order] * m ** (order + 1) * max(n_env, 1)
+    return (2.0 ** -53 / bound) ** (1 / (order + 1))
 
 
 def _far_field(profiles, state: ProductInput, rows: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """((3^m + 1) / 2, R) first-order factor of the far sites ``ls`` for the
-    R rows of :func:`_sweep`, their norms p0 + p1 left out.
+    """((3^m + 1) / 2, R) factor of the far sites ``ls`` for the R rows of
+    :func:`_sweep`, to order K = ``_FAR_ORDER[m]``, their norms p0 + p1
+    left out.
 
-    With q1 = p1 / (p0 + p1), a far site's factor over its norm is
+    With q = p / (p0 + p1), a far site's factor over its norm is
     exp(g(theta)), g(theta) = log(q0 + q1 e^{-i theta}), theta = sum_k
-    phi~_k d_k.  g(0) = 0 and g'(0) = -i q1, so to first order the far
-    sites together give exp(-i sum_k d_k M1[r, k]), with the moment
-    M1[r, k] = sum_l q1_l phi~(row r's site k, l).  Each phase is read
-    once per distinct site and time, from the table, in slabs of about
-    ``_CHUNK_BUDGET / 8`` phases, so that memory stays level.
+    phi~_k d_k, and g(theta) = sum_n (-i theta)^n kappa_n / n! with the
+    cumulants of a Bernoulli variable: kappa_1 = q1, kappa_2 = q0 q1,
+    kappa_3 = q0 q1 (q0 - q1).  Summed over the far sites l to order K,
+    the log of class d of row r is
+
+        -i sum_k d_k M1_k - 1/2 sum d_k d_k' M2_kk' + i/6 sum d_k d_k' d_k'' M3_kk'k''
+
+    with the moments M_n[r, k_1 .. k_n] = sum_l kappa_n(l) phi~(row r's site
+    k_1, l) ... phi~(row r's site k_n, l), to within 2^-53
+    (:func:`_far_threshold`).  Each phase is read once per distinct site and
+    time, from the table, in slabs: M1 from each distinct site's phases
+    (one matrix-vector product), the higher moments from each row's, as
+    products of the power phi~^(x)(n-1) with phi~ kappa_n.  A slab holds at
+    most ``_CHUNK_BUDGET / 16`` sites, ``_CHUNK_BUDGET / 8`` phases and a
+    product of at most 2 * ``_CHUNK_BUDGET`` multiply-adds, so that memory
+    stays level and OpenBLAS runs each product on one thread: its
+    two-thread split of such small products (a dot of 16,384 phases, a
+    49 x 4,096 by 4,096 x 7 product) took about 8 ms each on a 2-vCPU Xeon
+    VM.  The classes read the moments through the same powers of their
+    digits.
     """
     m = rows.shape[1]
+    order = _FAR_ORDER[m]
     sites, which = _row_sites(profiles, rows)
-    moment = np.zeros(len(profiles) * sites.size)
-    slab = max(1, _CHUNK_BUDGET // 8 // moment.size)
+    moments = [0.0] * order
+    slab = max(1, _CHUNK_BUDGET // max(16, 8 * len(profiles) * sites.size,
+                                       len(which) * m ** order // 2))
     for start in range(0, ls.size, slab):
         at = ls[start:start + slab]
-        phi = _grid_phases(profiles, sites, at)[0]
-        moment += _centred(phi) @ (state._populations[1][at] / state._norms[at])
-    digits = np.arange((3 ** m + 1) // 2)[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3 - 1
-    return np.exp(-1j * (digits @ moment[which].T))
+        phi = _centred(_grid_phases(profiles, sites, at)[0])      # (T * S, slab)
+        q0, q1 = (pop[at] / state._norms[at] for pop in state._populations)
+        moments[0] += phi @ q1
+        if order > 1:       # the products of two or more of a row's sites
+            phi = phi[which]
+            cumulants = q0 * q1, q0 * q1 * (q0 - q1)
+            for n, power in enumerate(_outer_powers(phi, order)[1:], 1):
+                moments[n] += power @ (phi * cumulants[n - 1]).transpose(0, 2, 1)
+    moments[0] = moments[0][which][:, None]
+    digits = np.indices((3,) * m, dtype=float).reshape(m, -1)[:, :(3 ** m + 1) // 2] - 1
+    log = sum((-1j) ** n / math.factorial(n) * (moment.transpose(0, 2, 1) @ power * digits).sum(1)
+              for n, (moment, power) in enumerate(zip(moments, _outer_powers(digits, order)), 1))
+    return np.exp(log.T)
+
+
+def _outer_powers(x: np.ndarray, order: int) -> list[np.ndarray]:
+    """The powers x^(x)n, n = 0 .. order - 1, of the (..., m, L) array
+    ``x``: (..., m^n, L) arrays of the products x[.., k_1, l] ...
+    x[.., k_n, l], k_1 most significant."""
+    powers = [np.ones(x.shape[:-2] + (1, x.shape[-1])), x][:order]
+    for _ in range(order - 2):
+        powers.append((powers[-1][..., None, :] * x[..., None, :, :]).reshape(
+            x.shape[:-2] + (-1, x.shape[-1])))
+    return powers
 
 
 def _row_sites(profiles, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

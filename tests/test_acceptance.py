@@ -247,9 +247,11 @@ def test_10_large_system_cost_scales_linearly(monkeypatch):
     # processes mid-sweep counts in wall time, not in the thread's.  The
     # sites each sweep hands to its parts are counted too, a measure that
     # does not depend on the host: a centred block sweeps one site of each
-    # mirror pair and the 8 sites whose image is off the chain, N / 2, and
-    # no phase is small enough at these sizes to be folded
+    # mirror pair and the 8 sites whose image is off the chain, N / 2.  The
+    # far field is off (threshold 0), so every near site is swept: this
+    # times the exact sweep, which the far field would otherwise cut short
     monkeypatch.setattr(rdm, "_MAX_PARTS", 1)
+    monkeypatch.setattr(rdm, "_far_threshold", lambda m, n_env: 0.0)
     sweep_part, swept = rdm._sweep_part, []
 
     def counting(profiles, state, rows, env, near, done):

@@ -24,6 +24,7 @@ import os
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -902,6 +903,18 @@ def _chunks_of(sites, per_site, rows=1):
 
 
 @contextlib.contextmanager
+def _no_far_field():
+    """Sweeps that fold no far site: the threshold is 0, so every site
+    with a phase other than 0.0 is swept."""
+    saved = rdm._far_threshold
+    rdm._far_threshold = lambda m, n_env: 0.0
+    try:
+        yield
+    finally:
+        rdm._far_threshold = saved
+
+
+@contextlib.contextmanager
 def _no_mirror():
     """Sweeps that pair no site with its mirror image."""
     saved = rdm.mirror_images
@@ -1004,6 +1017,7 @@ def _swept_sites(profile, state, sites):
     return sum(counted), table
 
 
+@_no_far_field()
 def test_a_centred_block_sweeps_half_its_environment():
     n = 2000
     profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
@@ -1041,6 +1055,7 @@ def test_a_centred_block_sweeps_half_its_environment():
                 profile, state, centred).tobytes()
 
 
+@_no_far_field()
 def test_small_sweeps_do_not_probe():
     # the probe runs only where the near sites span more than one chunk and
     # the sweep has enough classes a site to pay for it
@@ -1099,16 +1114,22 @@ def far_laws(draw, lattice):
     return law, draw(st.lists(times, min_size=1, max_size=4))
 
 
+# the largest of the least subset sizes of each order the far field's rule
+# picks (rdm._FAR_ORDER): subsets up to it fold at every order in use
+M_EVERY_ORDER = max(min(m for m in range(1, rdm.A_MAX + 1) if rdm._FAR_ORDER[m] == order)
+                    for order in set(rdm._FAR_ORDER[1:]))
+
+
 @st.composite
 def far_instances(draw):
     """(profile, state, sites, environment, chunk): a far law on a 1-3-D
     lattice of 8..150 sites, each axis open or periodic, and one of: a
-    subset drawn towards the lattice's faces; a stack of two or three; a
-    symmetric subset of an input with the same populations at every site,
-    which is mirrored; or a subset at a grid of two to four times.  The
-    default or an explicit environment, and sweeps in chunks of ``chunk``
-    sites (None: the default; a mirrored subset always has a chunk, so
-    that it is probed)."""
+    subset of 1..``M_EVERY_ORDER`` sites drawn towards the lattice's
+    faces; a stack of two or three; a symmetric subset of an input with the
+    same populations at every site, which is mirrored; or a subset at a
+    grid of two to four times.  The default or an explicit environment, and
+    sweeps in chunks of ``chunk`` sites (None: the default; a mirrored
+    subset always has a chunk, so that it is probed)."""
     lattice = draw(lattices(150).filter(lambda lat: lat.n_sites >= 8))
     n = lattice.n_sites
     law, times = draw(far_laws(lattice))
@@ -1116,12 +1137,12 @@ def far_instances(draw):
     if kind == "mirrored":
         one = ProductInput.random(1, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
         state = ProductInput(np.repeat(one.amplitudes, n, axis=0))
-        sites = draw(symmetric_subsets(lattice, m_max=3, kinds=("pair", "run", "box")))
+        sites = draw(symmetric_subsets(lattice, m_max=M_EVERY_ORDER, kinds=("pair", "run", "box")))
     else:
         state = draw(near_states(n))
         pick = st.tuples(*[st.one_of(st.sampled_from([0, e - 1]), st.integers(0, e - 1))
                            for e in lattice.extents]).map(lambda c: lattice._ravel(c)[0])
-        m = draw(st.integers(1, 3))
+        m = draw(st.integers(1, M_EVERY_ORDER))
         pool = draw(st.lists(pick, min_size=m, max_size=m + 2, unique=True))
         sites = [draw(st.permutations(pool))[:m]
                  for _ in range(draw(st.integers(2, 3)) if kind == "stack" else 1)]
@@ -1159,9 +1180,9 @@ def _rho_from_factors(profile, state, sites, table):
 @NEAR
 @given(far_instances())
 def test_the_far_fold_matches_environment_factor(case):
-    # the sites folded at first order give every class, row and time the
-    # factors of the whole-environment reference loop, to the rounding
-    # floor, and so the state assembled from them
+    # the sites folded at the order the rule picks give every class, row
+    # and time the factors of the whole-environment reference loop, to the
+    # rounding floor, and so the state assembled from them
     profile, state, sites, environment, chunk = case
     grid = isinstance(profile, tuple)
     rows = np.atleast_2d(sites)
@@ -1185,7 +1206,7 @@ def test_a_folded_state_matches_the_oracle(data):
     # at a tiny time, or a full turn less a tiny one, every environment site
     # outside the subset's bounding box is folded, none swept; the state
     # stays within the oracle's own rounding, far below the first-order
-    # term it folds (about 1e-12 here)
+    # term it folds (about 1e-12 here), at every order in use
     lattice = data.draw(lattices(14).filter(lambda lat: lat.n_sites >= 3))
     n = lattice.n_sites
     law, times = data.draw(far_laws(lattice).filter(lambda lt: lt[1][0] < 1e-10
@@ -1204,13 +1225,20 @@ def test_a_folded_state_matches_the_oracle(data):
     assert np.abs(fast - slow).max() < 1e-14
 
 
+# C_K of the far field's certificate, without the slack of rdm._FAR_BOUND:
+# the bounds on |g^(K+1)| / (K+1)!, g(theta) = log(q0 + q1 e^{-i theta}),
+# that rdm._far_threshold proves at theta = 0
+_C = {1: 1 / 8, 2: 1 / 24, 3: 0.625 / 24}
+
+
 def test_the_folded_sites_certify_their_remainder():
-    # log(p0 + p1 e^{-i theta}) less its first-order term is at most
-    # theta^2 / 8 (1 + theta^2 / 4) a site, and |theta| <= s = sum_k |phi~_k|:
-    # on the phases of the sites the sweep folds, (1/8) sum s^2 <= 2^-53 for
-    # every row and time.  Each folded phase is at most the threshold
-    # tau = sqrt(2^-53 / (m^2 |env| / 8)), which bounds that sum by 2^-53
-    # whatever the phases
+    # log(p0 + p1 e^{-i theta}) less its Taylor polynomial of degree K is at
+    # most C_K |theta|^(K+1) a site, and |theta| <= s = sum_k |phi~_k|: on
+    # the phases of the sites the sweep folds, C_K sum s^(K+1) <= 2^-53 for
+    # every row and time, K the order the rule picks for the sweep's m.
+    # Each folded phase is at most the threshold tau, which bounds that sum
+    # by C_K |env| (m tau)^(K+1) <= 2^-53 whatever the phases; and tau is
+    # the largest that does, to the slack of rdm._FAR_BOUND
     rng = np.random.default_rng(4)
     chain = PhaseProfile(Lattice(20_000), Exponential(1.0), 0.3 * math.pi)
     power = PhaseProfile(Lattice(100_000), PowerLaw(3.0), 0.3 * math.pi)
@@ -1226,20 +1254,90 @@ def test_the_folded_sites_certify_their_remainder():
         (grid, [[2000, 2001, 2070, 2071]], None),
         ((wrapped,), [[600, 641], [5, 1199]], rng.permutation(1200)[:900]),
         ((PhaseProfile(Lattice(3000), gap, 1.0),), [[1500, 1502]], None),
+        # entropy-chain's largest block: a third-order fold of a slow law
+        ((PhaseProfile(Lattice(15_000), PowerLaw(2.0), 0.3 * math.pi),),
+         [list(range(7496, 7503))], None),
     ]
     for profiles, sites, environment in cases:
         rows = np.array(sites)
+        m = rows.shape[1]
+        order = rdm._FAR_ORDER[m]
         environment = None if environment is None else np.setdiff1d(environment, rows)
         env = rdm._resolve_environment(profiles[0], rows, environment)
         far = env[_near_and_far(profiles, rows, env)[1]]
         assert far.size > 0
-        tau = math.sqrt(2.0 ** -53 / (rows.shape[1] ** 2 * env.size / 8))
+        tau = rdm._far_threshold(m, env.size)
+        assert 1 - 2.0 ** -19 <= _C[order] * env.size * (m * tau) ** (order + 1) / 2.0 ** -53 <= 1
         for profile in profiles:
             phi = np.abs(_centred(pair_phases(profile, rows,
                                               np.broadcast_to(far, (len(rows), far.size)))))
             assert phi.max() <= tau
             s = phi.sum(axis=1)         # (rows, far sites)
-            assert ((s ** 2).sum(axis=1) / 8 <= 2.0 ** -53).all()
+            assert (_C[order] * (s ** (order + 1)).sum(axis=1) <= 2.0 ** -53).all()
+
+
+def test_the_certificate_constants_bound_the_true_remainder():
+    # the remainder of g(theta) = log(q0 + q1 e^{-i theta}) past its Taylor
+    # polynomial of degree K, -i theta kappa_1 - theta^2 kappa_2 / 2 +
+    # i theta^3 kappa_3 / 6, computed to 50 digits, is at most
+    # C_K |theta|^(K+1) (rdm._FAR_BOUND, slack included) for q1 in [0, 1] and
+    # every |theta| up to the largest m tau a sweep allows, at |env| = 1
+    with mpmath.workdps(50):
+        _check_remainder_constants()
+
+
+def _check_remainder_constants():
+    q1s = [mpmath.mpf(k) / 64 for k in range(65)] + [
+        mpmath.mpf(1) / 2 + sign * mpmath.sqrt(mpmath.mpf(1) / 12) for sign in (-1, 1)]
+    for order in (1, 2, 3):
+        top = (2.0 ** -53 / rdm._FAR_BOUND[order]) ** (1 / (order + 1))
+        for m in range(1, rdm.A_MAX + 1):
+            if rdm._FAR_ORDER[m] == order:
+                assert m * rdm._far_threshold(m, 1) <= top
+        bound = mpmath.mpf(rdm._FAR_BOUND[order])
+        for q1 in q1s:
+            q0 = 1 - q1
+            kappas = [q1, q0 * q1, q0 * q1 * (q0 - q1)]
+            for theta in (mpmath.mpf(top) * f for f in (1, -1, 0.5, -0.1, 1e-3)):
+                g = mpmath.log(q0 + q1 * mpmath.expj(-theta))
+                taylor = sum(mpmath.mpc(0, -theta) ** n * kappas[n - 1] / math.factorial(n)
+                             for n in range(1, order + 1))
+                assert abs(g - taylor) <= bound * abs(theta) ** (order + 1), (order, q1, theta)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_phases_at_the_threshold_keep_every_term(m, order):
+    # a table law whose phases beyond distance 3 sit just under the
+    # threshold of the order: every site beyond the near box folds with
+    # |theta| up to m tau, where each term the fold keeps is far above the
+    # rounding floor, and the table still matches the whole-environment
+    # reference loop to the floor.  Every site has 0.1 <= p1 <= 0.3, so the
+    # cumulants q0 q1 and q0 q1 (q0 - q1) have one sign and the folded
+    # terms add up: the third-order ones to about 7e-13 at m = 3, 60 times
+    # the floor
+    n = 150
+    saved = rdm._FAR_ORDER
+    rdm._FAR_ORDER = (0,) + (order,) * rdm.A_MAX
+    try:
+        tau = rdm._far_threshold(m, n - m)
+        law = Table({r: 1.0 if r <= 3 else 0.99 * tau for r in range(n)})
+        profile = PhaseProfile(Lattice(n), law, 1.0)
+        rng = np.random.default_rng(m)
+        p1 = rng.uniform(0.1, 0.3, n)
+        state = ProductInput(np.stack([np.sqrt(1 - p1), np.sqrt(p1) * np.exp(
+            1j * rng.uniform(0, TWO_PI, n))], axis=1))
+        sites = list(range(70, 70 + m))
+        rows = np.array([sites])
+        assert _near_and_far((profile,), rows, rdm._resolve_environment(profile, rows))[1].size \
+            == n - m - 6
+        table = environment_product(profile, state, sites)
+    finally:
+        rdm._FAR_ORDER = saved
+    scale = abs(table[table.size // 2])
+    for code, x, y in _classes(m):
+        direct = environment_factor(profile, state, sites, x, y)
+        assert abs(table[code] - direct) <= _rounding_floor(n) * scale, (code, table[code], direct)
 
 
 def test_a_far_field_keeps_the_sweep_flat_in_the_lattice_size():
@@ -1259,3 +1357,24 @@ def test_a_far_field_keeps_the_sweep_flat_in_the_lattice_size():
         assert coupled_sites((profile,), rows, env, 0.0)[0].size == 1554
     assert swept[0] == 108
     assert 0 <= swept[1] - swept[0] <= 4
+
+
+def test_a_third_order_far_field_keeps_a_centred_block_near_flat_in_the_lattice_size():
+    # a centred 8-site block of a PowerLaw(2) chain, folded to third order:
+    # tau scales as |env|^-1/4, so the reach where phi ~ r^-2 falls to it
+    # grows as N^(1/8), 1.33x from 10^4 sites to 10^5.  543 sites are
+    # swept at N = 10^4 (one of each mirror pair), not the 4,996 of the
+    # exact sweep, and ten times the sites sweeps at most 10^(1/8) times as
+    # many.  Each state is within the rounding floor of the exact sweep's
+    swept = []
+    for n in (10_000, 100_000):
+        profile = PhaseProfile(Lattice(n), PowerLaw(2.0), 0.3 * math.pi)
+        plus = ProductInput.plus(n)
+        block = list(range(n // 2 - 4, n // 2 + 4))
+        swept.append(_swept_sites(profile, plus, block)[0])
+        rho = reduced_density(profile, plus, block)
+        with _no_far_field():
+            exact = reduced_density(profile, plus, block)
+        assert np.abs(rho - exact).max() <= _rounding_floor(n)
+    assert swept[0] == 543
+    assert swept[0] < swept[1] <= swept[0] * 10 ** (1 / 8) + 2
