@@ -23,10 +23,11 @@ or --out.  Schema:
 
     [task]               ; subcommand parameters, see each runner below
 
-Integer-list values accept commas and inclusive ranges: '1, 4, 8:10' means
-1, 4, 8, 9, 10.  On a lattice of dimension d >= 2 the block sizes `sizes`,
-`size`, `l_max` and `sides` are side lengths of a centered box, and the
-key `start` (a chain's block start) is rejected.  Exit status: 0 on
+Integer-list values accept commas and inclusive ascending ranges: '1, 4,
+8:10' means 1, 4, 8, 9, 10, and '10:8' is rejected.  On a lattice of
+dimension d >= 2 the block sizes `sizes`, `size`, `l_max` and `sides` are
+side lengths of a centered box, and the key `start` (a chain's block start)
+is rejected.  Exit status: 0 on
 success, 1 on bad input or config, 2 when `verify` finds a mismatch
 against the brute-force reference.
 
@@ -148,7 +149,7 @@ def _profile_and_state(args, cp) -> tuple[PhaseProfile, ProductInput]:
 
 
 def _parse_int_list(text: str, key: str) -> list[int]:
-    """Accepts '2, 3, 4' and inclusive ranges 'lo:hi' or 'lo:hi:step'."""
+    """Accepts '2, 3, 4' and inclusive ranges 'lo:hi' or 'lo:hi:step', lo <= hi."""
     out: list[int] = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -163,8 +164,8 @@ def _parse_int_list(text: str, key: str) -> list[int]:
                 step = int(parts[2]) if len(parts) == 3 else 1
             except ValueError:
                 raise ConfigError(f"key {key!r}: bad range {tok!r}") from None
-            if step < 1:
-                raise ConfigError(f"key {key!r}: step must be positive in {tok!r}")
+            if step < 1 or hi < lo:
+                raise ConfigError(f"key {key!r}: range {tok!r} must ascend with a positive step")
             out.extend(range(lo, hi + 1, step))
         else:
             try:

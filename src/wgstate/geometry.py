@@ -9,14 +9,16 @@ time into the controlled-phase angles phi(k,l) = f(r_kl) * t that drive
 everything downstream.
 
 Phases are computed on demand and reduced mod 2*pi at query time; no N x N
-table is ever materialized, so memory stays O(N).  A site's coordinates are
-computed from its index when asked for (:meth:`Lattice.coords`), never
-cached per lattice; its inverse, the codec ``Lattice._ravel``, is the one
-place where coordinates become site indices, a periodic axis wrapped and a
-point off an open one masked.  A law of distance alone gives every pair's
-phase from one table over the lattice's displacements,
-:func:`displacement_phases`, filled from one ``phase_row`` call: over every
-site for most laws, over the reach box alone for a :class:`Cutoff`.  Which
+table is ever materialized, so memory stays O(N).  One codec converts
+between the two: :meth:`Lattice.coords` is the one place where site indices
+become coordinates, computed when asked for and never cached per lattice
+(:meth:`Lattice.distances` reads them from it), and its inverse,
+``Lattice._ravel``, the one place where coordinates become site indices, a
+periodic axis wrapped and a point off an open one masked.  A law of distance
+alone gives every pair's phase from one table over the lattice's
+displacements, :func:`displacement_phases`, filled from one ``phase_row``
+call: over every site for most laws, over the reach box alone for a
+:class:`Cutoff`.  Which
 environment sites a subset can feel, and with what phase, is decided here
 alone: :func:`coupled_sites` names the sites of a whole sweep in one call,
 those it sweeps and those it may fold (for a table, the box of every
@@ -183,24 +185,21 @@ class Lattice:
         return sites
 
     def distances(self, k: int, ls) -> np.ndarray:
-        """Euclidean distances from site k to each site in ls, from the
-        coordinates of k and of ls alone, read one axis at a time, last
-        first: one division per axis but axis 0."""
-        rest, k = self._check_sites(ls), int(self._check_sites([k])[0])
-        # no (len(ls), d) temporaries; the integer sum of squares is exact
-        square = None
-        for axis, extent in reversed(tuple(enumerate(self.extents))):
-            (k, at), quotient = divmod(k, extent), (rest // extent if axis else 0)
-            step = rest - (quotient * extent + at)      # this axis's coordinate, less k's
-            rest = quotient
-            np.abs(step, out=step)
-            if self.boundary[axis] == "periodic":
-                np.minimum(step, extent - step, out=step)
-            if self.dimension == 1:
-                return step.astype(np.float64)
-            step *= step
-            square = step if square is None else np.add(square, step, out=square)
-        r = square.astype(np.float64)
+        """Euclidean distances from site k to each site in ls, worked out in
+        place on the coordinates :meth:`coords` gives for ls: less k's, their
+        magnitudes, a periodic axis's the nearer way round."""
+        step = self.coords(ls)
+        step -= self.coords(k)
+        np.abs(step, out=step)
+        for axis, (extent, bound) in enumerate(zip(self.extents, self.boundary)):
+            if bound == "periodic":
+                np.minimum(step[..., axis], extent - step[..., axis], out=step[..., axis])
+        if self.dimension == 1:
+            return step[..., 0].astype(np.float64)
+        # squared in place and summed straight into float64, with no
+        # temporary per axis: the integer squares and their sum are exact
+        step *= step
+        r = np.add.reduce(step, axis=-1, dtype=np.float64)
         return np.sqrt(r, out=r)
 
 

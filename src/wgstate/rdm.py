@@ -15,47 +15,49 @@ sweep over the environment fills a table of 3^m numbers and the full
 2^m x 2^m matrix is assembled from it.  Populations are real, so
 E(-d) = conj E(d) and the sweep computes only (3^m + 1) / 2 classes; sites
 with no coupling to the subset contribute the constant p0_l + p1_l and are
-folded in as one scalar.  Which sites those are, and the phases of the
-rest, come from :func:`wgstate.geometry.coupled_sites`, asked once per
-sweep for all its rows, and :func:`wgstate.geometry.pair_phases`; for a
-law of distance alone every site outside the subset's near box is folded
-unread: the box is its bounding box dilated by the largest displacement
-whose phase (from a table built once per profile) is not exactly 0.
-Inside it, a site whose every phase to the subset, reduced to (-pi, pi],
-is at most a threshold tau (:func:`_far_threshold`) is not swept but
-folded (:func:`_far_field`); the two boxes are one box of two levels,
-filled once per distinct dilation, each dilation one ``searchsorted`` per
-axis of a peak profile cached per profile.  The log of a folded site's
-factor over its norm, g(theta) = log(q0 + q1 e^{-i theta}), q = p / (p0 +
-p1), is its Taylor polynomial of degree K, the cumulants of a Bernoulli
-variable, to within C_K |theta|^(K+1): K = 1 for m <= 2 and K = 3 from
-m = 3, the order of least measured cost (``_FAR_ORDER``).  So all of them
-together multiply in exp(sum_n (-i)^n / n! M_n[d, .., d]), M_n the moment
-tensors of order n <= K over the folded sites, and their norms join the
-scalar.  tau = (2^-53 / (C_K m^(K+1) |env|))^(1/(K+1)) leaves a remainder
-of at most 2^-53, the unit roundoff, in the log of every class for all of
-them together: below the sweep's own rounding, a certified truncation,
-never a silent one.  The sweep covers only the box dilated by the reach
-at tau, which grows with N only as tau shrinks, as N^(-1/(K+1)): about
-ln N^(1/(K+1)) / kappa sites a side for an exponential e^(-kappa r), as
-N^(1/((K+1) alpha)) for a power law r^-alpha (at t = 0.3 pi it spans a
-centred block's whole chain up to about 6 * 10^5 sites at alpha = 1 and
-m >= 3, 3 * 10^6 at m = 10; at alpha = 2 up to 500 to 900 sites for
-m >= 3 and 2.6 * 10^5 for m = 1).  It costs
-O(|tau box| * (3^m + 1) / 2), in chunks of about 2 MiB, plus O(|near
-box| * m^K) to fold the rest, O(3^m m^K) to spread the moments over the
-classes and an O(N) scalar fold, and O(3^m + 4^m)
-memory -- linear in system size, never a 2^N statevector.  A stack of B
-subsets of m sites each is swept once, over the union of their near
-boxes, at B times the classes per swept site.  So is one subset under a
-grid of T times (:func:`~wgstate.geometry.time_profiles`, passed where a
-profile goes): the sweep's rows carry the times, row t reading the factors
-of time t's own :class:`~wgstate.geometry.PhaseProfile`, over the union of
-every time's near sites; row t equals a lone call at that time to
-rounding.  A sweep of at least 2 * ``_SPLIT_WORK`` site classes,
-B or T rows counted, is split into contiguous parts of its near sites,
-one per usable core up to two, swept on their own threads and joined in
-order.
+folded in as one scalar.  Which sites those are comes from
+:func:`wgstate.geometry.coupled_sites`, asked once per sweep for all its
+rows.  The sweep reads the factors of the sites it sweeps through
+``geometry._pair_factors`` and the phases of those it folds through
+``geometry._grid_phases``, a block of sites and every time at once;
+:func:`wgstate.geometry.pair_phases` is the public reader of one profile's
+phases, bit for bit the same numbers.  For a law of distance alone every
+site outside the subset's near box is folded unread: the box is its
+bounding box dilated by the largest displacement whose phase (from a
+table built once per profile) is not exactly 0.  Inside it, a site whose
+every phase to the subset, reduced to (-pi, pi], is at most a threshold
+tau (:func:`_far_threshold`) is not swept but folded (:func:`_far_field`);
+the two boxes are one box of two levels, filled once per distinct
+dilation, each dilation one ``searchsorted`` per axis of a peak profile
+cached per profile.  The log of a folded site's factor over its norm,
+g(theta) = log(q0 + q1 e^{-i theta}), q = p / (p0 + p1), is its Taylor
+polynomial of degree K, the cumulants of a Bernoulli variable, to within
+C_K |theta|^(K+1): K = 1 for m <= 2 and K = 3 from m = 3, the order of
+least measured cost (``_FAR_ORDER``).  So all of them together multiply in
+exp(sum_n (-i)^n / n! M_n[d, .., d]), M_n the moment tensors of order n <=
+K over the folded sites, and their norms join the scalar.  tau = (2^-53 /
+(C_K m^(K+1) |env|))^(1/(K+1)) leaves a remainder of at most 2^-53, the
+unit roundoff, in the log of every class for all of them together: below
+the sweep's own rounding, a certified truncation, never a silent one.  The
+sweep covers only the box dilated by the reach at tau, which grows with N
+only as tau shrinks, as N^(-1/(K+1)): about ln N^(1/(K+1)) / kappa sites a
+side for an exponential e^(-kappa r), as N^(1/((K+1) alpha)) for a power
+law r^-alpha (at t = 0.3 pi it spans a centred block's whole chain up to
+about 6 * 10^5 sites at alpha = 1 and m >= 3, 3 * 10^6 at m = 10; at alpha
+= 2 up to 500 to 900 sites for m >= 3 and 2.6 * 10^5 for m = 1).  It costs
+O(|tau box| * (3^m + 1) / 2), in chunks of about 2 MiB, plus O(|near box|
+* m^K) to fold the rest, O(3^m m^K) to spread the moments over the classes
+and an O(N) scalar fold, and O(3^m + 4^m) memory -- linear in system size,
+never a 2^N statevector.  A stack of B subsets of m sites each is swept
+once, over the union of their near boxes, at B times the classes per swept
+site.  So is one subset under a grid of T times
+(:func:`~wgstate.geometry.time_profiles`, passed where a profile goes):
+the sweep's rows carry the times, row t reading the factors of time t's
+own :class:`~wgstate.geometry.PhaseProfile`, over the union of every
+time's near sites; row t equals a lone call at that time to rounding.  A
+sweep of at least 2 * ``_SPLIT_WORK`` site classes, B or T rows counted,
+is split into contiguous parts of its near sites, one per usable core up
+to two, swept on their own threads and joined in order.
 
 A lone subset (at one time or a grid) that the point reflection through
 its centre maps onto itself -- a pair, a chain block, a box -- under a law
@@ -149,7 +151,10 @@ ENV_SLAB = 262_144
 _FAR_ORDER = (0, 1, 1) + (3,) * (A_MAX - 2)
 
 # C_K of the far field's certificate for K = 1, 2, 3 (index K), each with
-# its slack; the proof is in _far_threshold
+# its slack; the proof is in _far_threshold.  No m folds at order 2 today,
+# but C_2 stays: the tests run order 2 through _FAR_ORDER, and order 2 took
+# less time than order 3 under PowerLaw(3) at every m from 2 to 8 (m = 7,
+# N = 10^5: 10.8 ms against 18.4 ms), so a law-aware order may pick it.
 _FAR_BOUND = (0.0, (1 + 2.0 ** -50) / 8, (1 + 2.0 ** -20) / 24, (1 + 2.0 ** -20) * 0.625 / 24)
 
 
@@ -524,7 +529,13 @@ def _far_field(profiles, state: ProductInput, rows: np.ndarray, ls: np.ndarray) 
     (:func:`_far_threshold`).  Each phase is read once per distinct site and
     time, from the table, in slabs: M1 from each distinct site's phases
     (one matrix-vector product), the higher moments from each row's, as
-    products of the power phi~^(x)(n-1) with phi~ kappa_n.  A slab holds at
+    products of the power phi~^(x)(n-1) with phi~ kappa_n.  M1 is read from
+    the distinct sites on purpose: a stack of pairs shares its first site,
+    and at order 1 the rows' phases are never gathered.  Reading M1 through
+    the rows, so that one loop served every order, made the fold of the
+    64-pair Exponential(1) stack at N = 2 * 10^4 take 1.30-1.35 ms instead
+    of 0.70-0.74 ms (medians of 30 calls, five alternating runs, 2-vCPU Xeon
+    VM).  A slab holds at
     most ``_CHUNK_BUDGET / 16`` sites, ``_CHUNK_BUDGET / 8`` phases and a
     product of at most 2 * ``_CHUNK_BUDGET`` multiply-adds, so that memory
     stays level and OpenBLAS runs each product on one thread: its
@@ -648,7 +659,10 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
                 near: np.ndarray, swept: np.ndarray) -> np.ndarray:
     """((3^m + 1) / 2, R) product of the factors of the sites ``env[near]``
     for the R rows of :func:`_sweep`, in its own accumulator and chunk
-    buffers; mark in ``swept`` which of them were swept."""
+    buffers; mark in ``swept`` which of them were swept.  One loop nest:
+    blocks of whole chunks, each block's factors read at once, row r's site
+    j reading ``z[which[r, j]]`` of :func:`~wgstate.geometry._pair_factors`
+    over the distinct sites; then the chunks of the block."""
     m = rows.shape[1]
     n_rows = len(rows) * len(profiles)
     n_half = (3 ** m + 1) // 2
@@ -674,59 +688,44 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     c, n_lead = min(chunk, near.size), 3 ** (m - 1)   # codes with d_0 = -1 come first
     lead = np.empty((c, n_lead, n_rows), dtype=np.complex128)
     tail = np.empty((c, n_half - n_lead, n_rows), dtype=np.complex128)
-    for start in range(0, near.size, block):
-        at = near[start:start + block]
-        swept[at] = _sweep_block(profiles, state, rows, sites, which, env[at], chunk,
-                                 half, lead, tail)
-    return half
-
-
-def _sweep_block(profiles, state: ProductInput, rows: np.ndarray, sites: np.ndarray,
-                 which: np.ndarray, ls: np.ndarray, chunk: int, half: np.ndarray,
-                 lead: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Multiply the factors of the sites ``ls`` into ``half``, ``chunk``
-    sites at a time, in the buffers ``lead`` and ``tail`` (codes with
-    d_0 = -1, then d_0 = 0 up to the center); return which of them were
-    swept.  Row r's site j reads the factors ``z[which[r, j]]`` of
-    :func:`~wgstate.geometry._pair_factors` over ``sites``."""
-    m = rows.shape[1]
-    n_half, n_lead = half.shape[0], lead.shape[1]
     # only a stack's environment holds sites of its own subsets
     stack = len(rows) > 1
-    live, z = _pair_factors(profiles, sites, ls, own=stack)
-    ls = ls[live]
-    own = (rows[:, :, None] == ls).any(axis=1) if stack else None   # (rows, sites)
-    p0, p1 = state.populations(ls)
-    for lo in range(0, ls.size, chunk):
-        zc = z[:, lo:lo + chunk]
-        c = zc.shape[1]
-        w, rest = lead[:c], tail[:c]
-        # (sites, classes, rows) layout.  Staged Kronecker sweep over the
-        # trailing sites, the most significant one applied last: w[:, code]
-        # holds p1 * exp(-i sum_{k>=j} phi_kl d_k) for every partial code,
-        # d_j = -1, 0, 1 in the first, second and third k codes.  Each
-        # stage reads its own copy of its factors, conjugated in place.
-        w[:, 0] = p1[lo:lo + chunk, None]
-        k = 1
-        for j in range(m - 1, 0, -1):
-            col = zc[which[:, j]].T[:, None, :]
-            rest[:, :k] = w[:, :k]
-            np.multiply(rest[:, :k], col, out=w[:, 2 * k:3 * k])
-            w[:, k:2 * k] = rest[:, :k]
-            w[:, :k] *= np.conjugate(col, out=col)
-            k *= 3
-        # Site 0 last, and only as far as the center: all of d_0 = -1,
-        # the lower half of d_0 = 0.  E(-d) = conj E(d) gives the rest.
-        rest[:] = w[:, :n_half - n_lead]
-        col = zc[which[:, 0]].T[:, None, :]
-        w *= np.conjugate(col, out=col)
-        for f, codes in ((w, slice(None, n_lead)), (rest, slice(n_lead, None))):
-            f += p0[lo:lo + chunk, None, None]
-            if stack:
-                # a subset's own sites enter its column as the factor 1
-                f.transpose(0, 2, 1)[own[:, lo:lo + chunk].T] = 1.0
-            half[codes] *= f.prod(axis=0)
-    return live
+    for start in range(0, near.size, block):
+        at = near[start:start + block]
+        live, z = _pair_factors(profiles, sites, env[at], own=stack)
+        swept[at] = live
+        ls = env[at[live]]
+        own = (rows[:, :, None] == ls).any(axis=1) if stack else None   # (rows, sites)
+        p0, p1 = state.populations(ls)
+        for lo in range(0, ls.size, chunk):
+            zc = z[:, lo:lo + chunk]
+            w, rest = lead[:zc.shape[1]], tail[:zc.shape[1]]
+            # (sites, classes, rows) layout.  Staged Kronecker sweep over the
+            # trailing sites, the most significant one applied last: w[:, code]
+            # holds p1 * exp(-i sum_{k>=j} phi_kl d_k) for every partial code,
+            # d_j = -1, 0, 1 in the first, second and third k codes.  Each
+            # stage reads its own copy of its factors, conjugated in place.
+            w[:, 0] = p1[lo:lo + chunk, None]
+            k = 1
+            for j in range(m - 1, 0, -1):
+                col = zc[which[:, j]].T[:, None, :]
+                rest[:, :k] = w[:, :k]
+                np.multiply(rest[:, :k], col, out=w[:, 2 * k:3 * k])
+                w[:, k:2 * k] = rest[:, :k]
+                w[:, :k] *= np.conjugate(col, out=col)
+                k *= 3
+            # Site 0 last, and only as far as the center: all of d_0 = -1,
+            # the lower half of d_0 = 0.  E(-d) = conj E(d) gives the rest.
+            rest[:] = w[:, :n_half - n_lead]
+            col = zc[which[:, 0]].T[:, None, :]
+            w *= np.conjugate(col, out=col)
+            for f, codes in ((w, slice(None, n_lead)), (rest, slice(n_lead, None))):
+                f += p0[lo:lo + chunk, None, None]
+                if stack:
+                    # a subset's own sites enter its column as the factor 1
+                    f.transpose(0, 2, 1)[own[:, lo:lo + chunk].T] = 1.0
+                half[codes] *= f.prod(axis=0)
+    return half
 
 
 def environment_factor(profile, state: ProductInput, sites, x, y,
@@ -743,9 +742,9 @@ def environment_factor(profile, state: ProductInput, sites, x, y,
     env = _resolve_environment(profile, sites, environment)
     if not {*np.ravel(x).tolist(), *np.ravel(y).tolist()} <= {0, 1}:
         raise ValueError(f"x and y must hold bits 0 or 1, got {x} and {y}")
-    d = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
-    if d.shape != (sites.size,):
+    if not np.shape(x) == np.shape(y) == (sites.size,):     # no bits broadcast
         raise ValueError(f"x and y must each hold {sites.size} bits")
+    d = np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64)
     out = 1.0 + 0.0j
     active = np.flatnonzero(d)
     for start in range(0, env.size, ENV_SLAB):

@@ -425,6 +425,21 @@ def test_graph_rank_analytic_blank_without_margin(capsys, tmp_path):
     assert rows[0][2] == ""  # closed form needs margin around the block
 
 
+def test_graph_rank_analytic_blank_for_a_law_that_is_not_a_cutoff(capsys, tmp_path):
+    # a table law with the phases of Cutoff(1) at t = pi: the same graph
+    # state and rank, but the closed form is a cutoff's alone
+    table = ", ".join(f"{r}:{int(r == 1)}" for r in range(20))
+    ranks = []
+    for law in ("variant = cutoff\nlambda = 1", f"variant = table\ntable = {table}"):
+        cfg = write_config(tmp_path, f"[lattice]\nextents = 20\n[law]\n{law}\n"
+                           "[time]\nt_over_pi = 1\n[task]\nsides = 4, 6\n")
+        code, out, _ = run(capsys, "graph-rank", "--config", cfg)
+        assert code == 0
+        ranks.append(parse_csv(out)[1])
+    assert [row[2] for row in ranks[0]] == ["2", "2"]
+    assert ranks[1] == [[side, rank, "", count] for side, rank, _, count in ranks[0]]
+
+
 @pytest.mark.parametrize("lattice, reach, sides", [
     ("extents = 20", 2.5, "15, 16, 17"),
     ("extents = 20\nboundary = periodic", 2.5, "14, 15, 16"),
@@ -534,6 +549,9 @@ MALFORMED = {
     "range_arity": ("correlations", None, "separations = 1:2:3:4", "key 'separations'"),
     "range_text": ("correlations", None, "separations = a:3", "key 'separations'"),
     "range_step": ("correlations", None, "separations = 1:5:0", "key 'separations'"),
+    # a descending range is refused, not read as no sites
+    "range_reversed": ("correlations", None, "separations = 1, 10:5",
+                       "key 'separations': range '10:5'"),
     "list_text": ("correlations", None, "separations = 1, x", "key 'separations'"),
     "list_empty": ("correlations", None, "separations = ,", "key 'separations'"),
     "table_pair": ("mw", ("variant = power\nalpha = 3.0", "variant = table\ntable = 1 2"),
@@ -553,6 +571,12 @@ MALFORMED = {
     "sizes_long": ("entropy-scan", None, "sizes = 21", "key 'sizes'"),
     "size_long": ("bounds-scan", None, "size = 40", "key 'size'"),
     "sides_empty": ("graph-rank", None, "sides = 0", "key 'sides'"),
+    "alpha_text": ("mw", ("alpha = 3.0", "alpha = abc"), "", "key 'alpha'"),
+    "seed_text": ("mw", ("variant = power", "variant = disordered\nbase = power\nseed = x"),
+                  "", "key 'seed'"),
+    "boundary": ("mw", ("extents = 20", "extents = 20\nboundary = closed"), "",
+                 "section [lattice]"),
+    "l_max_long": ("dynamics", None, "l_max = 11", "key 'l_max'"),
 }
 
 

@@ -58,6 +58,38 @@ def test_square_lattice_distance():
     assert distance(lat, k, l) == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-15)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_distances_match_a_brute_force_minimum_image(data):
+    # bit for bit an independent computation: coordinates from
+    # np.unravel_index, the nearer way round on each periodic axis, and the
+    # root of the integer sum of squares; small extents and ones of up to
+    # 2^20 sites an axis
+    dim = data.draw(st.integers(1, 3))
+    extent = st.integers(1, 12) | st.integers(1, 2 ** 20)
+    extents = tuple(data.draw(st.lists(extent, min_size=dim, max_size=dim)))
+    if math.prod(extents) < 2:
+        extents = extents[:-1] + (2,)
+    boundary = tuple(data.draw(st.lists(st.sampled_from(["open", "periodic"]),
+                                        min_size=dim, max_size=dim)))
+    lattice = Lattice(extents, boundary)
+    site = st.integers(0, lattice.n_sites - 1)
+    k = data.draw(site)
+    ls = np.array(data.draw(st.lists(site, max_size=40)), dtype=np.intp)
+    ls = ls.reshape(data.draw(st.sampled_from([(-1,), (1, -1), (-1, 1)])))
+    square = np.zeros(ls.shape, dtype=np.int64)
+    for at, end, e, bound in zip(np.unravel_index(k, extents), np.unravel_index(ls, extents),
+                                 extents, boundary):
+        step = np.abs(end - at)
+        if bound == "periodic":
+            step = np.minimum(step, e - step)
+        square += step * step
+    want = np.sqrt(square.astype(np.float64))
+    got = lattice.distances(k, ls)
+    assert got.dtype == np.float64 and got.shape == ls.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_row_major_linearization():
     lat = Lattice((3, 4, 5))
     # axis 0 slowest: index = (c0*4 + c1)*5 + c2

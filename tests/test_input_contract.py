@@ -6,7 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from wgstate.geometry import Cutoff, EdgeProfile, Lattice, PhaseProfile, PowerLaw, time_profiles
+from wgstate import oracle
+from wgstate.geometry import (
+    Cutoff,
+    Disordered,
+    EdgeProfile,
+    Exponential,
+    Lattice,
+    PhaseProfile,
+    PowerLaw,
+    Table,
+    centered_block,
+    time_profiles,
+)
 from wgstate.graphstate import block_adjacency
 from wgstate.measures import (
     block_entropy,
@@ -14,7 +26,13 @@ from wgstate.measures import (
     block_entropy_upper,
     meyer_wallach,
 )
-from wgstate.rdm import ProductInput, environment_product, reduced_density, trace_to
+from wgstate.rdm import (
+    ProductInput,
+    environment_factor,
+    environment_product,
+    reduced_density,
+    trace_to,
+)
 
 N = 30
 
@@ -166,3 +184,39 @@ def test_time_grids_share_the_contract(entry, case):
     profile, sites, times, message = TIME_CASES[case]
     with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](time_profiles(profile(), times), ProductInput.plus(N), sites)
+
+
+# the other inputs the API checks: a call that breaches one, and its message
+API_CASES = {
+    "env_past_end": (lambda: environment_product(_profile(), ProductInput.plus(N), [3, 4],
+                                                 environment=[0, N]),
+                     r"environment site out of range 0\.\.29"),
+    "env_repeat": (lambda: environment_product(_profile(), ProductInput.plus(N), [3, 4],
+                                               environment=[0, 1, 0]),
+                   "environment contains repeated sites"),
+    "factor_x_long": (lambda: environment_factor(_profile(), ProductInput.plus(N), [3, 4],
+                                                 [0, 1, 1], [1, 0, 0]),
+                      "x and y must each hold 2 bits"),
+    # a y of one bit must not broadcast against x
+    "factor_y_short": (lambda: environment_factor(_profile(), ProductInput.plus(N), [3, 4],
+                                                  [0, 1], [1]),
+                       "x and y must each hold 2 bits"),
+    "block_shape": (lambda: centered_block(Lattice((6, 6)), (2,)),
+                    "one side length per axis"),
+    "power_law": (lambda: PowerLaw(0), "alpha must be positive"),
+    "exponential": (lambda: Exponential(-1), "kappa must be positive"),
+    "table_empty": (lambda: Table({}), "table law needs at least one entry"),
+    "edge_profile": (lambda: EdgeProfile(1, {}), "need at least 2 sites"),
+    "disordered_sites": (lambda: Disordered(PowerLaw(1.0), seed=3).strengths(np.ones(2)),
+                         "needs site identities"),
+    "oracle_state": (lambda: oracle.evolve(PhaseProfile(Lattice(6), PowerLaw(1.0), time=1.0),
+                                           ProductInput.plus(5)),
+                     "state has 5 sites, profile has 6"),
+}
+
+
+@pytest.mark.parametrize("case", list(API_CASES))
+def test_api_inputs_raise_their_error(case):
+    call, message = API_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
