@@ -29,19 +29,21 @@ both reaches read from one peak profile per profile,
 ``PhaseProfile._peaks``, and filled into one box) and
 :func:`pair_phases`, the one phase reader, reads their phases, from the
 table or one ``phase_row`` per subset site; :func:`_pair_factors` keeps the
-sites with a phase other than 0.0 and gives the factors exp(-i phi) the
-sweep multiplies, for one profile or for the profiles of a time grid
-(:func:`time_profiles`) at once, a grid's from one gather of its stacked
-tables.  A graph-state adjacency asks :func:`coupled_pairs` for every pair
-of a block site and a site outside the block whose phase is not 0.0, whole
-rows at a time within a byte budget, and so does the entropy lower bound,
-under a :class:`Cutoff` of its radius; for a table it reads the table's
-*stencil*, its entries that are not 0.0 (``PhaseProfile._stencil``), each
-standing for the signed displacements that reach across an open or a
-periodic axis.  A sweep of a subset that the point reflection through its
-centre maps onto itself asks :func:`mirror_images` for each site's image,
-which a table gives the same phases with the subset permuted.  Only this
-module reads a lattice's boundaries.
+sites with a phase other than 0.0 and forms the factors exp(-i phi) the
+sweep multiplies from their phases, for one profile or for the profiles of
+a time grid (:func:`time_profiles`) at once, a grid's phases from one
+gather of its stacked tables.  A profile caches its phases alone, never
+their factors.  A graph-state adjacency asks :func:`coupled_pairs` for
+every pair of a block site and a site outside the block whose phase is not
+0.0, whole rows at a time within a byte budget, and so does the entropy
+lower bound, under a :class:`Cutoff` of its radius; for a table it reads
+the table's *stencil*, its entries that are not 0.0
+(``PhaseProfile._stencil``), each standing for the signed displacements
+that reach across an open or a periodic axis.  A sweep of a subset that
+the point reflection through its centre maps onto itself asks
+:func:`mirror_images` for each site's image, which a table gives the same
+phases with the subset permuted.  Only this module reads a lattice's
+boundaries.
 """
 
 from __future__ import annotations
@@ -101,14 +103,6 @@ def _centred(phi: np.ndarray) -> np.ndarray:
     out -= _TWO_PI_LO
     np.copyto(out, phi, where=phi <= math.pi)
     return out
-
-
-def _factors(phi: np.ndarray) -> np.ndarray:
-    """Read-only exp(-1j * phi), elementwise."""
-    z = -1j * phi
-    np.exp(z, out=z)
-    z.setflags(write=False)
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +191,10 @@ class Lattice:
         if self.dimension == 1:
             return step[..., 0].astype(np.float64)
         # squared in place and summed straight into float64, with no
-        # temporary per axis: the integer squares and their sum are exact
+        # temporary per axis: the integer squares and their sum are exact;
+        # a scalar ls sums to a numpy scalar, kept a 0-d array as on a chain
         step *= step
-        r = np.add.reduce(step, axis=-1, dtype=np.float64)
+        r = np.asarray(np.add.reduce(step, axis=-1, dtype=np.float64))
         return np.sqrt(r, out=r)
 
 
@@ -401,11 +396,6 @@ class PhaseProfile:
         return _tables((self,))[0]
 
     @cached_property
-    def _displacement_factors(self) -> np.ndarray:
-        """Read-only exp(-1j * phi) of every entry of ``_displacement_table``."""
-        return _factors(self._displacement_table)
-
-    @cached_property
     def _stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only flat indices, ascending, of the ``_displacement_table``
         entries that are not 0.0, and those entries: the displacements with
@@ -508,12 +498,11 @@ def time_profiles(profile, times) -> _Grid:
     Under a law of distance alone (any but :class:`Disordered`) the grid's
     displacement tables are built at once, one ``phase_row`` per time over
     the sites :func:`_tables` reads (a :class:`Cutoff`'s reach box, or
-    every site), as one read-only (T, *extents) stack of phases and one of
-    their factors exp(-1j * phi); each profile's ``_displacement_table``
-    and ``_displacement_factors`` are views of its row of them, no second
-    copy.  :func:`_pair_factors` and :func:`_grid_phases` read every time
-    of the grid with one gather.  The tables live as long as the grid: a
-    caller that sweeps, assembles and walks one grid builds them once.
+    every site), as one read-only (T, *extents) stack of phases; each
+    profile's ``_displacement_table`` is a view of its row, no second
+    copy.  :func:`_grid_phases` reads every time of the grid with one
+    gather.  The stack lives as long as the grid: a caller that sweeps,
+    assembles and walks one grid builds it once.
     """
     if not isinstance(profile, PhaseProfile):
         raise ValueError(f"times need a PhaseProfile (lattice, law, time), "
@@ -531,18 +520,16 @@ class _Grid(tuple):
     """The profiles of a time grid, one lattice and law at T times
     (:func:`time_profiles`), passed where a profile goes: its
     ``n_sites`` is theirs.  Under a law of distance alone it holds their
-    ``_displacement_table`` and ``_displacement_factors`` as read-only
-    stacks, (T, *extents) each, of which each profile's own are row views;
-    the stack of phases is built as a lone profile's table is, by
-    :func:`_tables`.  A :class:`Disordered` grid has no stacks."""
+    ``_displacement_table`` as one read-only (T, *extents) stack, of which
+    each profile's own is a row view, built as a lone profile's table is,
+    by :func:`_tables`.  A :class:`Disordered` grid has no stack."""
 
     def __init__(self, profiles):
         if isinstance(self[0].law, Disordered):
             return
-        phi = _tables(self)
-        self._displacement_table, self._displacement_factors = phi, _factors(phi)
-        for profile, table, factors in zip(self, phi, self._displacement_factors):
-            profile.__dict__.update(_displacement_table=table, _displacement_factors=factors)
+        self._displacement_table = _tables(self)
+        for profile, table in zip(self, self._displacement_table):
+            profile.__dict__["_displacement_table"] = table
 
     @property
     def n_sites(self) -> int:
@@ -597,16 +584,6 @@ def displacement_phases(profile) -> np.ndarray | None:
     if not isinstance(profile, PhaseProfile) or isinstance(profile.law, Disordered):
         return None
     return profile._displacement_table
-
-
-def _warm(profiles) -> None:
-    """Build the tables each of ``profiles`` caches on first use that
-    :func:`coupled_sites` has not built, so that threads sweeping parts of
-    one environment only read them: ``cached_property`` holds no lock from
-    Python 3.12 on."""
-    for profile in profiles:
-        if displacement_phases(profile) is not None:
-            profile._displacement_factors
 
 
 def coupled_sites(profiles, sites, ls, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -710,7 +687,7 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
     otherwise each row is one ``phase_row`` call.
     """
     if displacement_phases(profile) is not None:
-        return _grid_phases((profile,), sites, ls)[0]
+        return _grid_phases((profile,), sites, ls)
     if np.ndim(sites) == 2:
         return np.stack([pair_phases(profile, row, l) for row, l in zip(sites, ls)])
     ls = np.asarray(ls, dtype=np.intp)
@@ -721,29 +698,22 @@ def pair_phases(profile, sites, ls) -> np.ndarray:
     return phi
 
 
-def _grid_phases(profiles, sites, ls) -> tuple[np.ndarray, np.ndarray | None]:
+def _grid_phases(profiles, sites, ls) -> np.ndarray:
     """:func:`pair_phases` of each of ``profiles`` (one profile, or a grid
     from :func:`time_profiles`), profile after profile along the first
-    axis, and for a table the flat index of every pair into it, else None:
-    every profile's phases are read in one gather."""
+    axis: with a table, one gather of one profile's table or of a grid's
+    stack through one flat index of every pair."""
     if displacement_phases(profiles[0]) is None:
-        return np.concatenate([pair_phases(profile, sites, ls) for profile in profiles]), None
+        return np.concatenate([pair_phases(profile, sites, ls) for profile in profiles])
     lattice = profiles[0].lattice
     ends, at = lattice.coords(sites)[..., :, None, :], lattice.coords(ls)[..., None, :, :]
     # the table's entry at (|d_0|, .., |d_D-1|), each |d| within its extent
     idx = lattice._ravel(np.abs(ends[..., axis] - at[..., axis])
                          for axis in range(lattice.dimension))[0]
-    return _gather(profiles, "_displacement_table", idx), idx
-
-
-def _gather(profiles, name: str, idx: np.ndarray) -> np.ndarray:
-    """The entries at the flat indices ``idx`` of the table ``name`` of each
-    of ``profiles``, profile after profile along the first axis: one gather
-    of one profile's table, or of a grid's stack."""
     if len(profiles) == 1:      # a leading slice would read one row at half the speed
-        return getattr(profiles[0], name).ravel()[idx]
-    at = getattr(profiles, name).reshape(len(profiles), -1)[:, idx]
-    return at.reshape((len(profiles) * len(idx),) + idx.shape[1:])
+        return profiles[0]._displacement_table.ravel()[idx]
+    phi = profiles._displacement_table.reshape(len(profiles), -1)[:, idx]
+    return phi.reshape((len(profiles) * len(idx),) + idx.shape[1:])
 
 
 def _per_budget(pairs: int) -> int:
@@ -815,17 +785,15 @@ def _pair_factors(profiles, sites, ls, own=False) -> tuple[np.ndarray, np.ndarra
     exp(-1j * phi) of ``pair_phases(profile, sites, ls)`` at those, profile
     after profile: (len(profiles) * len(sites), count).
 
-    With a :func:`displacement_phases` table phases and factors are read
-    through one index, each with one gather of every profile's table,
-    the factors from ``exp(-1j * table)``, computed once per profile (a
-    grid's as one stack) and kept read-only beside the table: bit for bit
-    ``np.exp`` of the same phases, without one complex ``exp`` per pair.
+    The phases come from one gather (:func:`_grid_phases`) and the factors
+    from ``np.exp`` of them at the kept sites alone, one rule for every
+    profile, so no profile caches a second table.
     """
-    phi, idx = _grid_phases(profiles, sites, ls)
+    phi = _grid_phases(profiles, sites, ls)
     live = (phi != 0.0).any(axis=0) | (np.isin(ls, sites) if own else False)
-    if idx is None:
-        return live, np.exp(-1j * phi[:, live])
-    return live, _gather(profiles, "_displacement_factors", idx[:, live])
+    z = -1j * phi[:, live]
+    np.exp(z, out=z)
+    return live, z
 
 
 # ---------------------------------------------------------------------------

@@ -105,24 +105,27 @@ def block_entropy_upper(profile, state: ProductInput, sites, m: int = 4,
 
     With one or two sub-blocks the bound is the block entropy itself (two
     telescope to S(L_1 ∪ L_2)); pass it as ``exact`` when it is already
-    known and the block is not swept again.
+    known and the block is not swept again.  A subset to sweep of more than
+    ``A_MAX`` sites, two adjacent sub-blocks or that whole block, raises
+    :class:`SubsetTooLargeError` naming ``m``.
     """
     sites = _check_subset(profile, sites, state, profile.n_sites)
     total = sites.size
     if m < 1:
         raise ValueError("sub-block size m must be at least 1")
     n = total // m
-    if n <= 1:
+    # the largest subset swept: the last two sub-blocks, or the whole block
+    # when one or two sub-blocks telescope to S(block)
+    span = total - max(n - 2, 0) * m
+    if span > A_MAX and (exact is None or n > 2):
+        raise SubsetTooLargeError(
+            f"sub-blocks of m = {m} sites bound a block of {total} by subsets of "
+            f"{span} sites, over the limit of {A_MAX}; pick m so that 3*m - 1 <= {A_MAX}")
+    if n <= 2:
         exact = block_entropy(profile, state, sites) if exact is None else exact
         return min(exact, float(total))
     blocks = [sites[i * m:(i + 1) * m] for i in range(n - 1)]
     blocks.append(sites[(n - 1) * m:])
-    if blocks[-1].size + m > A_MAX:
-        raise SubsetTooLargeError(
-            f"adjacent sub-blocks span {blocks[-1].size + m} sites, over the "
-            f"limit of {A_MAX}; pick m so that 3*m - 1 <= {A_MAX}")
-    if n == 2 and exact is not None:
-        return min(exact, float(total))
     bound = 0.0
     for left, right in zip(blocks[:-1], blocks[1:]):
         bound += block_entropy(profile, state, np.concatenate([left, right]))

@@ -107,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_centred, _Grid, _grid_phases, _pair_factors, _warm, coupled_sites,
+from .geometry import (_centred, _Grid, _grid_phases, _pair_factors, coupled_sites,
                        displacement_phases, mirror_images)
 
 # Hard ceiling on subset size: 3^10 difference classes and a 1024 x 1024
@@ -312,9 +312,9 @@ def environment_product(profile, state: ProductInput, sites, environment=None) -
     ``profile`` may be a time grid, ``time_profiles(p, times)`` of T times
     (:func:`~wgstate.geometry.time_profiles`): the one subset ``sites``
     (not a stack) is swept at every time at once and the result is
-    (T, 3^m), row t the table under the grid's profile t, its factors read
-    from that profile's own tables.  The union of every time's near sites
-    is swept; a site whose phases are 0.0 at every time is folded.  Row t
+    (T, 3^m), row t the table under the grid's profile t, its factors
+    formed from that profile's own phases.  The union of every time's near
+    sites is swept; a site whose phases are 0.0 at every time is folded.  Row t
     equals a lone call at ``times[t]`` to rounding, within the floor
     below, not bit for bit: the grid sweeps sites with phase 0.0 at time t
     that the lone call folds, and chunks them at the stack's budget.  In
@@ -435,9 +435,8 @@ def _sweep(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray) -> 
     # the representatives, then the sites swept alone
     groups = [near] if pairs is None else [pairs[1], pairs[3]]
     parts = _part_count(sum(group.size for group in groups) * n_half * n_rows)
-    # every lazily built table a part reads exists before any thread
-    # starts; parts share only ``swept``, at disjoint positions
-    _warm(profiles)
+    # parts read only tables that coupled_sites built before any thread
+    # starts, and share only ``swept``, at disjoint positions
     halves = [None] * parts
     pieces = [np.array_split(group, parts) for group in groups]
 
@@ -552,7 +551,7 @@ def _far_field(profiles, state: ProductInput, rows: np.ndarray, ls: np.ndarray) 
                                        len(which) * m ** order // 2))
     for start in range(0, ls.size, slab):
         at = ls[start:start + slab]
-        phi = _centred(_grid_phases(profiles, sites, at)[0])      # (T * S, slab)
+        phi = _centred(_grid_phases(profiles, sites, at))      # (T * S, slab)
         q0, q1 = (pop[at] / state._norms[at] for pop in state._populations)
         moments[0] += phi @ q1
         if order > 1:       # the products of two or more of a row's sites
@@ -660,7 +659,7 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     """((3^m + 1) / 2, R) product of the factors of the sites ``env[near]``
     for the R rows of :func:`_sweep`, in its own accumulator and chunk
     buffers; mark in ``swept`` which of them were swept.  One loop nest:
-    blocks of whole chunks, each block's factors read at once, row r's site
+    blocks of whole chunks, each block's factors formed at once, row r's site
     j reading ``z[which[r, j]]`` of :func:`~wgstate.geometry._pair_factors`
     over the distinct sites; then the chunks of the block."""
     m = rows.shape[1]
@@ -671,11 +670,12 @@ def _sweep_part(profiles, state: ProductInput, rows: np.ndarray, env: np.ndarray
     # stack's chunk also holds its factors and a gathered column per stage;
     # at a quarter of the budget that stays in cache (64 pairs at m = 2 on
     # a 2-vCPU Xeon VM: 4.7 ms a sweep against 7.9 ms at the whole budget).
-    # block: whole chunks whose phases and factors are read at once.  A
-    # profile without a table pays one phase_row call per subset site, time
-    # and block, so its blocks take the whole budget; a table's gathers cost
-    # nothing per call, so its blocks take an eighth, and a stack's factors
-    # stay small.  A grid's T rows count as a stack's.
+    # block: whole chunks whose phases are gathered, and factors formed, at
+    # once.  A profile without a table pays one phase_row call per subset
+    # site, time and block, so its blocks take the whole budget; a table's
+    # gather costs nothing per call, so its blocks take an eighth, and the
+    # phases and factors a block holds stay small.  A grid's T rows count as
+    # a stack's.
     budget = _chunk_budget(n_rows)
     chunk = max(1, budget // (n_rows * n_half))
     share = _CHUNK_BUDGET if displacement_phases(profiles[0]) is None else budget // 8
@@ -763,7 +763,7 @@ def _internal_phases(profiles, rows: np.ndarray, bits: np.ndarray) -> np.ndarray
     profile's rows from one gather.  One matrix-vector product per j for all
     rows at once: one product over all j would sum in another order than a
     lone row."""
-    phi = _grid_phases(profiles, rows, rows)[0]
+    phi = _grid_phases(profiles, rows, rows)
     theta = np.zeros((phi.shape[0], bits.shape[0]))
     for j in range(rows.shape[1] - 1):
         theta += bits[:, j] * (bits[:, j + 1:] @ phi[:, j, j + 1:, None])[..., 0]

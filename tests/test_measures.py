@@ -185,6 +185,23 @@ def test_block_entropy_upper_remainder_absorbed_by_last_subblock():
         block_entropy_upper(prof, state, sites, m=0)
 
 
+def test_block_entropy_upper_names_m_when_its_subsets_are_too_large():
+    # one or two sub-blocks telescope to the whole block: a block over
+    # A_MAX raises naming m, not advice to use the bounds themselves
+    prof = PhaseProfile(Lattice(30), PowerLaw(alpha=2.0), time=0.3 * math.pi)
+    state = ProductInput.plus(30)
+    block = np.arange(A_MAX + 2)
+    # 12 sites: m = 13 and 12 leave one sub-block, 11, 6 and 5 two; 20
+    # sites at m = 6: three, the last two spanning 14 sites
+    for sites, m in [(block, 13), (block, 12), (block, 11), (block, 6), (block, 5),
+                     (np.arange(20), 6)]:
+        with pytest.raises(SubsetTooLargeError, match=f"m = {m} sites") as info:
+            block_entropy_upper(prof, state, sites, m=m)
+        assert "entropy bounds" not in str(info.value)
+    # a known exact entropy of one or two sub-blocks is the bound
+    assert block_entropy_upper(prof, state, block, m=A_MAX + 1, exact=1.5) == 1.5
+
+
 def test_block_entropy_lower_trivial_radius():
     lat = Lattice(20)
     prof = PhaseProfile(lat, PowerLaw(alpha=2.0), time=0.5)

@@ -319,3 +319,19 @@ def test_a_grid_leaves_nothing_behind():
                                [0.1, 0.5])
     assert disordered.n_sites == 8 and not hasattr(disordered, "_displacement_table")
     assert reduced_density(disordered, ProductInput.plus(8), [3, 4]).shape == (2, 4, 4)
+
+
+def test_nothing_complex_is_cached():
+    # a profile and a grid cache phases alone: a sweep forms its factors
+    # from the phases it gathers, so no attribute holds a complex array
+    lattice = Lattice(400)
+    state = ProductInput.plus(400)
+    lone = PhaseProfile(lattice, PowerLaw(2.0), 0.3 * math.pi)
+    grid = time_profiles(lone, np.linspace(0.0, math.pi, 5))
+    for profile in (lone, grid):
+        reduced_density(profile, state, [198, 199, 200, 201])
+    assert hasattr(grid, "_displacement_table") and "_displacement_table" in vars(lone)
+    for owner in (lone, grid, *grid):
+        for name, value in vars(owner).items():
+            for array in value if isinstance(value, tuple) else (value,):
+                assert not np.iscomplexobj(array), (owner, name)

@@ -3,8 +3,8 @@
 The sweep computes half of the 3^m difference classes, mirrors the rest by
 complex conjugation, skips environment sites whose phases to the subset
 are exactly 0 and works in cache-sized chunks, read a few to a block.  For
-a law of distance alone it reads phases and factors from the cached
-displacement tables and looks only inside the subset's near box.  Each of
+a law of distance alone it reads phases from the cached displacement
+tables and looks only inside the subset's near box.  Each of
 those shortcuts is checked here against the one-class-at-a-time reference
 :func:`wgstate.rdm.environment_factor` and, for the assembled matrix,
 against the statevector oracle.  A stack of subsets swept at once is
